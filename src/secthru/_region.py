@@ -1,10 +1,11 @@
-"""Internal quadrature/bisection machinery shared by the policy solvers.
+"""Internal quadrature and power-solve machinery shared by the policy solvers.
 
 The throughput and average-power integrals all live on the transmit region
 z_m > gamma*z_e + offset (full CSI and the unconstrained benchmark) or on
 z_m > alpha with an inner eavesdropper integral (main CSI). The helpers here
-tensorize those regions so the per-state power solves vectorize, and both
-quadrature dimensions refine together through numerics.refine_panels.
+tensorize those regions so the per-state power solves vectorize through one
+lane kernel (power_lanes), and both quadrature dimensions refine together
+through numerics.refine_panels.
 """
 
 import math
@@ -23,45 +24,88 @@ from .numerics import (
 )
 
 
-def bisect_power_lanes(
-    gain_at: Callable[[np.ndarray], np.ndarray],
-    lam: float,
-    n_lanes: int,
-    tol: Tolerances,
-    mu_cap: float,
-) -> np.ndarray:
-    """Per-lane bisection of a strictly decreasing marginal gain against lam.
+# lane-terms solved together: the kernel's temporaries stay near a megabyte
+# however many states a caller passes
+_BLOCK_TERMS = 1 << 14
 
-    gain_at(mu) evaluates the gain of every lane at its own mu. Lanes with
-    gain_at(0) <= lam get exactly 0. The upper bracket doubles from 1 until the
-    gain drops below lam; hitting mu_cap signals a bug (the gain is monotone).
+
+def power_lanes(z_m, coef, ratio, beta: float, nu: float, tol: Tolerances) -> np.ndarray:
+    """Optimal power of every lane: the root of G_i(mu) = nu, or 0 if G_i(0) <= nu.
+
+        G_i(mu) = sum_j coef[i, j] (1 + mu*z_i)^-(beta+1) (1 + ratio[i, j]*mu*z_i)^(beta-1)
+
+    with coef >= 0 and ratio = gamma*z_e/z_m in [0, 1); a 1-D coef is one term
+    per lane. In x = ln(1 + mu*z_i) the slope of h = ln(G_i/nu) is a weighted
+    mean of per-term slopes in [-max(2, beta+1), -min(2, beta+1)], so the root
+    lies in [L/max(2, beta+1), L/min(2, beta+1)] with L = h(0). Each lane takes
+    Newton steps on h from the tangent root at x = 0, bisects its running
+    bracket whenever a step leaves it, and is frozen once its step in mu is
+    below root_tol*max(1, mu). A non-finite iterate or max_iter steps raise
+    NumericsError carrying the powers so far (NaN in blocks not reached).
     """
-    mu0 = np.zeros(n_lanes)
-    active = gain_at(mu0) > lam
-    if not np.any(active):
-        return mu0
+    ratio = np.broadcast_to(ratio, coef.shape)
+    size = max(1, _BLOCK_TERMS // (coef.shape[1] if coef.ndim == 2 else 1))
+    out = np.full(z_m.size, np.nan)
+    for start in range(0, z_m.size, size):
+        blk = slice(start, start + size)
+        _newton_block(out, out[blk], z_m[blk], coef[blk], ratio[blk], beta, nu, tol)
+    return out
 
-    lo = np.zeros(n_lanes)
-    hi = np.ones(n_lanes)
-    for _ in range(200):
-        need = active & (gain_at(hi) > lam)
-        if not need.any():
-            break
-        if np.any(hi[need] >= mu_cap):
-            raise NumericsError("power bracket exceeded cap; gain should be monotone")
-        lo = np.where(need, hi, lo)
-        hi = np.where(need, 2.0 * hi, hi)
+
+def _log_gain(p, c, s, beta, nu):
+    """ln(G/nu) + min(2, beta+1)*x and its x-derivative at p = mu*z_m = e^x - 1.
+
+    Per term, for beta >= 1, ((1+q)/(1+p))^(beta-1) with q = s*p is written
+    through (1+p)/(1+q) = 1 + (1-s)*p/(1+q), which keeps near-threshold lanes
+    (s -> 1) and large beta free of cancellation.
+    """
+    if c.ndim == 2:
+        p = p[:, None]
+    q = s * p
+    if beta >= 1.0:
+        t = (1.0 - s) / (1.0 + q)
+        e, k = -(beta - 1.0) * np.log1p(t * p), -(beta - 1.0) * t
     else:
-        raise NumericsError("power bracket expansion did not terminate")
+        e, k = (beta - 1.0) * np.log1p(q), (beta - 1.0) * s * (1.0 + p) / (1.0 + q)
+    if c.ndim == 1:
+        return np.log(c / nu) + e, k
+    w = c * np.exp(e)
+    total = w.sum(axis=1)
+    return np.log(total / nu), (w * k).sum(axis=1) / total
 
+
+def _newton_block(out, mu, z, c, s, beta, nu, tol):
+    """Solve one block of power_lanes into mu, a view of out."""
+    b = min(2.0, beta + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lanes with no gain drop out below
+        big_l, k = _log_gain(np.zeros(z.size), c, s, beta, nu)
+    mu[:] = 0.0
+    lane = np.flatnonzero(big_l > 0.0)
+    z, c, s, big_l, k = (v[lane] for v in (z, c, s, big_l, k))
+    lo, hi = big_l / max(2.0, beta + 1.0), big_l / b
+    x = np.clip(big_l / (b - k), lo, hi)
+    p = np.expm1(x)
     for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        above = gain_at(mid) > lam
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if np.all(hi - lo <= tol.root_tol * np.maximum(1.0, hi)):
-            break
-    return np.where(active, 0.5 * (lo + hi), 0.0)
+        g, dg = _log_gain(p, c, s, beta, nu)  # h = g - b*x, dh/dx = dg - b
+        step = (g - b * x) / (b - dg)
+        if not np.all(np.isfinite(step)):
+            mu[lane] = p / z
+            raise NumericsError("power_lanes: non-finite iterate", best=out)
+        above = g > b * x
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        x_new = x + step
+        x_new = np.where((x_new < lo) | (x_new > hi), 0.5 * (lo + hi), x_new)
+        p_new = np.expm1(x_new)
+        mu_new = p_new / z
+        done = np.abs(mu_new - p / z) <= tol.root_tol * np.maximum(1.0, mu_new)
+        mu[lane[done]] = mu_new[done]
+        keep = ~done
+        lane, z, c, s, lo, hi, x, p = (v[keep] for v in (lane, z, c, s, lo, hi, x_new, p_new))
+        if lane.size == 0:
+            return
+    mu[lane] = p / z
+    raise NumericsError(f"power_lanes: {lane.size} lanes not converged after "
+                        f"{tol.max_iter} steps", best=out)
 
 
 def transmit_region_expectation(
@@ -133,10 +177,56 @@ def idle_marginal_gain(z_m: float, gamma: float, law_e: FadingLaw, tol: Toleranc
     return res.value
 
 
+# the main-CSI simulation table: z_m nodes, and inner eavesdropper panels per node
+_TABLE_POINTS = 2049
+_TABLE_INNER_PANELS = 64
+
+
+def _inner_nodes(zm, u, wu, gamma, law_e):
+    """Nodes z_e = (z_m/gamma)*u^2 under each z_m, their density-times-jacobian
+    weights, and the power_lanes coefficients of the main-CSI gain there.
+    """
+    span = zm / gamma
+    ze = (u * u)[None, :] * span[:, None]
+    wpe = law_e.density(ze) * span[:, None] * 2.0 * u[None, :]
+    return ze, wpe, wpe * wu * (zm[:, None] - gamma * ze)
+
+
+def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
+    """Dense-table evaluator of the main-CSI power map, and its (z_m, mu) table.
+
+    Queue simulation evaluates the policy on millions of gains; re-solving the
+    inner integral per draw is wasteful, so the power is solved (as in
+    main_region_expectation, on a fixed inner grid) at nodes over
+    [alpha, cutoff] and interpolated. Below alpha the policy is exactly 0.
+    """
+    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
+    if not (alpha < zm_hi):
+        return (lambda z_m: np.zeros(np.shape(z_m))), None
+
+    # quadratic spacing: dense through the turn-on just above alpha
+    v = np.linspace(0.0, 1.0, _TABLE_POINTS)
+    grid = alpha + (zm_hi - alpha) * v * v
+    u, wu = panel_nodes(0.0, 1.0, _TABLE_INNER_PANELS)
+    # the inner grid is built one kernel block at a time, never for the whole table
+    step = max(1, _BLOCK_TERMS // u.size)
+    mu_grid = np.concatenate([
+        power_lanes(zc, _inner_nodes(zc, u, wu, gamma, law_e)[2], u * u, beta, nu, tol)
+        for zc in np.split(grid, range(step, grid.size, step))
+    ])
+
+    def state_power(z_m):
+        z_m = np.asarray(z_m, dtype=float)
+        mu = np.interp(z_m, grid, mu_grid)
+        return np.where(z_m <= alpha, 0.0, mu)
+
+    return state_power, np.column_stack([grid, mu_grid])
+
+
 def main_region_expectation(
-    marginal_gain: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    beta: float,
     integrand: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]],
-    lam: float,
+    nu: float,
     gamma: float,
     law_m: FadingLaw,
     law_e: FadingLaw,
@@ -144,12 +234,13 @@ def main_region_expectation(
     alpha: float,
     floor: float,
     include_idle_mass: bool,
-    mu_cap: float,
 ) -> QuadResult:
     """Expectation over z_m > alpha with a per-z_m power solve and inner z_e integral.
 
-    Each z_m node solves (marginal_gain integrated over z_e < z_m/gamma) = lam
-    for its power. integrand(mu, z_m, z_e) is then integrated over the same
+    Each z_m node solves, for its power, the lane equation of power_lanes with
+    terms (z_m - gamma*z_e) p_E(z_e) integrated over z_e < z_m/gamma, against
+    the normalized multiplier nu (lam/beta, or the theta = 0 multiplier at
+    beta = 0). integrand(mu, z_m, z_e) is then integrated over the same
     inner region; integrand=None integrates the power itself (no inner
     integral). include_idle_mass adds the probability mass where the service
     is zero (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1.
@@ -172,22 +263,14 @@ def main_region_expectation(
         zm = anchor * w * w
         wm = wm * 2.0 * anchor * w  # z_m jacobian folded into the weights
         u, wu = panel_nodes(0.0, 1.0, n)
-        span = zm / gamma
-        ze = (u * u)[None, :] * span[:, None]
-        jac = span[:, None] * 2.0 * u[None, :]
-        wpe = law_e.density(ze) * jac
-        zm_col = zm[:, None]
-
-        def gain_at(mu: np.ndarray) -> np.ndarray:
-            return (marginal_gain(mu[:, None], zm_col, ze) * wpe) @ wu
-
-        mu = bisect_power_lanes(gain_at, lam, zm.size, tol, mu_cap)
+        ze, wpe, coef = _inner_nodes(zm, u, wu, gamma, law_e)
+        mu = power_lanes(zm, coef, u * u, beta, nu, tol)
         if integrand is None:
             vals = mu
         else:
-            vals = (integrand(mu[:, None], zm_col, ze) * wpe) @ wu
+            vals = (integrand(mu[:, None], zm[:, None], ze) * wpe) @ wu
             if include_idle_mass:
-                vals = vals + (1.0 - law_e.cdf(span))
+                vals = vals + (1.0 - law_e.cdf(zm / gamma))
         return float(wm @ (vals * law_m.density(zm))) + base
 
     return refine_panels(at, tol, floor=floor, max_panels=256)

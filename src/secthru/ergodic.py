@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from ._region import (
-    bisect_power_lanes,
     idle_marginal_gain,
+    main_policy_table,
     main_region_expectation,
     transmit_region_expectation,
 )
@@ -37,7 +37,6 @@ from .numerics import (
     Tolerances,
     bisect_root,
     calibration_tol,
-    panel_nodes,
 )
 
 # spec used when callers ask for the benchmark without building a QosSpec
@@ -145,10 +144,6 @@ def ergodic_throughput_full(link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw
     return solve_full(_UNIT_QOS, link, law_m, law_e, tol)[1].throughput_bits_s_hz
 
 
-def _main_gain(mu, zm, ze, gamma):
-    return (zm - gamma * ze) / ((1.0 + mu * zm) * (1.0 + gamma * mu * ze))
-
-
 def _alpha_ergodic(lambda_nats, gamma, law_m, law_e, tol):
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     gain0 = lambda z: idle_marginal_gain(z, gamma, law_e, tol) - lambda_nats
@@ -157,12 +152,12 @@ def _alpha_ergodic(lambda_nats, gamma, law_m, law_e, tol):
     return bisect_root(gain0, 0.0, zm_hi, tol)
 
 
-def _mean_power_main(lambda_nats, link, law_m, law_e, tol, mu_cap):
+def _mean_power_main(lambda_nats, link, law_m, law_e, tol):
     alpha = _alpha_ergodic(lambda_nats, link.gamma, law_m, law_e, tol)
     res = main_region_expectation(
-        marginal_gain=lambda mu, zm, ze: _main_gain(mu, zm, ze, link.gamma),
+        beta=0.0,
         integrand=None,
-        lam=lambda_nats,
+        nu=lambda_nats,
         gamma=link.gamma,
         law_m=law_m,
         law_e=law_e,
@@ -170,7 +165,6 @@ def _mean_power_main(lambda_nats, link, law_m, law_e, tol, mu_cap):
         alpha=alpha,
         floor=max(link.avg_snr, 1e-6),
         include_idle_mass=False,
-        mu_cap=mu_cap,
     )
     return res.value, alpha
 
@@ -180,8 +174,8 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
     """Calibrated unconstrained main-CSI policy and its mean secrecy rate.
 
     The per-z_m first-order condition averages the full-CSI one over the
-    eavesdropper law on z_e < z_m/gamma; each node is solved by bisection and
-    the policy is exported as a dense table (see build-time note in main_csi).
+    eavesdropper law on z_e < z_m/gamma; each node is solved by the lane kernel and
+    the policy is exported as a dense table (see _region.main_policy_table).
     """
     if link.avg_snr == 0.0:
         policy = PowerPolicy(
@@ -191,12 +185,11 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
         return policy, ThroughputResult(0.0, 0.0, math.inf, 0.0, 0.0, 0.0)
 
     gamma = link.gamma
-    mu_cap = 1e12 * max(1.0, link.avg_snr)
     target = tol.power_rel_tol * link.avg_snr
     tol_cal = calibration_tol(tol)
 
     def residual_log(u):
-        return _mean_power_main(math.exp(u), link, law_m, law_e, tol_cal, mu_cap)[0] - link.avg_snr
+        return _mean_power_main(math.exp(u), link, law_m, law_e, tol_cal)[0] - link.avg_snr
 
     hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
     lo = hi - 4.0
@@ -207,15 +200,15 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
     else:
         raise NumericsError("could not bracket the power calibration")
     lam = math.exp(bisect_root(residual_log, lo, hi, tol, f_tol=target))
-    mean_power, alpha = _mean_power_main(lam, link, law_m, law_e, tol_cal, mu_cap)
+    mean_power, alpha = _mean_power_main(lam, link, law_m, law_e, tol_cal)
     residual = abs(mean_power - link.avg_snr)
     if residual > target:
         raise NumericsError(f"calibration residual {residual:.3e} above target {target:.3e}")
 
     rate = main_region_expectation(
-        marginal_gain=lambda mu, zm, ze: _main_gain(mu, zm, ze, gamma),
+        beta=0.0,
         integrand=lambda mu, zm, ze: (np.log1p(mu * zm) - np.log1p(gamma * mu * ze)) / LN2,
-        lam=lam,
+        nu=lam,
         gamma=gamma,
         law_m=law_m,
         law_e=law_e,
@@ -223,33 +216,14 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
         alpha=alpha,
         floor=0.01,
         include_idle_mass=False,
-        mu_cap=mu_cap,
     )
 
-    from .main_csi import tabulate_main_policy  # local import: avoids a module cycle
-
-    state_power, table = tabulate_main_policy(
-        lambda zm_nodes: _solve_mu_nodes(zm_nodes, lam, gamma, law_e, tol, mu_cap),
-        alpha, law_m, tol,
-    )
+    state_power, table = main_policy_table(0.0, lam, alpha, gamma, law_m, law_e, tol)
     policy = PowerPolicy(csi_mode="main", lam=lam, beta=0.0, threshold=alpha,
                          state_power=state_power, table=table)
     value = max(0.0, rate.value)
     result = ThroughputResult(value, value * qos.bandwidth_b, lam, residual, rate.error, 0.0)
     return policy, result
-
-
-def _solve_mu_nodes(zm_nodes, lambda_nats, gamma, law_e, tol, mu_cap):
-    u, wu = panel_nodes(0.0, 1.0, 64)
-    span = zm_nodes / gamma
-    ze = (u * u)[None, :] * span[:, None]
-    wpe = law_e.density(ze) * span[:, None] * 2.0 * u[None, :]
-    zm_col = zm_nodes[:, None]
-
-    def gain_at(mu):
-        return (_main_gain(mu[:, None], zm_col, ze, gamma) * wpe) @ wu
-
-    return bisect_power_lanes(gain_at, lambda_nats, zm_nodes.size, tol, mu_cap)
 
 
 def ergodic_throughput_main(link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import ergodic
-from ._region import bisect_power_lanes, transmit_region_expectation
+from ._region import power_lanes, transmit_region_expectation
 from .model import (
     LN2,
     FadingLaw,
@@ -40,33 +40,24 @@ def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
     return beta * np.exp(-beta * log_ratio) * (z_m - gamma * z_e) / denom
 
 
-def _mu_cap(link: LinkBudget) -> float:
-    # runaway guard for the bracket doubling; states just above the threshold
-    # legitimately draw power ~beta/lam, which grows without bound as the
-    # multiplier sweeps low during calibration, so only a non-monotone gain
-    # (a bug) should ever reach this
-    return 1e12 * max(1.0, link.avg_snr)
-
-
 def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
-               tol: Tolerances = DEFAULT_TOL, mu_cap: float = 1e12) -> np.ndarray:
+               tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Vectorized optimal power over broadcast state arrays.
 
     Exact zeros on z_m - gamma*z_e <= lam/beta; elsewhere the unique positive
-    root of the stationarity condition, by bisection (the marginal gain is
-    strictly decreasing in mu).
+    root of the stationarity condition, from the lane kernel: one term
+    (z_m - gamma*z_e)(1+mu*z_m)^-(beta+1)(1+gamma*mu*z_e)^(beta-1) = lam/beta.
+    Each state's power depends on that state alone.
     """
     z_m, z_e = np.broadcast_arrays(np.asarray(z_m, dtype=float), np.asarray(z_e, dtype=float))
     out = np.zeros(z_m.shape)
-    active = (z_m - gamma * z_e) > lam / beta
+    nu = lam / beta
+    active = (z_m - gamma * z_e) > nu
     if not np.any(active):
         return out
     zm = z_m[active]
-    ze = z_e[active]
-    mu = bisect_power_lanes(
-        lambda m: kkt_lhs_full(m, zm, ze, gamma, beta), lam, zm.size, tol, mu_cap
-    )
-    out[active] = mu
+    gze = gamma * z_e[active]
+    out[active] = power_lanes(zm, zm - gze, gze / zm, beta, nu, tol)
     return out
 
 
@@ -78,7 +69,7 @@ def pointwise_power(z_m: float, z_e: float, link: LinkBudget, beta: float, lam: 
     if not lam > 0:
         raise ValidationError("lam must be positive")
     mu = power_grid(np.atleast_1d(float(z_m)), np.atleast_1d(float(z_e)),
-                    link.gamma, beta, lam, tol, _mu_cap(link))
+                    link.gamma, beta, lam, tol)
     return float(mu[0])
 
 
@@ -92,9 +83,8 @@ def mean_power_full(lam: float, beta: float, link: LinkBudget,
         return 0.0
     if not lam > 0:
         raise ValidationError("lam must be positive")
-    cap = _mu_cap(link)
     res = transmit_region_expectation(
-        power_fn=lambda zm, ze: power_grid(zm, ze, link.gamma, beta, lam, tol, cap),
+        power_fn=lambda zm, ze: power_grid(zm, ze, link.gamma, beta, lam, tol),
         integrand=lambda mu, zm, ze: mu,
         offset=lam / beta,
         gamma=link.gamma,
@@ -161,9 +151,8 @@ def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
 
     beta = qos.beta
     lam, residual = _calibrate_full(link, beta, law_m, law_e, tol)
-    cap = _mu_cap(link)
     res = transmit_region_expectation(
-        power_fn=lambda zm, ze: power_grid(zm, ze, link.gamma, beta, lam, tol, cap),
+        power_fn=lambda zm, ze: power_grid(zm, ze, link.gamma, beta, lam, tol),
         integrand=lambda mu, zm, ze: np.exp(
             -beta * (np.log1p(mu * zm) - np.log1p(link.gamma * mu * ze))
         ),
@@ -207,7 +196,7 @@ def policy_surface_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e:
     if link.avg_snr == 0.0:
         return np.zeros((ze_values.size, zm_values.size))
     lam = calibrate_lambda_full(link, qos.beta, law_m, law_e, tol)
-    return power_grid(zm, ze, link.gamma, qos.beta, lam, tol, _mu_cap(link))
+    return power_grid(zm, ze, link.gamma, qos.beta, lam, tol)
 
 
 def build_policy_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
@@ -221,13 +210,12 @@ def build_policy_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: F
         lam = calibrate_lambda_full(link, qos.beta, law_m, law_e, tol)
     beta = qos.beta
     gamma = link.gamma
-    cap = _mu_cap(link)
 
     def state_power(z_m, z_e):
         if math.isinf(lam):
             zm, _ = np.broadcast_arrays(np.asarray(z_m, float), np.asarray(z_e, float))
             return np.zeros(zm.shape)
-        return power_grid(z_m, z_e, gamma, beta, lam, tol, cap)
+        return power_grid(z_m, z_e, gamma, beta, lam, tol)
 
     return PowerPolicy(
         csi_mode="full",

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import ergodic
-from ._region import bisect_power_lanes, idle_marginal_gain, main_region_expectation
+from ._region import idle_marginal_gain, main_policy_table, main_region_expectation
 from .model import (
     LN2,
     FadingLaw,
@@ -35,10 +35,7 @@ from .numerics import (
     expand_bracket,
     integrate,
     integrate_density,
-    panel_nodes,
 )
-
-_TABLE_POINTS = 2049
 
 
 def _marginal_weight(mu, zm, ze, gamma, beta):
@@ -120,11 +117,6 @@ def alpha_threshold(beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
     return bisect_root(gain0, 0.0, z_hi, tol)
 
 
-def _mu_cap(link: LinkBudget) -> float:
-    # see full_csi._mu_cap: a runaway guard, not a physical bound
-    return 1e12 * max(1.0, link.avg_snr)
-
-
 def mean_power_main(lam: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> float:
@@ -134,9 +126,9 @@ def mean_power_main(lam: float, beta: float, link: LinkBudget,
     gamma = link.gamma
     alpha = alpha_threshold(beta, lam, link, law_e, tol, law_m=law_m)
     res = main_region_expectation(
-        marginal_gain=lambda mu, zm, ze: _marginal_weight(mu, zm, ze, gamma, beta),
+        beta=beta,
         integrand=None,
-        lam=lam,
+        nu=lam / beta,
         gamma=gamma,
         law_m=law_m,
         law_e=law_e,
@@ -144,7 +136,6 @@ def mean_power_main(lam: float, beta: float, link: LinkBudget,
         alpha=alpha,
         floor=max(link.avg_snr, 1e-6),
         include_idle_mass=False,
-        mu_cap=_mu_cap(link),
     )
     return res.value
 
@@ -195,11 +186,11 @@ def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
     lam, residual = _calibrate_main(link, beta, law_m, law_e, tol)
     alpha = alpha_threshold(beta, lam, link, law_e, tol, law_m=law_m)
     res = main_region_expectation(
-        marginal_gain=lambda mu, zm, ze: _marginal_weight(mu, zm, ze, gamma, beta),
+        beta=beta,
         integrand=lambda mu, zm, ze: np.exp(
             -beta * (np.log1p(mu * zm) - np.log1p(gamma * mu * ze))
         ),
-        lam=lam,
+        nu=lam / beta,
         gamma=gamma,
         law_m=law_m,
         law_e=law_e,
@@ -207,7 +198,6 @@ def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
         alpha=alpha,
         floor=1.0,
         include_idle_mass=True,
-        mu_cap=_mu_cap(link),
     )
     value = max(0.0, -math.log(res.value) / (beta * LN2))
     quad_error = res.error / (max(res.value, 1e-12) * beta * LN2)
@@ -219,33 +209,6 @@ def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
         quad_error=quad_error,
         theta=qos.theta,
     )
-
-
-def tabulate_main_policy(solve_mu_nodes, alpha, law_m, tol):
-    """Dense-table evaluator for a per-gain power map that needs a solve per call.
-
-    Queue simulation evaluates the policy on millions of gains; re-solving the
-    inner integral per draw is wasteful, so the map is sampled on a fine grid
-    over [alpha, cutoff] and interpolated. Below alpha the policy is exactly 0.
-    """
-    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
-    if not (alpha < zm_hi):
-        def silent(z_m):
-            return np.zeros(np.asarray(z_m, dtype=float).shape)
-        return silent, None
-
-    # quadratic spacing: dense through the turn-on just above alpha
-    u = np.linspace(0.0, 1.0, _TABLE_POINTS)
-    grid = alpha + (zm_hi - alpha) * u * u
-    mu_grid = solve_mu_nodes(grid)
-    table = np.column_stack([grid, mu_grid])
-
-    def state_power(z_m):
-        z_m = np.asarray(z_m, dtype=float)
-        mu = np.interp(z_m, grid, mu_grid)
-        return np.where(z_m <= alpha, 0.0, mu)
-
-    return state_power, table
 
 
 def build_policy_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
@@ -262,25 +225,7 @@ def build_policy_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: F
     gamma = link.gamma
     lam = calibrate_lambda_main(link, beta, law_m, law_e, tol)
     alpha = alpha_threshold(beta, lam, link, law_e, tol, law_m=law_m)
-    cap = _mu_cap(link)
-
-    def solve_nodes(zm_nodes):
-        return _solve_mu_lanes(zm_nodes, lam, beta, gamma, law_e, tol, cap)
-
-    state_power, table = tabulate_main_policy(solve_nodes, alpha, law_m, tol)
+    state_power, table = main_policy_table(beta, lam / beta, alpha, gamma, law_m, law_e, tol)
     return PowerPolicy(csi_mode="main", lam=lam, beta=beta, threshold=alpha,
                        state_power=state_power, table=table)
 
-
-def _solve_mu_lanes(zm_nodes, lam, beta, gamma, law_e, tol, mu_cap, inner_panels=64):
-    """Vectorized per-gain root solve on a fixed inner eavesdropper grid."""
-    u, wu = panel_nodes(0.0, 1.0, inner_panels)
-    span = zm_nodes / gamma
-    ze = (u * u)[None, :] * span[:, None]
-    wpe = law_e.density(ze) * span[:, None] * 2.0 * u[None, :]
-    zm_col = zm_nodes[:, None]
-
-    def gain_at(mu):
-        return (_marginal_weight(mu[:, None], zm_col, ze, gamma, beta) * wpe) @ wu
-
-    return bisect_power_lanes(gain_at, lam, zm_nodes.size, tol, mu_cap)

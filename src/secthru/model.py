@@ -26,6 +26,9 @@ class FadingLaw:
     mean_gain: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise ValidationError(f"fading family must be a name, got {self.family!r}; "
+                                  "pass the mean as FadingLaw(mean_gain=...)")
         if self.family != "exponential":
             raise ValidationError(f"unknown fading family: {self.family!r}")
         if not (math.isfinite(self.mean_gain) and self.mean_gain > 0):

@@ -17,7 +17,14 @@ from .model import FadingLaw, ValidationError
 
 
 class NumericsError(RuntimeError):
-    """A numerical routine left its guaranteed-convergence regime."""
+    """A numerical routine left its guaranteed-convergence regime.
+
+    best carries the routine's last estimate when it has one.
+    """
+
+    def __init__(self, message: str, best=None):
+        super().__init__(message)
+        self.best = best
 
 
 class BracketError(NumericsError):
@@ -28,8 +35,7 @@ class QuadratureError(NumericsError):
     """Refinement did not converge; carries the best estimate seen."""
 
     def __init__(self, message: str, best: Optional[float] = None, error: Optional[float] = None):
-        super().__init__(message)
-        self.best = best
+        super().__init__(message, best)
         self.error = error
 
 
@@ -223,7 +229,8 @@ def bisect_root(
     """Bisection for a bracketed sign change of a monotone scalar map.
 
     Stops when |f(mid)| <= f_tol (if given) or when the interval shrinks below
-    root_tol * max(1, |mid|). The caller brackets; see expand_bracket.
+    root_tol * max(1, |mid|). The caller brackets; see expand_bracket. Raises
+    NumericsError, with the last midpoint as best, after max_iter midpoints.
     """
     flo = float(f(lo))
     fhi = float(f(hi))
@@ -249,7 +256,7 @@ def bisect_root(
             hi = mid
         if hi - lo <= tol.root_tol * max(1.0, abs(mid)):
             return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    raise NumericsError(f"bisection not converged after {tol.max_iter} iterations", best=mid)
 
 
 def expand_bracket(

@@ -86,3 +86,36 @@ def closed_form_power_beta1(z_m, z_e, gamma, lam):
     with np.errstate(invalid="ignore", divide="ignore"):
         mu = (np.sqrt(np.clip(diff, 0.0, None) / lam) - 1.0) / z_m
     return np.where(diff > lam, mu, 0.0)
+
+
+def bisect_lane_power(z_m, coef, ratio, beta, nu, width=1e-13):
+    """Scalar bisection of one lane's marginal gain against nu.
+
+    The gain is sum_j coef_j (1+mu*z_m)^-(beta+1) (1+ratio_j*mu*z_m)^(beta-1),
+    evaluated as a log-sum-exp so no term under- or overflows. Returns 0 when
+    the zero-power gain is <= nu; otherwise doubles an upper bracket from
+    mu = 1 and halves [lo, hi] until hi - lo <= width * max(1, hi).
+    """
+    coef = np.atleast_1d(np.asarray(coef, dtype=float))
+    ratio = np.broadcast_to(np.asarray(ratio, dtype=float), coef.shape)
+    if not coef.sum() > nu:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        log_coef = np.log(coef)
+
+    def above(mu):
+        terms = (log_coef - (beta + 1.0) * np.log1p(mu * z_m)
+                 + (beta - 1.0) * np.log1p(ratio * mu * z_m))
+        top = terms.max()
+        return top + np.log(np.exp(terms - top).sum()) > np.log(nu)
+
+    lo, hi = 0.0, 1.0
+    while above(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > width * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -91,6 +91,10 @@ class TestFadingLaw:
         with pytest.raises(ValidationError):
             FadingLaw(mean_gain=0.0)
 
+    def test_positional_mean_points_to_mean_gain(self):
+        with pytest.raises(ValidationError, match="mean_gain="):
+            FadingLaw(1.0)
+
 
 class TestSampleGain:
     def test_law_of_large_numbers(self, law):

@@ -48,6 +48,12 @@ class TestBisectRoot:
         with pytest.raises(NumericsError):
             bisect_root(lambda x: math.nan, 0.0, 1.0, TOL)
 
+    def test_iteration_cap_raises_with_last_midpoint(self):
+        # midpoints 0.5, 0.25, 0.375: three are not enough for root_tol
+        with pytest.raises(NumericsError, match="not converged") as err:
+            bisect_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0, Tolerances(max_iter=3))
+        assert err.value.best == 0.375
+
     def test_f_tol_exit(self):
         calls = []
         def f(x):

@@ -1,0 +1,105 @@
+"""The per-state power kernel against an independent scalar bisection."""
+
+import numpy as np
+import pytest
+
+from secthru import LinkBudget, NumericsError, Tolerances
+from secthru._region import power_lanes
+from secthru.full_csi import pointwise_power, power_grid
+from oracles import bisect_lane_power
+
+TOL = Tolerances()
+BETAS = (0.0, 0.29, 1.0, 2.9, 28.9, 288.5)  # 0 is the theta = 0 main-CSI gain
+LAMS = (1e-6, 1e-4, 1e-2, 0.5, 5.0)
+GAMMAS = (0.3, 1.0, 3.0)
+# relative distance of the zero-power gain from nu on the near-threshold lanes
+NEAR = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1e-1])
+
+
+def _inner_rule(panels=4):
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    u = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * x[None, :]).ravel()
+    return u, np.tile(half * w, panels)
+
+
+def full_lanes(rng, gamma, nu):
+    """Random states plus states just above and just below z_m - gamma*z_e = nu."""
+    zm = rng.exponential(3.0, 8)
+    ze = rng.exponential(3.0, 8)
+    ze_near = rng.exponential(1.0, 2 * NEAR.size)
+    zm_near = gamma * ze_near + nu * np.concatenate([1.0 + NEAR, 1.0 - NEAR])
+    zm = np.concatenate([zm, zm_near])
+    gze = gamma * np.concatenate([ze, ze_near])
+    return zm, np.maximum(zm - gze, 0.0), gze / zm
+
+
+def main_lanes(rng, gamma, nu):
+    """Main-CSI lanes on an inner Gauss-Legendre rule, Exp(1) eavesdropper.
+
+    The near-threshold lanes are random lanes rescaled so that their
+    zero-power gain sits just above or just below nu.
+    """
+    u, wu = _inner_rule()
+    zm = rng.exponential(3.0, 8 + 2 * NEAR.size)
+    span = zm[:, None] / gamma
+    ze = span * (u * u)[None, :]
+    coef = wu * np.exp(-ze) * span * 2.0 * u * (zm[:, None] - gamma * ze)
+    target = nu * np.concatenate([1.0 + NEAR, 1.0 - NEAR])
+    coef[8:] *= (target / coef[8:].sum(axis=1))[:, None]
+    return zm, coef, np.broadcast_to(u * u, coef.shape)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("kind", ["full", "main"])
+def test_power_lanes_match_scalar_bisection(kind, beta):
+    rng = np.random.default_rng(int(beta * 10) + (kind == "main"))
+    build = full_lanes if kind == "full" else main_lanes
+    capped = Tolerances(max_iter=12)
+    for lam in LAMS:
+        nu = lam / beta if beta > 0 else lam
+        for gamma in GAMMAS:
+            zm, coef, ratio = build(rng, gamma, nu)
+            mu = power_lanes(zm, coef, ratio, beta, nu, TOL)
+            ref = np.array([bisect_lane_power(zm[i], coef[i], ratio[i], beta, nu)
+                            for i in range(zm.size)])
+            where = f"{kind} beta={beta} lam={lam} gamma={gamma}"
+            assert np.array_equal(mu > 0.0, ref > 0.0), where
+            err = np.abs(mu - ref) / np.maximum(1.0, mu)
+            assert err.max() <= 1e-10, f"{where}: {err.max():.3e}"
+            # every block converges within 12 Newton steps
+            assert np.array_equal(power_lanes(zm, coef, ratio, beta, nu, capped), mu), where
+
+
+def test_power_grid_lanes_are_independent():
+    # a state's power does not depend on the other states in the call, across
+    # block boundaries too: converged lanes are frozen, not stepped again
+    rng = np.random.default_rng(11)
+    n = 40_000
+    zm, ze = rng.exponential(1.0, (2, n))
+    gamma = 0.3
+    link = LinkBudget(1.0, gamma)
+    idx = np.concatenate([rng.choice(n, 150, replace=False), [16383, 16384, n - 1]])
+    for beta, lam in ((0.29, 1e-4), (2.9, 1e-2), (288.5, 0.5)):
+        mu = power_grid(zm, ze, gamma, beta, lam, TOL)
+        single = [pointwise_power(zm[i], ze[i], link, beta, lam, TOL) for i in idx]
+        assert np.array_equal(mu[idx], single)
+
+
+def test_non_finite_iterate_raises():
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="power_lanes") as err:
+        power_grid(np.array([2.0, np.inf]), np.array([0.5, 0.0]), 1.0, 2.9, 0.5, TOL)
+    assert err.value.best.shape == (2,)
+    assert np.isfinite(err.value.best[0])
+
+
+def test_iteration_cap_raises_with_best_estimate():
+    rng = np.random.default_rng(4)
+    zm, coef, ratio = full_lanes(rng, 0.3, 1e-2 / 28.9)
+    exact = power_lanes(zm, coef, ratio, 28.9, 1e-2 / 28.9, TOL)
+    with pytest.raises(NumericsError, match="power_lanes") as err:
+        power_lanes(zm, coef, ratio, 28.9, 1e-2 / 28.9, Tolerances(max_iter=2))
+    best = err.value.best
+    assert best.shape == exact.shape
+    assert np.allclose(best, exact, rtol=1e-2, atol=1e-12)
