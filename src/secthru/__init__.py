@@ -46,9 +46,9 @@ from .numerics import (
     QuadratureError,
     QuadResult,
     Tolerances,
-    bisect_root,
     expand_bracket,
     expectation_joint,
+    find_root,
     integrate,
     integrate_density,
 )
@@ -76,7 +76,6 @@ __all__ = [
     "Tolerances",
     "ValidationError",
     "alpha_threshold",
-    "bisect_root",
     "build_policy_full",
     "build_policy_main",
     "calibrate_lambda_full",
@@ -87,6 +86,7 @@ __all__ = [
     "estimate_decay",
     "expand_bracket",
     "expectation_joint",
+    "find_root",
     "integrate",
     "integrate_density",
     "kkt_lhs_full",

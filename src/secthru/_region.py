@@ -193,7 +193,7 @@ def _inner_nodes(zm, u, wu, gamma, law_e):
 
 
 def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
-    """Dense-table evaluator of the main-CSI power map, and its (z_m, mu) table.
+    """Dense-table evaluator of the main-CSI power map.
 
     Queue simulation evaluates the policy on millions of gains; re-solving the
     inner integral per draw is wasteful, so the power is solved (as in
@@ -202,7 +202,7 @@ def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
     """
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
-        return (lambda z_m: np.zeros(np.shape(z_m))), None
+        return lambda z_m: np.zeros(np.shape(z_m))
 
     # quadratic spacing: dense through the turn-on just above alpha
     v = np.linspace(0.0, 1.0, _TABLE_POINTS)
@@ -220,7 +220,7 @@ def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
         mu = np.interp(z_m, grid, mu_grid)
         return np.where(z_m <= alpha, 0.0, mu)
 
-    return state_power, np.column_stack([grid, mu_grid])
+    return state_power
 
 
 def main_region_expectation(

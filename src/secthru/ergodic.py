@@ -31,13 +31,7 @@ from .model import (
     ValidationError,
     make_qos,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    NumericsError,
-    Tolerances,
-    bisect_root,
-    calibration_tol,
-)
+from .numerics import DEFAULT_TOL, Tolerances, calibrate, find_root
 
 # spec used when callers ask for the benchmark without building a QosSpec
 _UNIT_QOS = make_qos(0.0)
@@ -82,28 +76,6 @@ def _mean_power_full(lambda_nats, link, law_m, law_e, tol):
     return res.value
 
 
-def _calibrate_full(link, law_m, law_e, tol):
-    target = tol.power_rel_tol * link.avg_snr
-    tol_cal = calibration_tol(tol)
-
-    def residual_log(u):
-        return _mean_power_full(math.exp(u), link, law_m, law_e, tol_cal) - link.avg_snr
-
-    hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    lo = hi - 4.0
-    for _ in range(60):
-        if residual_log(lo) > 0.0:
-            break
-        lo -= 4.0
-    else:
-        raise NumericsError("could not bracket the power calibration")
-    lam = math.exp(bisect_root(residual_log, lo, hi, tol, f_tol=target))
-    residual = abs(_mean_power_full(lam, link, law_m, law_e, tol_cal) - link.avg_snr)
-    if residual > target:
-        raise NumericsError(f"calibration residual {residual:.3e} above target {target:.3e}")
-    return lam, residual
-
-
 def solve_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                tol: Tolerances = DEFAULT_TOL):
     """Calibrated unconstrained full-CSI policy and its mean secrecy rate."""
@@ -115,7 +87,8 @@ def solve_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
         )
         return policy, ThroughputResult(0.0, 0.0, math.inf, 0.0, 0.0, 0.0)
 
-    lam, residual = _calibrate_full(link, law_m, law_e, tol)
+    lam, residual = calibrate(lambda lam, t: _mean_power_full(lam, link, law_m, law_e, t),
+                              link.avg_snr, math.log(law_m.tail_cutoff(tol.quad_trunc_mass)), tol)
     rate = transmit_region_expectation(
         power_fn=lambda zm, ze: ergodic_power_full(zm, ze, link, lam),
         integrand=lambda mu, zm, ze: (
@@ -149,11 +122,10 @@ def _alpha_ergodic(lambda_nats, gamma, law_m, law_e, tol):
     gain0 = lambda z: idle_marginal_gain(z, gamma, law_e, tol) - lambda_nats
     if gain0(zm_hi) <= 0.0:
         return math.inf
-    return bisect_root(gain0, 0.0, zm_hi, tol)
+    return find_root(gain0, 0.0, zm_hi, tol)
 
 
 def _mean_power_main(lambda_nats, link, law_m, law_e, tol):
-    alpha = _alpha_ergodic(lambda_nats, link.gamma, law_m, law_e, tol)
     res = main_region_expectation(
         beta=0.0,
         integrand=None,
@@ -162,49 +134,33 @@ def _mean_power_main(lambda_nats, link, law_m, law_e, tol):
         law_m=law_m,
         law_e=law_e,
         tol=tol,
-        alpha=alpha,
+        alpha=_alpha_ergodic(lambda_nats, link.gamma, law_m, law_e, tol),
         floor=max(link.avg_snr, 1e-6),
         include_idle_mass=False,
     )
-    return res.value, alpha
+    return res.value
+
+
+def _calibrate_main(link, law_m, law_e, tol):
+    """Multiplier, cutoff and power residual of the calibrated policy.
+
+    A zero budget gives lam = alpha = math.inf: the all-zero policy.
+    """
+    lam, residual = calibrate(lambda lam, t: _mean_power_main(lam, link, law_m, law_e, t),
+                              link.avg_snr, math.log(law_m.tail_cutoff(tol.quad_trunc_mass)), tol)
+    return lam, _alpha_ergodic(lam, link.gamma, law_m, law_e, tol), residual
 
 
 def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
-               tol: Tolerances = DEFAULT_TOL):
-    """Calibrated unconstrained main-CSI policy and its mean secrecy rate.
+               tol: Tolerances = DEFAULT_TOL) -> ThroughputResult:
+    """Mean secrecy rate of the calibrated unconstrained main-CSI policy.
 
     The per-z_m first-order condition averages the full-CSI one over the
-    eavesdropper law on z_e < z_m/gamma; each node is solved by the lane kernel and
-    the policy is exported as a dense table (see _region.main_policy_table).
+    eavesdropper law on z_e < z_m/gamma; each quadrature node is solved by
+    the lane kernel. The simulation table is built only by policy_main.
     """
-    if link.avg_snr == 0.0:
-        policy = PowerPolicy(
-            csi_mode="main", lam=math.inf, beta=0.0, threshold=math.inf,
-            state_power=lambda z_m: np.zeros(np.asarray(z_m, float).shape),
-        )
-        return policy, ThroughputResult(0.0, 0.0, math.inf, 0.0, 0.0, 0.0)
-
+    lam, alpha, residual = _calibrate_main(link, law_m, law_e, tol)
     gamma = link.gamma
-    target = tol.power_rel_tol * link.avg_snr
-    tol_cal = calibration_tol(tol)
-
-    def residual_log(u):
-        return _mean_power_main(math.exp(u), link, law_m, law_e, tol_cal)[0] - link.avg_snr
-
-    hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    lo = hi - 4.0
-    for _ in range(60):
-        if residual_log(lo) > 0.0:
-            break
-        lo -= 4.0
-    else:
-        raise NumericsError("could not bracket the power calibration")
-    lam = math.exp(bisect_root(residual_log, lo, hi, tol, f_tol=target))
-    mean_power, alpha = _mean_power_main(lam, link, law_m, law_e, tol_cal)
-    residual = abs(mean_power - link.avg_snr)
-    if residual > target:
-        raise NumericsError(f"calibration residual {residual:.3e} above target {target:.3e}")
-
     rate = main_region_expectation(
         beta=0.0,
         integrand=lambda mu, zm, ze: (np.log1p(mu * zm) - np.log1p(gamma * mu * ze)) / LN2,
@@ -217,16 +173,22 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
         floor=0.01,
         include_idle_mass=False,
     )
-
-    state_power, table = main_policy_table(0.0, lam, alpha, gamma, law_m, law_e, tol)
-    policy = PowerPolicy(csi_mode="main", lam=lam, beta=0.0, threshold=alpha,
-                         state_power=state_power, table=table)
     value = max(0.0, rate.value)
-    result = ThroughputResult(value, value * qos.bandwidth_b, lam, residual, rate.error, 0.0)
-    return policy, result
+    return ThroughputResult(value, value * qos.bandwidth_b, lam, residual, rate.error, 0.0)
+
+
+def policy_main(link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
+                tol: Tolerances = DEFAULT_TOL) -> PowerPolicy:
+    """Calibrated unconstrained main-CSI policy, tabulated for simulation
+    (see _region.main_policy_table).
+    """
+    lam, alpha, _ = _calibrate_main(link, law_m, law_e, tol)
+    state_power = main_policy_table(0.0, lam, alpha, link.gamma, law_m, law_e, tol)
+    return PowerPolicy(csi_mode="main", lam=lam, beta=0.0, threshold=alpha,
+                       state_power=state_power)
 
 
 def ergodic_throughput_main(link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                             tol: Tolerances = DEFAULT_TOL) -> float:
     """Maximum mean secrecy rate (bits/s/Hz) with main CSI only, no QoS constraint."""
-    return solve_main(_UNIT_QOS, link, law_m, law_e, tol)[1].throughput_bits_s_hz
+    return solve_main(_UNIT_QOS, link, law_m, law_e, tol).throughput_bits_s_hz

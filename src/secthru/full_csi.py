@@ -27,7 +27,7 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, NumericsError, Tolerances, bisect_root, calibration_tol
+from .numerics import DEFAULT_TOL, Tolerances, calibrate
 
 
 def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
@@ -101,8 +101,9 @@ def calibrate_lambda_full(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
                           tol: Tolerances = DEFAULT_TOL) -> float:
     """Multiplier lam* that spends the average-SNR budget with equality.
 
-    Bisection on ln(lam): mean power is strictly decreasing in lam. Returns
-    math.inf for a zero budget (the all-zero policy never consults lam).
+    Brent root finding on ln(lam) (numerics.calibrate): mean power is strictly
+    decreasing in lam. Returns math.inf for a zero budget (the all-zero policy
+    never consults lam).
     """
     lam, _ = _calibrate_full(link, beta, law_m, law_e, tol)
     return lam
@@ -111,30 +112,10 @@ def calibrate_lambda_full(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
 def _calibrate_full(link, beta, law_m, law_e, tol):
     if not beta > 0:
         raise ValidationError("beta must be positive")
-    if link.avg_snr == 0.0:
-        return math.inf, 0.0
-    target = tol.power_rel_tol * link.avg_snr
-    tol_cal = calibration_tol(tol)
-
-    def residual_log(u: float) -> float:
-        return mean_power_full(math.exp(u), beta, link, law_m, law_e, tol_cal) - link.avg_snr
-
-    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
-    hi = math.log(beta * zm_hi)  # threshold beyond the truncated support: zero power
-    lo = hi - 4.0
-    for _ in range(60):
-        if residual_log(lo) > 0.0:
-            break
-        lo -= 4.0
-    else:
-        raise NumericsError("could not bracket the power calibration")
-
-    u = bisect_root(residual_log, lo, hi, tol, f_tol=target)
-    lam = math.exp(u)
-    residual = abs(mean_power_full(lam, beta, link, law_m, law_e, tol_cal) - link.avg_snr)
-    if residual > target:
-        raise NumericsError(f"calibration residual {residual:.3e} above target {target:.3e}")
-    return lam, residual
+    # at ln(beta * zm_hi) the threshold is beyond the truncated support: zero power
+    u_hi = math.log(beta * law_m.tail_cutoff(tol.quad_trunc_mass))
+    return calibrate(lambda lam, t: mean_power_full(lam, beta, link, law_m, law_e, t),
+                     link.avg_snr, u_hi, tol)
 
 
 def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

@@ -30,10 +30,9 @@ from .numerics import (
     DEFAULT_TOL,
     NumericsError,
     Tolerances,
-    bisect_root,
-    calibration_tol,
+    calibrate,
     expand_bracket,
-    integrate,
+    find_root,
     integrate_density,
 )
 
@@ -77,7 +76,7 @@ def power_main(z_m: float, beta: float, lam: float, link: LinkBudget, law_e: Fad
         return 0.0
     f = lambda mu: kkt_lhs_main(z_m, mu, beta, link, law_e, tol) - lam
     lo, hi = expand_bracket(f, 0.0, 1.0)
-    return bisect_root(f, lo, hi, tol)
+    return find_root(f, lo, hi, tol)
 
 
 def alpha_threshold(beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
@@ -85,10 +84,10 @@ def alpha_threshold(beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
                     law_m: FadingLaw | None = None) -> float:
     """Cutoff gain below which the main-CSI policy is silent.
 
-    For gamma = 1 this solves Int_0^alpha P(z_E <= t) dt = lam/beta (the
-    integration-by-parts form, which only holds there); for general gamma it
-    is the root of the zero-power marginal gain against lam. Returns math.inf
-    when lam is beyond any gain achievable on the truncated support.
+    The root of the zero-power marginal gain against lam. (At gamma = 1,
+    integration by parts turns it into Int_0^alpha P(z_E <= t) dt = lam/beta.)
+    Returns math.inf when lam is beyond any gain achievable on the truncated
+    support.
     """
     if not beta > 0:
         raise ValidationError("beta must be positive")
@@ -100,13 +99,6 @@ def alpha_threshold(beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
     search_law = law_m if law_m is not None else law_e
     z_hi = search_law.tail_cutoff(tol.quad_trunc_mass)
 
-    if gamma == 1.0:
-        target = lam / beta
-        cdf_area = lambda a: integrate(law_e.cdf, 0.0, a, tol, floor=1e-6).value - target
-        if cdf_area(z_hi) <= 0.0:
-            return math.inf
-        return bisect_root(cdf_area, 0.0, z_hi, tol)
-
     gain0 = lambda z: beta * idle_marginal_gain(z, gamma, law_e, tol) - lam
     # the zero-power gain must be increasing in z_m for the root to be a cutoff
     probes = gain0(z_hi * 0.25), gain0(z_hi * 0.5), gain0(z_hi)
@@ -114,7 +106,7 @@ def alpha_threshold(beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
         raise NumericsError("zero-power marginal gain is not increasing in z_m")
     if probes[2] <= 0.0:
         return math.inf
-    return bisect_root(gain0, 0.0, z_hi, tol)
+    return find_root(gain0, 0.0, z_hi, tol)
 
 
 def mean_power_main(lam: float, beta: float, link: LinkBudget,
@@ -150,34 +142,16 @@ def calibrate_lambda_main(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
 def _calibrate_main(link, beta, law_m, law_e, tol):
     if not beta > 0:
         raise ValidationError("beta must be positive")
-    if link.avg_snr == 0.0:
-        return math.inf, 0.0
-    target = tol.power_rel_tol * link.avg_snr
-    tol_cal = calibration_tol(tol)
-
-    def residual_log(u):
-        return mean_power_main(math.exp(u), beta, link, law_m, law_e, tol_cal) - link.avg_snr
-
-    hi = math.log(beta * law_m.tail_cutoff(tol.quad_trunc_mass))
-    lo = hi - 4.0
-    for _ in range(60):
-        if residual_log(lo) > 0.0:
-            break
-        lo -= 4.0
-    else:
-        raise NumericsError("could not bracket the power calibration")
-    lam = math.exp(bisect_root(residual_log, lo, hi, tol, f_tol=target))
-    residual = abs(mean_power_main(lam, beta, link, law_m, law_e, tol_cal) - link.avg_snr)
-    if residual > target:
-        raise NumericsError(f"calibration residual {residual:.3e} above target {target:.3e}")
-    return lam, residual
+    u_hi = math.log(beta * law_m.tail_cutoff(tol.quad_trunc_mass))
+    return calibrate(lambda lam, t: mean_power_main(lam, beta, link, law_m, law_e, t),
+                     link.avg_snr, u_hi, tol)
 
 
 def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> ThroughputResult:
     """Effective secure throughput under the calibrated main-CSI policy."""
     if qos.theta == 0.0:
-        return ergodic.solve_main(qos, link, law_m, law_e, tol)[1]
+        return ergodic.solve_main(qos, link, law_m, law_e, tol)
     if link.avg_snr == 0.0:
         return ThroughputResult(0.0, 0.0, math.inf, 0.0, 0.0, qos.theta)
 
@@ -215,7 +189,7 @@ def build_policy_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: F
                       tol: Tolerances = DEFAULT_TOL) -> PowerPolicy:
     """Calibrate and package the main-CSI policy (tabulated evaluator)."""
     if qos.theta == 0.0:
-        return ergodic.solve_main(qos, link, law_m, law_e, tol)[0]
+        return ergodic.policy_main(link, law_m, law_e, tol)
     if link.avg_snr == 0.0:
         return PowerPolicy(
             csi_mode="main", lam=math.inf, beta=qos.beta, threshold=math.inf,
@@ -225,7 +199,7 @@ def build_policy_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: F
     gamma = link.gamma
     lam = calibrate_lambda_main(link, beta, law_m, law_e, tol)
     alpha = alpha_threshold(beta, lam, link, law_e, tol, law_m=law_m)
-    state_power, table = main_policy_table(beta, lam / beta, alpha, gamma, law_m, law_e, tol)
+    state_power = main_policy_table(beta, lam / beta, alpha, gamma, law_m, law_e, tol)
     return PowerPolicy(csi_mode="main", lam=lam, beta=beta, threshold=alpha,
-                       state_power=state_power, table=table)
+                       state_power=state_power)
 

@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class PowerPolicy:
     beta: float
     threshold: float
     state_power: Callable[..., np.ndarray]
-    table: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.csi_mode not in ("full", "main"):

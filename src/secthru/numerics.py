@@ -1,13 +1,14 @@
 """Deterministic scalar root finding and truncated semi-infinite quadrature.
 
-Every solver in the package funnels through the two primitives here: bisection
-of a bracketed monotone function and composite Gauss-Legendre quadrature whose
-panel count doubles until two successive refinements agree. Evaluation order is
+Every solver in the package funnels through the primitives here: Brent root
+finding on a bracketed sign change, the average-power calibration built on it,
+and composite Gauss-Legendre quadrature whose panel count doubles until two
+successive refinements agree. Evaluation order is
 fixed, so results are bit-reproducible for fixed tolerances.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -43,11 +44,11 @@ class QuadratureError(NumericsError):
 class Tolerances:
     """Numeric knobs shared by every solver.
 
-    root_tol: relative interval width at which bisection stops.
+    root_tol: relative bracket width at which root finding stops.
     quad_rel_tol: required relative agreement between successive quadrature
         refinements (the reported error estimate is their difference).
     quad_trunc_mass: fading-law tail mass dropped when truncating [0, inf).
-    max_iter: cap on bisection iterations and refinement rounds.
+    max_iter: cap on root-finder steps and refinement rounds.
     power_rel_tol: relative accuracy of the average-power calibration.
     """
 
@@ -69,25 +70,6 @@ DEFAULT_TOL = Tolerances()
 
 _GL_ORDER = 16
 _MAX_PANELS = 4096
-
-
-def calibration_tol(tol: Tolerances) -> Tolerances:
-    """Tolerances for the inner loop of an average-power calibration.
-
-    The mean-power integrals only need to sit ~50x below the power_rel_tol
-    target, not at full reporting precision, which spares refinement rounds
-    in regimes where the mean is far from the budget.
-    """
-    relaxed = max(tol.quad_rel_tol, 0.02 * tol.power_rel_tol)
-    if relaxed == tol.quad_rel_tol:
-        return tol
-    return Tolerances(
-        root_tol=tol.root_tol,
-        quad_rel_tol=relaxed,
-        quad_trunc_mass=tol.quad_trunc_mass,
-        max_iter=tol.max_iter,
-        power_rel_tol=tol.power_rel_tol,
-    )
 
 
 class QuadResult(NamedTuple):
@@ -219,44 +201,116 @@ def expectation_joint(
     return QuadResult(res.value, res.error + worst_inner, res.panels)
 
 
-def bisect_root(
+def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     tol: Tolerances = DEFAULT_TOL,
     f_tol: float = 0.0,
 ) -> float:
-    """Bisection for a bracketed sign change of a monotone scalar map.
+    """Brent's method (1973) for a sign change of a scalar map on [lo, hi].
 
-    Stops when |f(mid)| <= f_tol (if given) or when the interval shrinks below
-    root_tol * max(1, |mid|). The caller brackets; see expand_bracket. Raises
-    NumericsError, with the last midpoint as best, after max_iter midpoints.
+    Each step is an inverse-quadratic or secant step when that stays well
+    inside the bracket, else a bisection. Stops when |f(x)| <= f_tol or when
+    the bracket around the best iterate x is narrower than
+    root_tol * max(1, |x|). The caller brackets; see expand_bracket. Raises
+    BracketError without a sign change, NumericsError on NaN, and
+    NumericsError, with the last iterate as best, after max_iter steps.
     """
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if math.isnan(flo) or math.isnan(fhi):
+    return _brent(f, lo, float(f(lo)), hi, float(f(hi)), tol, f_tol)[0]
+
+
+def _brent(f, x_pre, f_pre, x_cur, f_cur, tol, f_tol):
+    """find_root from two evaluated endpoints; returns the root and f there.
+
+    x_cur is the best iterate, x_pre the one before it, and x_blk the
+    contrapoint: f(x_blk) and f(x_cur) have opposite signs.
+    """
+    if math.isnan(f_pre) or math.isnan(f_cur):
         raise NumericsError("NaN at bracket endpoint")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(f"no sign change on [{lo:g}, {hi:g}]")
-    mid = 0.5 * (lo + hi)
-    for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = float(f(mid))
-        if math.isnan(fm):
-            raise NumericsError("NaN during bisection")
-        if fm == 0.0 or (f_tol > 0.0 and abs(fm) <= f_tol):
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= tol.root_tol * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise NumericsError(f"bisection not converged after {tol.max_iter} iterations", best=mid)
+    if f_pre == 0.0:
+        return x_pre, f_pre
+    if f_cur == 0.0:
+        return x_cur, f_cur
+    if (f_pre > 0) == (f_cur > 0):
+        raise BracketError(f"no sign change on [{x_pre:g}, {x_cur:g}]")
+    x_blk, f_blk = x_pre, f_pre
+    s_pre = s_cur = x_cur - x_pre
+    for step in range(tol.max_iter + 1):
+        if (f_pre > 0) != (f_cur > 0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * tol.root_tol * max(1.0, abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if abs(f_cur) <= f_tol or abs(s_bis) <= delta:
+            return x_cur, f_cur
+        if step == tol.max_iter:
+            break
+        interpolate = abs(s_pre) > delta and abs(f_cur) < abs(f_pre)
+        if interpolate:
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            # keep the step only if it is short against the last two and the bracket
+            interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = float(f(x_cur))
+        if math.isnan(f_cur):
+            raise NumericsError("NaN during root finding")
+    raise NumericsError(f"find_root not converged after {tol.max_iter} steps", best=x_cur)
+
+
+def calibrate(
+    mean_power: Callable[[float, Tolerances], float],
+    budget: float,
+    u_hi: float,
+    tol: Tolerances = DEFAULT_TOL,
+):
+    """Multiplier lam at which a decreasing mean power spends the budget.
+
+    mean_power(lam, tol) must fall strictly in lam and lie below the budget
+    at lam = exp(u_hi). The bracket walk steps u = ln(lam) down by 4 from
+    u_hi until the mean power exceeds the budget, and each probe that does
+    not becomes the new upper end; find_root then runs on u from the two last
+    probes, to f_tol = power_rel_tol * budget. No u is evaluated twice: the
+    residual |mean_power - budget| is the one find_root already has at the
+    returned lam. The mean power only needs to sit ~50x below that target,
+    so it is evaluated with quad_rel_tol relaxed to 0.02 * power_rel_tol.
+    Returns (lam, residual), or (math.inf, 0.0) for a zero budget; raises
+    NumericsError when the walk or the residual target fails.
+    """
+    if budget == 0.0:
+        return math.inf, 0.0
+    target = tol.power_rel_tol * budget
+    tol_cal = replace(tol, quad_rel_tol=max(tol.quad_rel_tol, 0.02 * tol.power_rel_tol))
+
+    def excess(u: float) -> float:
+        return mean_power(math.exp(u), tol_cal) - budget
+
+    hi, f_hi = u_hi, None
+    for _ in range(60):
+        lo = hi - 4.0
+        f_lo = excess(lo)
+        if not f_lo <= 0.0:  # a NaN also ends the walk, and _brent rejects it
+            break
+        hi, f_hi = lo, f_lo
+    else:
+        raise NumericsError("could not bracket the power calibration")
+    if f_hi is None:
+        f_hi = excess(hi)
+    u, f_u = _brent(excess, lo, f_lo, hi, f_hi, tol, target)
+    if abs(f_u) > target:
+        raise NumericsError(f"calibration residual {abs(f_u):.3e} above target {target:.3e}",
+                            best=math.exp(u))
+    return math.exp(u), abs(f_u)
 
 
 def expand_bracket(

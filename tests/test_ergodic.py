@@ -6,6 +6,7 @@ import pytest
 from secthru import (
     LinkBudget,
     ValidationError,
+    build_policy_main,
     ergodic_power_full,
     ergodic_throughput_full,
     ergodic_throughput_main,
@@ -80,7 +81,8 @@ class TestErgodicThroughput:
         assert abs(result.throughput_bits_s_hz - rate.mean()) < 3.0 * se
 
     def test_main_monte_carlo(self, law, link, fast_tol):
-        policy, result = solve_main(make_qos(0.0), link, law, law, fast_tol)
+        result = solve_main(make_qos(0.0), link, law, law, fast_tol)
+        policy = build_policy_main(make_qos(0.0), link, law, law, fast_tol)
         rng = np.random.default_rng(22)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)

@@ -132,6 +132,22 @@ class TestCalibration:
         lam = calibrate_lambda_full(LinkBudget(0.0, 1.0), 1.0, law, law)
         assert math.isinf(lam)
 
+    def test_mean_power_evaluations(self, law, link, monkeypatch):
+        # theta = 0.1 at 0 dB; the calibrator looks mean_power_full up through
+        # its module, so patching the attribute sees every evaluation
+        from secthru import full_csi
+
+        calls = []
+
+        def counted(lam, *args):
+            calls.append(lam)
+            return mean_power_full(lam, *args)
+
+        monkeypatch.setattr(full_csi, "mean_power_full", counted)
+        lam = calibrate_lambda_full(link, make_qos(0.1).beta, law, law, TOL)
+        assert lam in calls
+        assert len(calls) <= 12
+
 
 class TestThroughput:
     def test_zero_snr(self, law):

@@ -12,6 +12,8 @@ from secthru import (
     calibrate_lambda_full,
     calibrate_lambda_main,
     ergodic_throughput_main,
+    find_root,
+    integrate,
     kkt_lhs_main,
     make_qos,
     mean_power_main,
@@ -20,6 +22,7 @@ from secthru import (
     throughput_full,
     throughput_main,
 )
+from secthru._region import main_policy_table
 from oracles import brute_power_main, simpson_density
 
 TOL = Tolerances()
@@ -115,14 +118,12 @@ class TestAlphaThreshold:
         assert alpha == pytest.approx(0.5 * (lo + hi), abs=1e-8)
 
     def test_forms_agree_at_gamma1(self, law, link):
-        # the integration-by-parts form and the zero-power-gain root coincide
-        alpha_cdf = alpha_threshold(1.7, 0.3, link, law)
-        gain_root = None
-        from secthru._region import idle_marginal_gain
-        from secthru import bisect_root
-        gain_root = bisect_root(
-            lambda z: 1.7 * idle_marginal_gain(z, 1.0, law, TOL) - 0.3, 0.0, 30.0, TOL)
-        assert alpha_cdf == pytest.approx(gain_root, abs=1e-8)
+        # the zero-power-gain root equals the integration-by-parts form
+        # Int_0^alpha P(z_E <= t) dt = lam/beta
+        alpha = alpha_threshold(1.7, 0.3, link, law)
+        cdf_area = find_root(
+            lambda a: integrate(law.cdf, 0.0, a, TOL).value - 0.3 / 1.7, 0.0, 30.0, TOL)
+        assert alpha == pytest.approx(cdf_area, abs=1e-8)
 
     def test_general_gamma(self, law):
         link = LinkBudget(1.0, gamma=2.0)
@@ -164,6 +165,22 @@ class TestThroughputMain:
         res = throughput_main(make_qos(1e-6), link, law, law, fast_tol)
         erg = ergodic_throughput_main(link, law, law, fast_tol)
         assert abs(res.throughput_bits_s_hz - erg) <= 1e-3
+
+    def test_theta_zero_builds_no_table(self, law, link, fast_tol, monkeypatch):
+        # only the policy path tabulates the theta = 0 power map
+        from secthru import ergodic
+
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return main_policy_table(*args)
+
+        monkeypatch.setattr(ergodic, "main_policy_table", counted)
+        throughput_main(make_qos(0.0), link, law, law, fast_tol)
+        assert builds == []
+        build_policy_main(make_qos(0.0), link, law, law, fast_tol)
+        assert len(builds) == 1
 
 
 @pytest.fixture(scope="module")

@@ -9,58 +9,89 @@ from secthru import (
     NumericsError,
     QuadratureError,
     Tolerances,
-    bisect_root,
     expand_bracket,
     expectation_joint,
+    find_root,
     integrate,
     integrate_density,
 )
 from secthru.full_csi import kkt_lhs_full
+from secthru.numerics import calibrate
 
 TOL = Tolerances()
 
 
 class TestBisectRoot:
+    """find_root: Brent's method, safeguarded by bisection, on a sign-checked bracket."""
+
     def test_linear(self):
-        assert bisect_root(lambda x: x - 1.0, 0.0, 2.0, TOL) == pytest.approx(1.0, abs=1e-11)
+        assert find_root(lambda x: x - 1.0, 0.0, 2.0, TOL) == pytest.approx(1.0, abs=1e-11)
 
     def test_sqrt3(self):
-        root = bisect_root(lambda x: x * x - 3.0, 0.0, 2.0, TOL)
+        root = find_root(lambda x: x * x - 3.0, 0.0, 2.0, TOL)
         assert root == pytest.approx(math.sqrt(3.0), abs=1e-11)
 
     def test_stationarity_residual_beta1(self, link):
         # at beta=1 the optimality condition reduces to a closed form
         f = lambda mu: float(kkt_lhs_full(mu, 2.0, 0.5, 1.0, 1.0)) - 0.5
-        root = bisect_root(f, 0.0, 2.0, TOL)
+        root = find_root(f, 0.0, 2.0, TOL)
         assert root == pytest.approx((math.sqrt(3.0) - 1.0) / 2.0, abs=1e-10)
 
     def test_result_bracketed_and_sign_checked(self):
         f = lambda x: math.cos(x)
-        root = bisect_root(f, 1.0, 2.0, TOL)
+        root = find_root(f, 1.0, 2.0, TOL)
         assert 1.0 <= root <= 2.0
         assert f(root - 1e-6) > 0 > f(root + 1e-6)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, TOL)
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0, TOL)
 
     def test_nan_rejected(self):
         with pytest.raises(NumericsError):
-            bisect_root(lambda x: math.nan, 0.0, 1.0, TOL)
+            find_root(lambda x: math.nan, 0.0, 1.0, TOL)
 
-    def test_iteration_cap_raises_with_last_midpoint(self):
-        # midpoints 0.5, 0.25, 0.375: three are not enough for root_tol
+    def test_iteration_cap_raises_with_best_in_bracket(self):
+        # the root of a 10th-root cusp defeats interpolation: 3 steps cannot finish
+        f = lambda x: math.copysign(abs(x - 0.3) ** 0.1, x - 0.3)
         with pytest.raises(NumericsError, match="not converged") as err:
-            bisect_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0, Tolerances(max_iter=3))
-        assert err.value.best == 0.375
+            find_root(f, 0.0, 1.0, Tolerances(max_iter=3))
+        assert 0.0 < err.value.best < 1.0
 
     def test_f_tol_exit(self):
         calls = []
         def f(x):
             calls.append(x)
             return x - 0.3
-        bisect_root(f, 0.0, 1.0, TOL, f_tol=1e-3)
+        find_root(f, 0.0, 1.0, TOL, f_tol=1e-3)
         assert len(calls) < 15  # coarse residual target exits early
+
+
+class TestCalibrate:
+    @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0, 100.0, 1000.0])
+    def test_closed_form_mean_power(self, budget):
+        # P(lam) = c/lam spends the budget at lam = c/budget
+        c = 2.5
+        seen = []
+
+        def mean_power(lam, tol):
+            seen.append(lam)
+            return c / lam
+
+        lam, residual = calibrate(mean_power, budget, 10.0, TOL)
+        assert residual <= TOL.power_rel_tol * budget
+        assert lam in seen  # the residual is not recomputed at the returned lam
+        assert residual == pytest.approx(abs(c / lam - budget), rel=1e-12)
+        assert lam == pytest.approx(c / budget, rel=2 * TOL.power_rel_tol)
+        assert len(seen) <= 12
+        assert len(set(seen)) == len(seen)  # no multiplier evaluated twice
+
+    def test_mean_power_below_budget_everywhere(self):
+        with pytest.raises(NumericsError, match="could not bracket"):
+            calibrate(lambda lam, tol: 1.0 / (1.0 + lam), 5.0, 0.0, TOL)
+
+    def test_zero_budget(self):
+        assert calibrate(lambda lam, tol: 1.0 / lam, 0.0, 0.0, TOL) == (math.inf, 0.0)
 
 
 class TestExpandBracket:
