@@ -1,15 +1,12 @@
 """Effective secure throughput of block-fading wiretap channels under QoS constraints.
 
 Solvers for the optimal transmit-power policies with full and main-channel-only
-CSI, the unconstrained benchmark, and a queue-tail Monte Carlo validator of the
+CSI, for every QoS exponent theta >= 0 (theta = 0 is the unconstrained
+mean-secrecy-rate benchmark), and a queue-tail Monte Carlo validator of the
 QoS-exponent semantics. See the CLI (`secthru`) for sweep and validation runs.
 """
 
-from .ergodic import (
-    ergodic_power_full,
-    ergodic_throughput_full,
-    ergodic_throughput_main,
-)
+from .ergodic import ergodic_power_full
 from .full_csi import (
     build_policy_full,
     calibrate_lambda_full,
@@ -47,7 +44,6 @@ from .numerics import (
     QuadResult,
     Tolerances,
     expand_bracket,
-    expectation_joint,
     find_root,
     integrate,
     integrate_density,
@@ -81,11 +77,8 @@ __all__ = [
     "calibrate_lambda_full",
     "calibrate_lambda_main",
     "ergodic_power_full",
-    "ergodic_throughput_full",
-    "ergodic_throughput_main",
     "estimate_decay",
     "expand_bracket",
-    "expectation_joint",
     "find_root",
     "integrate",
     "integrate_density",

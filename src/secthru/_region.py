@@ -1,11 +1,12 @@
 """Internal quadrature and power-solve machinery shared by the policy solvers.
 
 The throughput and average-power integrals all live on the transmit region
-z_m > gamma*z_e + offset (full CSI and the unconstrained benchmark) or on
-z_m > alpha with an inner eavesdropper integral (main CSI). The helpers here
-tensorize those regions so the per-state power solves vectorize through one
-lane kernel (power_lanes), and both quadrature dimensions refine together
-through numerics.refine_panels.
+z_m > gamma*z_e + nu (full CSI) or on z_m > alpha with an inner eavesdropper
+integral (main CSI), for every beta >= 0. The helpers here tensorize those
+regions so the per-state power solves vectorize through one lane kernel
+(power_lanes), and both quadrature dimensions refine together through
+numerics.refine_panels. Only the throughput readout (throughput_readout) and
+the reported multiplier (reported_lam) depend on whether beta is 0.
 """
 
 import math
@@ -13,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FadingLaw
+from .model import LN2, FadingLaw
 from .numerics import (
     NumericsError,
     QuadResult,
@@ -22,6 +23,33 @@ from .numerics import (
     panel_nodes,
     refine_panels,
 )
+
+
+def reported_lam(beta: float, nu: float) -> float:
+    """The multiplier results report for normalized multiplier nu: lam = beta*nu,
+    or at beta = 0 the rate multiplier nu itself (nats per unit power).
+    """
+    return beta * nu if beta > 0.0 else nu
+
+
+def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
+    """Throughput in bits/s/Hz and its quadrature error under a calibrated policy.
+
+    expectation(integrand, floor, include_idle_mass) -> QuadResult is the CSI
+    mode's region expectation of integrand(mu, z_m, z_e). At beta = 0 the
+    throughput is the mean secrecy rate E{ln r}/ln 2, whose integrand is 0
+    off the transmit region; for beta > 0 it is -ln E{r^-beta}/(beta ln 2),
+    whose integrand is 1 there, so the idle mass enters.
+    """
+    def log_ratio(mu, zm, ze):
+        return np.log1p(mu * zm) - np.log1p(gamma * mu * ze)
+
+    if beta == 0.0:
+        res = expectation(lambda mu, zm, ze: log_ratio(mu, zm, ze) / LN2, 0.01, False)
+        return max(0.0, res.value), res.error
+    res = expectation(lambda mu, zm, ze: np.exp(-beta * log_ratio(mu, zm, ze)), 1.0, True)
+    return (max(0.0, -math.log(res.value) / (beta * LN2)),
+            res.error / (max(res.value, 1e-12) * beta * LN2))
 
 
 # lane-terms solved together: the kernel's temporaries stay near a megabyte
@@ -166,9 +194,9 @@ def transmit_region_expectation(
 def idle_marginal_gain(z_m: float, gamma: float, law_e: FadingLaw, tol: Tolerances) -> float:
     """Integral of (z_m - gamma*t) over the eavesdropper law for t < z_m/gamma.
 
-    This is the zero-power marginal gain of the main-CSI problems (up to the
-    QoS exponent factor); it is strictly increasing in z_m, which the
-    threshold solvers rely on.
+    This is the zero-power marginal gain of the main-CSI problem divided by
+    beta, for every beta >= 0; it is strictly increasing in z_m, which the
+    cutoff solver (main_csi.alpha_threshold) relies on.
     """
     if not z_m > 0.0:
         return 0.0

@@ -6,20 +6,23 @@ The optimal policy solves, state by state, the stationarity condition
     r(mu) = (1 + mu*z_m) / (1 + gamma*mu*z_e),
 
 whose left side decreases strictly from beta*(z_m - gamma*z_e) to 0, so the
-state transmits exactly when z_m - gamma*z_e > lam/beta and the root is unique.
-lam is calibrated so the policy spends the average-SNR budget with equality,
-and the throughput is -ln E{r^(-beta)} / (theta*T*B) with the integrand equal
-to 1 wherever no power is allocated.
+state transmits exactly when z_m - gamma*z_e > nu and the root is unique.
+Divided by beta, the condition holds for every beta >= 0 with the normalized
+multiplier nu = lam/beta; at beta = 0 (theta = 0, no QoS constraint) it is the
+first-order condition of the mean secrecy rate, nu is the rate multiplier in
+nats and the power is closed-form (ergodic.ergodic_power_full). nu is
+calibrated so the policy spends the average-SNR budget with equality, and the
+throughput is -ln E{r^(-beta)} / (theta*T*B) with the integrand equal to 1
+wherever no power is allocated, or E{log2 r} at theta = 0.
 """
 
 import math
 
 import numpy as np
 
-from . import ergodic
-from ._region import power_lanes, transmit_region_expectation
+from ._region import power_lanes, reported_lam, throughput_readout, transmit_region_expectation
+from .ergodic import ergodic_power_full
 from .model import (
-    LN2,
     FadingLaw,
     LinkBudget,
     PowerPolicy,
@@ -47,8 +50,12 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
     Exact zeros on z_m - gamma*z_e <= lam/beta; elsewhere the unique positive
     root of the stationarity condition, from the lane kernel: one term
     (z_m - gamma*z_e)(1+mu*z_m)^-(beta+1)(1+gamma*mu*z_e)^(beta-1) = lam/beta.
-    Each state's power depends on that state alone.
+    At beta = 0, lam is the rate multiplier in nats and the root is the
+    closed form ergodic_power_full. Each state's power depends on that state
+    alone.
     """
+    if beta == 0.0:
+        return ergodic_power_full(z_m, z_e, gamma, lam)
     z_m, z_e = np.broadcast_arrays(np.asarray(z_m, dtype=float), np.asarray(z_e, dtype=float))
     out = np.zeros(z_m.shape)
     nu = lam / beta
@@ -73,48 +80,51 @@ def pointwise_power(z_m: float, z_e: float, link: LinkBudget, beta: float, lam: 
     return float(mu[0])
 
 
-def mean_power_full(lam: float, beta: float, link: LinkBudget,
+def mean_power_full(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> float:
-    """Expected transmit SNR of the policy with multiplier lam."""
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    if math.isinf(lam):
-        return 0.0
-    if not lam > 0:
-        raise ValidationError("lam must be positive")
-    res = transmit_region_expectation(
+    """Expected transmit SNR of the policy with normalized multiplier nu."""
+    if not (nu > 0 and beta >= 0):
+        raise ValidationError("nu must be positive and beta nonnegative")
+    expectation = _policy_expectation(nu, beta, link, law_m, law_e, tol)
+    return expectation(lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), False).value
+
+
+def _policy_expectation(nu, beta, link, law_m, law_e, tol):
+    """expectation(integrand, floor, include_idle_mass) under the policy with
+    multiplier nu, over its transmit region z_m > gamma*z_e + nu.
+    """
+    lam = reported_lam(beta, nu)
+    return lambda integrand, floor, idle: transmit_region_expectation(
         power_fn=lambda zm, ze: power_grid(zm, ze, link.gamma, beta, lam, tol),
-        integrand=lambda mu, zm, ze: mu,
-        offset=lam / beta,
+        integrand=integrand,
+        offset=nu,
         gamma=link.gamma,
         law_m=law_m,
         law_e=law_e,
         tol=tol,
-        floor=max(link.avg_snr, 1e-6),
-        include_idle_mass=False,
+        floor=floor,
+        include_idle_mass=idle,
     )
-    return res.value
 
 
 def calibrate_lambda_full(link: LinkBudget, beta: float, law_m: FadingLaw, law_e: FadingLaw,
                           tol: Tolerances = DEFAULT_TOL) -> float:
     """Multiplier lam* that spends the average-SNR budget with equality.
 
-    Brent root finding on ln(lam) (numerics.calibrate): mean power is strictly
-    decreasing in lam. Returns math.inf for a zero budget (the all-zero policy
-    never consults lam).
+    Brent root finding on ln(nu) (numerics.calibrate): mean power is strictly
+    decreasing in nu. Returns math.inf for a zero budget (the all-zero policy).
     """
-    lam, _ = _calibrate_full(link, beta, law_m, law_e, tol)
-    return lam
+    return reported_lam(beta, _calibrate_full(link, beta, law_m, law_e, tol)[0])
 
 
 def _calibrate_full(link, beta, law_m, law_e, tol):
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    # at ln(beta * zm_hi) the threshold is beyond the truncated support: zero power
-    u_hi = math.log(beta * law_m.tail_cutoff(tol.quad_trunc_mass))
-    return calibrate(lambda lam, t: mean_power_full(lam, beta, link, law_m, law_e, t),
+    """(nu, residual); nu = math.inf for a zero budget."""
+    if not beta >= 0:
+        raise ValidationError("beta must be nonnegative")
+    # at nu = zm_hi the threshold is beyond the truncated support: zero power
+    u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
+    return calibrate(lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t),
                      link.avg_snr, u_hi, tol)
 
 
@@ -122,35 +132,16 @@ def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
                     tol: Tolerances = DEFAULT_TOL) -> ThroughputResult:
     """Effective secure throughput under the calibrated full-CSI policy.
 
-    theta == 0 is routed to the unconstrained benchmark, which maximizes the
-    mean secrecy rate instead of a degenerate exponent-0 objective.
+    At theta == 0 this is the maximum mean secrecy rate (throughput_readout).
     """
-    if qos.theta == 0.0:
-        return ergodic.solve_full(qos, link, law_m, law_e, tol)[1]
-    if link.avg_snr == 0.0:
-        return ThroughputResult(0.0, 0.0, math.inf, 0.0, 0.0, qos.theta)
-
     beta = qos.beta
-    lam, residual = _calibrate_full(link, beta, law_m, law_e, tol)
-    res = transmit_region_expectation(
-        power_fn=lambda zm, ze: power_grid(zm, ze, link.gamma, beta, lam, tol),
-        integrand=lambda mu, zm, ze: np.exp(
-            -beta * (np.log1p(mu * zm) - np.log1p(link.gamma * mu * ze))
-        ),
-        offset=lam / beta,
-        gamma=link.gamma,
-        law_m=law_m,
-        law_e=law_e,
-        tol=tol,
-        floor=1.0,
-        include_idle_mass=True,
-    )
-    value = max(0.0, -math.log(res.value) / (beta * LN2))
-    quad_error = res.error / (max(res.value, 1e-12) * beta * LN2)
+    nu, residual = _calibrate_full(link, beta, law_m, law_e, tol)
+    value, quad_error = throughput_readout(
+        beta, link.gamma, _policy_expectation(nu, beta, link, law_m, law_e, tol))
     return ThroughputResult(
         throughput_bits_s_hz=value,
         throughput_bits_s=value * qos.bandwidth_b,
-        lam=lam,
+        lam=reported_lam(beta, nu),
         power_residual=residual,
         quad_error=quad_error,
         theta=qos.theta,
@@ -169,39 +160,21 @@ def policy_surface_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e:
     zm_values = np.asarray(zm_values, dtype=float)
     if ze_values.size == 0 or zm_values.size == 0:
         return np.zeros((ze_values.size, zm_values.size))
-    ze = ze_values[:, None]
-    zm = zm_values[None, :]
-    if qos.theta == 0.0:
-        policy, _ = ergodic.solve_full(qos, link, law_m, law_e, tol)
-        return np.asarray(policy.state_power(zm, ze))
-    if link.avg_snr == 0.0:
-        return np.zeros((ze_values.size, zm_values.size))
     lam = calibrate_lambda_full(link, qos.beta, law_m, law_e, tol)
-    return power_grid(zm, ze, link.gamma, qos.beta, lam, tol)
+    return power_grid(zm_values[None, :], ze_values[:, None], link.gamma, qos.beta, lam, tol)
 
 
 def build_policy_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                       tol: Tolerances = DEFAULT_TOL) -> PowerPolicy:
     """Calibrate and package the full-CSI policy for simulation or export."""
-    if qos.theta == 0.0:
-        return ergodic.solve_full(qos, link, law_m, law_e, tol)[0]
-    if link.avg_snr == 0.0:
-        lam = math.inf
-    else:
-        lam = calibrate_lambda_full(link, qos.beta, law_m, law_e, tol)
     beta = qos.beta
     gamma = link.gamma
-
-    def state_power(z_m, z_e):
-        if math.isinf(lam):
-            zm, _ = np.broadcast_arrays(np.asarray(z_m, float), np.asarray(z_e, float))
-            return np.zeros(zm.shape)
-        return power_grid(z_m, z_e, gamma, beta, lam, tol)
-
+    nu, _ = _calibrate_full(link, beta, law_m, law_e, tol)
+    lam = reported_lam(beta, nu)
     return PowerPolicy(
         csi_mode="full",
         lam=lam,
         beta=beta,
-        threshold=lam / beta if not math.isinf(lam) else math.inf,
-        state_power=state_power,
+        threshold=nu,
+        state_power=lambda z_m, z_e: power_grid(z_m, z_e, gamma, beta, lam, tol),
     )

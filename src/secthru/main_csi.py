@@ -9,16 +9,27 @@ marginal gain over the eavesdropper law on z_e < z_m/gamma:
 with r(mu) = (1 + mu*z_m)/(1 + gamma*mu*z_e). The left side decreases strictly
 in mu and increases strictly in z_m at mu = 0, so the policy transmits exactly
 above a cutoff gain alpha and each active z_m has a unique root.
+
+Divided by beta, the condition holds for every beta >= 0 with the normalized
+multiplier nu = lam/beta: at beta = 0 (theta = 0, no QoS constraint) it is the
+first-order condition of the mean secrecy rate and nu is the rate multiplier
+in nats. The cutoff solves Int_0^{alpha/gamma} (alpha - gamma*z_e) p_E dz_e = nu
+for every beta, and nu is calibrated so the policy spends the average-SNR
+budget with equality.
 """
 
 import math
 
 import numpy as np
 
-from . import ergodic
-from ._region import idle_marginal_gain, main_policy_table, main_region_expectation
+from ._region import (
+    idle_marginal_gain,
+    main_policy_table,
+    main_region_expectation,
+    reported_lam,
+    throughput_readout,
+)
 from .model import (
-    LN2,
     FadingLaw,
     LinkBudget,
     PowerPolicy,
@@ -30,6 +41,7 @@ from .numerics import (
     DEFAULT_TOL,
     NumericsError,
     Tolerances,
+    _brent,
     calibrate,
     expand_bracket,
     find_root,
@@ -79,106 +91,93 @@ def power_main(z_m: float, beta: float, lam: float, link: LinkBudget, law_e: Fad
     return find_root(f, lo, hi, tol)
 
 
-def alpha_threshold(beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
+def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL,
                     law_m: FadingLaw | None = None) -> float:
-    """Cutoff gain below which the main-CSI policy is silent.
+    """Cutoff gain below which the main-CSI policy with multiplier nu is silent.
 
-    The root of the zero-power marginal gain against lam. (At gamma = 1,
-    integration by parts turns it into Int_0^alpha P(z_E <= t) dt = lam/beta.)
-    Returns math.inf when lam is beyond any gain achievable on the truncated
-    support.
+    The root of the zero-power marginal gain against nu, for every beta >= 0
+    (at gamma = 1, integration by parts turns it into
+    Int_0^alpha P(z_E <= t) dt = nu). Each gain is evaluated once: the
+    monotonicity probes at z_hi/4, z_hi/2 and z_hi are not repeated, and
+    Brent starts from the value at z_hi. Returns math.inf when nu is beyond
+    any gain achievable on the truncated support (nu = math.inf included).
     """
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    if lam < 0:
-        raise ValidationError("lam must be nonnegative")
-    if lam == 0.0:
-        return 0.0
+    if nu < 0:
+        raise ValidationError("nu must be nonnegative")
     gamma = link.gamma
     search_law = law_m if law_m is not None else law_e
     z_hi = search_law.tail_cutoff(tol.quad_trunc_mass)
 
-    gain0 = lambda z: beta * idle_marginal_gain(z, gamma, law_e, tol) - lam
+    gain0 = lambda z: idle_marginal_gain(z, gamma, law_e, tol)
     # the zero-power gain must be increasing in z_m for the root to be a cutoff
     probes = gain0(z_hi * 0.25), gain0(z_hi * 0.5), gain0(z_hi)
     if not (probes[0] < probes[1] < probes[2]):
         raise NumericsError("zero-power marginal gain is not increasing in z_m")
-    if probes[2] <= 0.0:
+    if probes[2] <= nu:
         return math.inf
-    return find_root(gain0, 0.0, z_hi, tol)
+    root, _ = _brent(lambda z: gain0(z) - nu, 0.0, gain0(0.0) - nu, z_hi, probes[2] - nu, tol, 0.0)
+    return root
 
 
-def mean_power_main(lam: float, beta: float, link: LinkBudget,
+def mean_power_main(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> float:
-    """Expected transmit SNR of the main-CSI policy with multiplier lam."""
-    if math.isinf(lam):
-        return 0.0
-    gamma = link.gamma
-    alpha = alpha_threshold(beta, lam, link, law_e, tol, law_m=law_m)
-    res = main_region_expectation(
+    """Expected transmit SNR of the main-CSI policy with normalized multiplier nu."""
+    alpha = alpha_threshold(nu, link, law_e, tol, law_m=law_m)
+    expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol)
+    return expectation(None, max(link.avg_snr, 1e-6), False).value
+
+
+def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol):
+    """expectation(integrand, floor, include_idle_mass) under the policy with
+    multiplier nu and cutoff alpha (integrand None: the power itself).
+    """
+    return lambda integrand, floor, idle: main_region_expectation(
         beta=beta,
-        integrand=None,
-        nu=lam / beta,
-        gamma=gamma,
+        integrand=integrand,
+        nu=nu,
+        gamma=link.gamma,
         law_m=law_m,
         law_e=law_e,
         tol=tol,
         alpha=alpha,
-        floor=max(link.avg_snr, 1e-6),
-        include_idle_mass=False,
+        floor=floor,
+        include_idle_mass=idle,
     )
-    return res.value
 
 
 def calibrate_lambda_main(link: LinkBudget, beta: float, law_m: FadingLaw, law_e: FadingLaw,
                           tol: Tolerances = DEFAULT_TOL) -> float:
     """Multiplier spending the average-SNR budget with equality (math.inf at zero budget)."""
-    lam, _ = _calibrate_main(link, beta, law_m, law_e, tol)
-    return lam
+    return reported_lam(beta, _calibrate_main(link, beta, law_m, law_e, tol)[0])
 
 
 def _calibrate_main(link, beta, law_m, law_e, tol):
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    u_hi = math.log(beta * law_m.tail_cutoff(tol.quad_trunc_mass))
-    return calibrate(lambda lam, t: mean_power_main(lam, beta, link, law_m, law_e, t),
-                     link.avg_snr, u_hi, tol)
+    """(nu, cutoff alpha, residual); nu = alpha = math.inf for a zero budget."""
+    if not beta >= 0:
+        raise ValidationError("beta must be nonnegative")
+    u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
+    nu, residual = calibrate(lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t),
+                             link.avg_snr, u_hi, tol)
+    return nu, alpha_threshold(nu, link, law_e, tol, law_m=law_m), residual
 
 
 def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> ThroughputResult:
-    """Effective secure throughput under the calibrated main-CSI policy."""
-    if qos.theta == 0.0:
-        return ergodic.solve_main(qos, link, law_m, law_e, tol)
-    if link.avg_snr == 0.0:
-        return ThroughputResult(0.0, 0.0, math.inf, 0.0, 0.0, qos.theta)
+    """Effective secure throughput under the calibrated main-CSI policy.
 
+    At theta == 0 this is the maximum mean secrecy rate (throughput_readout).
+    The simulation table is built only by build_policy_main.
+    """
     beta = qos.beta
-    gamma = link.gamma
-    lam, residual = _calibrate_main(link, beta, law_m, law_e, tol)
-    alpha = alpha_threshold(beta, lam, link, law_e, tol, law_m=law_m)
-    res = main_region_expectation(
-        beta=beta,
-        integrand=lambda mu, zm, ze: np.exp(
-            -beta * (np.log1p(mu * zm) - np.log1p(gamma * mu * ze))
-        ),
-        nu=lam / beta,
-        gamma=gamma,
-        law_m=law_m,
-        law_e=law_e,
-        tol=tol,
-        alpha=alpha,
-        floor=1.0,
-        include_idle_mass=True,
-    )
-    value = max(0.0, -math.log(res.value) / (beta * LN2))
-    quad_error = res.error / (max(res.value, 1e-12) * beta * LN2)
+    nu, alpha, residual = _calibrate_main(link, beta, law_m, law_e, tol)
+    value, quad_error = throughput_readout(
+        beta, link.gamma, _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol))
     return ThroughputResult(
         throughput_bits_s_hz=value,
         throughput_bits_s=value * qos.bandwidth_b,
-        lam=lam,
+        lam=reported_lam(beta, nu),
         power_residual=residual,
         quad_error=quad_error,
         theta=qos.theta,
@@ -188,18 +187,8 @@ def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
 def build_policy_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                       tol: Tolerances = DEFAULT_TOL) -> PowerPolicy:
     """Calibrate and package the main-CSI policy (tabulated evaluator)."""
-    if qos.theta == 0.0:
-        return ergodic.policy_main(link, law_m, law_e, tol)
-    if link.avg_snr == 0.0:
-        return PowerPolicy(
-            csi_mode="main", lam=math.inf, beta=qos.beta, threshold=math.inf,
-            state_power=lambda z_m: np.zeros(np.asarray(z_m, float).shape),
-        )
     beta = qos.beta
-    gamma = link.gamma
-    lam = calibrate_lambda_main(link, beta, law_m, law_e, tol)
-    alpha = alpha_threshold(beta, lam, link, law_e, tol, law_m=law_m)
-    state_power = main_policy_table(beta, lam / beta, alpha, gamma, law_m, law_e, tol)
-    return PowerPolicy(csi_mode="main", lam=lam, beta=beta, threshold=alpha,
+    nu, alpha, _ = _calibrate_main(link, beta, law_m, law_e, tol)
+    state_power = main_policy_table(beta, nu, alpha, link.gamma, law_m, law_e, tol)
+    return PowerPolicy(csi_mode="main", lam=reported_lam(beta, nu), beta=beta, threshold=alpha,
                        state_power=state_power)
-

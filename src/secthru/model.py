@@ -69,7 +69,8 @@ class QosSpec:
 
     beta = theta * frame_t * bandwidth_b / ln 2 is the composite exponent the
     throughput integrands raise the SNR ratio to. theta == 0 (hence beta == 0)
-    selects the unconstrained ergodic code path everywhere.
+    is the unconstrained problem: the same solvers then maximize the mean
+    secrecy rate E{log2 r}, the theta -> 0 limit of the effective throughput.
     """
 
     theta: float

@@ -173,34 +173,6 @@ def integrate_density(
                      lo, hi, tol, floor=floor, start_panels=start_panels)
 
 
-def expectation_joint(
-    g: Callable[[np.ndarray, float], np.ndarray],
-    law_m: FadingLaw,
-    law_e: FadingLaw,
-    tol: Tolerances = DEFAULT_TOL,
-) -> QuadResult:
-    """E{g(z_M, z_E)} for independent gains, via iterated integrate_density.
-
-    g must be vectorized in its first argument; the second is a scalar. Inner
-    integrals converge to an absolute tolerance matched to an O(1) expectation
-    (callers with large-magnitude g should rescale). The reported error adds
-    the worst inner error to the outer estimate.
-    """
-    worst_inner = 0.0
-
-    def outer(ze_arr: np.ndarray) -> np.ndarray:
-        nonlocal worst_inner
-        out = np.empty(ze_arr.shape)
-        for i, ze in enumerate(ze_arr):
-            r = integrate_density(lambda zm: g(zm, float(ze)), law_m, tol, floor=1.0)
-            worst_inner = max(worst_inner, r.error)
-            out[i] = r.value
-        return out
-
-    res = integrate_density(outer, law_e, tol, floor=1.0)
-    return QuadResult(res.value, res.error + worst_inner, res.panels)
-
-
 def find_root(
     f: Callable[[float], float],
     lo: float,

@@ -16,9 +16,6 @@ from secthru import (
     LinkBudget,
     Tolerances,
     build_policy_full,
-    calibrate_lambda_full,
-    ergodic_throughput_full,
-    ergodic_throughput_main,
     estimate_decay,
     make_qos,
     pointwise_power,
@@ -29,7 +26,6 @@ from secthru import (
     throughput_full,
     throughput_main,
 )
-from secthru.ergodic import solve_full
 from oracles import brute_power_full, brute_power_main, closed_form_power_beta1
 
 TOL = Tolerances()
@@ -142,13 +138,14 @@ def test_criterion_5_theta_to_zero_continuity():
     qos = make_qos(1e-6)
     full6 = throughput_full(qos, link, LAW, LAW, TOL).throughput_bits_s_hz
     main6 = throughput_main(qos, link, LAW, LAW, TOL).throughput_bits_s_hz
-    erg_full = ergodic_throughput_full(link, LAW, LAW, TOL)
-    erg_main = ergodic_throughput_main(link, LAW, LAW, TOL)
+    qos0 = make_qos(0.0)
+    erg_full = throughput_full(qos0, link, LAW, LAW, TOL).throughput_bits_s_hz
+    erg_main = throughput_main(qos0, link, LAW, LAW, TOL).throughput_bits_s_hz
     d_full = abs(full6 - erg_full)
     d_main = abs(main6 - erg_main)
 
     # Monte Carlo confirmation of the benchmark value (10^7 states, 3 SE)
-    policy, _ = solve_full(make_qos(0.0), link, LAW, LAW, TOL)
+    policy = build_policy_full(qos0, link, LAW, LAW, TOL)
     rng = np.random.default_rng(55)
     n = 10_000_000
     z_m = rng.exponential(1.0, n)

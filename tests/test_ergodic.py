@@ -6,32 +6,32 @@ import pytest
 from secthru import (
     LinkBudget,
     ValidationError,
+    build_policy_full,
     build_policy_main,
     ergodic_power_full,
-    ergodic_throughput_full,
-    ergodic_throughput_main,
     make_qos,
     throughput_full,
+    throughput_main,
 )
-from secthru.ergodic import solve_full, solve_main
 from oracles import brute_power_ergodic_full
 
 LN2 = math.log(2.0)
+QOS0 = make_qos(0.0)  # theta = 0: the unconstrained mean-secrecy-rate problem
 
 
 class TestErgodicPowerFull:
     def test_silent_without_advantage(self, link):
-        assert float(ergodic_power_full(1.0, 1.0, link, 0.4)) == 0.0
-        assert float(ergodic_power_full(0.5, 2.0, link, 0.4)) == 0.0
+        assert float(ergodic_power_full(1.0, 1.0, link.gamma, 0.4)) == 0.0
+        assert float(ergodic_power_full(0.5, 2.0, link.gamma, 0.4)) == 0.0
 
     def test_water_filling_limit(self, link):
         # z_e = 0 reduces to mu = 1/lam - 1/z_m
         for z_m, lam in ((2.0, 0.4), (5.0, 0.1)):
-            mu = float(ergodic_power_full(z_m, 0.0, link, lam))
+            mu = float(ergodic_power_full(z_m, 0.0, link.gamma, lam))
             assert mu == pytest.approx(1.0 / lam - 1.0 / z_m, rel=1e-12)
 
     def test_grid_search_spec_point(self, link):
-        mu = float(ergodic_power_full(2.0, 0.5, link, 0.4))
+        mu = float(ergodic_power_full(2.0, 0.5, link.gamma, 0.4))
         assert mu == pytest.approx(brute_power_ergodic_full(2.0, 0.5, 1.0, 0.4), abs=1e-5)
         # quadratic-root closed form
         disc = 1.0 + 4.0 * 0.4 * 1.1
@@ -42,7 +42,7 @@ class TestErgodicPowerFull:
         rng = np.random.default_rng(12)
         z_m = rng.exponential(1.0, 50)
         z_e = rng.exponential(1.0, 50)
-        mu = ergodic_power_full(z_m, z_e, link, 0.3)
+        mu = ergodic_power_full(z_m, z_e, link.gamma, 0.3)
         active = (z_m - 2.0 * z_e) > 0.3
         assert np.array_equal(mu > 0, active)
         # first-order condition holds where transmitting
@@ -51,26 +51,27 @@ class TestErgodicPowerFull:
 
     def test_rejects_nonpositive_multiplier(self, link):
         with pytest.raises(ValidationError):
-            ergodic_power_full(1.0, 0.5, link, 0.0)
+            ergodic_power_full(1.0, 0.5, link.gamma, 0.0)
 
 
 class TestErgodicThroughput:
     def test_zero_snr(self, law):
-        assert ergodic_throughput_full(LinkBudget(0.0, 1.0), law, law) == 0.0
-        assert ergodic_throughput_main(LinkBudget(0.0, 1.0), law, law) == 0.0
+        assert throughput_full(QOS0, LinkBudget(0.0, 1.0), law, law).throughput_bits_s_hz == 0.0
+        assert throughput_main(QOS0, LinkBudget(0.0, 1.0), law, law).throughput_bits_s_hz == 0.0
 
     def test_dominates_constrained_throughput(self, law, link, fast_tol):
-        erg = ergodic_throughput_full(link, law, law, fast_tol)
+        erg = throughput_full(QOS0, link, law, law, fast_tol).throughput_bits_s_hz
         for theta in (0.001, 0.01, 0.1):
             qos = throughput_full(make_qos(theta), link, law, law, fast_tol)
             assert erg >= qos.throughput_bits_s_hz - 1e-9
 
     def test_main_below_full(self, law, link, fast_tol):
-        assert (ergodic_throughput_main(link, law, law, fast_tol)
-                <= ergodic_throughput_full(link, law, law, fast_tol) + 1e-9)
+        assert (throughput_main(QOS0, link, law, law, fast_tol).throughput_bits_s_hz
+                <= throughput_full(QOS0, link, law, law, fast_tol).throughput_bits_s_hz + 1e-9)
 
     def test_full_monte_carlo(self, law, link, fast_tol):
-        policy, result = solve_full(make_qos(0.0), link, law, law, fast_tol)
+        policy = build_policy_full(QOS0, link, law, law, fast_tol)
+        result = throughput_full(QOS0, link, law, law, fast_tol)
         rng = np.random.default_rng(21)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -81,8 +82,8 @@ class TestErgodicThroughput:
         assert abs(result.throughput_bits_s_hz - rate.mean()) < 3.0 * se
 
     def test_main_monte_carlo(self, law, link, fast_tol):
-        result = solve_main(make_qos(0.0), link, law, law, fast_tol)
-        policy = build_policy_main(make_qos(0.0), link, law, law, fast_tol)
+        result = throughput_main(QOS0, link, law, law, fast_tol)
+        policy = build_policy_main(QOS0, link, law, law, fast_tol)
         rng = np.random.default_rng(22)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -94,7 +95,8 @@ class TestErgodicThroughput:
         assert abs(result.throughput_bits_s_hz - rate.mean()) < 3.0 * se + 2e-4
 
     def test_policies_spend_the_budget(self, law, link, fast_tol):
-        policy, result = solve_full(make_qos(0.0), link, law, law, fast_tol)
+        policy = build_policy_full(QOS0, link, law, law, fast_tol)
+        result = throughput_full(QOS0, link, law, law, fast_tol)
         assert result.power_residual <= fast_tol.power_rel_tol * link.avg_snr
         assert result.lam == policy.lam
         assert policy.beta == 0.0 and policy.threshold == policy.lam

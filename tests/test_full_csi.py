@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from secthru import (
-    FadingLaw,
     LinkBudget,
-    NumericsError,
     Tolerances,
     build_policy_full,
     calibrate_lambda_full,
-    ergodic_throughput_full,
+    ergodic_power_full,
     kkt_lhs_full,
     make_qos,
     mean_power_full,
@@ -19,9 +17,29 @@ from secthru import (
     power_grid,
     throughput_full,
 )
+from secthru._region import transmit_region_expectation
+from secthru.numerics import calibrate
 from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term
 
 TOL = Tolerances()
+
+
+def closed_form_mean_rate(link, law, tol):
+    """Mean secrecy rate (bits/s/Hz) of the theta = 0 policy assembled directly:
+    the closed-form power calibrated on its nats multiplier, then E{log2 r}.
+    """
+    def expect(lam, integrand, floor, t):
+        return transmit_region_expectation(
+            power_fn=lambda zm, ze: ergodic_power_full(zm, ze, link.gamma, lam),
+            integrand=integrand, offset=lam, gamma=link.gamma, law_m=law, law_e=law,
+            tol=t, floor=floor, include_idle_mass=False)
+
+    lam, _ = calibrate(lambda lam, t: expect(lam, lambda mu, zm, ze: mu,
+                                             max(link.avg_snr, 1e-6), t).value,
+                       link.avg_snr, math.log(law.tail_cutoff(tol.quad_trunc_mass)), tol)
+    rate = expect(lam, lambda mu, zm, ze: (np.log1p(mu * zm) - np.log1p(link.gamma * mu * ze))
+                  / math.log(2.0), 0.01, tol)
+    return max(0.0, rate.value)
 
 
 class TestPointwisePower:
@@ -139,13 +157,14 @@ class TestCalibration:
 
         calls = []
 
-        def counted(lam, *args):
-            calls.append(lam)
-            return mean_power_full(lam, *args)
+        def counted(nu, *args):
+            calls.append(nu)
+            return mean_power_full(nu, *args)
 
         monkeypatch.setattr(full_csi, "mean_power_full", counted)
-        lam = calibrate_lambda_full(link, make_qos(0.1).beta, law, law, TOL)
-        assert lam in calls
+        beta = make_qos(0.1).beta
+        lam = calibrate_lambda_full(link, beta, law, law, TOL)
+        assert lam in [beta * nu for nu in calls]  # the calibrator works on nu = lam/beta
         assert len(calls) <= 12
 
 
@@ -161,12 +180,12 @@ class TestThroughput:
 
     def test_theta_to_zero_continuity(self, law, link, fast_tol):
         res = throughput_full(make_qos(1e-6), link, law, law, fast_tol)
-        erg = ergodic_throughput_full(link, law, law, fast_tol)
+        erg = throughput_full(make_qos(0.0), link, law, law, fast_tol).throughput_bits_s_hz
         assert abs(res.throughput_bits_s_hz - erg) <= 1e-3
 
     def test_theta_zero_routes_to_benchmark(self, law, link, fast_tol):
         res = throughput_full(make_qos(0.0), link, law, law, fast_tol)
-        erg = ergodic_throughput_full(link, law, law, fast_tol)
+        erg = closed_form_mean_rate(link, law, fast_tol)
         assert res.throughput_bits_s_hz == pytest.approx(erg, abs=1e-12)
         assert res.theta == 0.0
 

@@ -11,7 +11,6 @@ from secthru import (
     build_policy_main,
     calibrate_lambda_full,
     calibrate_lambda_main,
-    ergodic_throughput_main,
     find_root,
     integrate,
     kkt_lhs_main,
@@ -22,7 +21,7 @@ from secthru import (
     throughput_full,
     throughput_main,
 )
-from secthru._region import main_policy_table
+from secthru._region import idle_marginal_gain, main_policy_table
 from oracles import brute_power_main, simpson_density
 
 TOL = Tolerances()
@@ -60,7 +59,7 @@ class TestKktLhsMain:
 
 class TestPowerMain:
     def test_silent_below_threshold(self, law, link):
-        alpha = alpha_threshold(2.0, 0.2, link, law)
+        alpha = alpha_threshold(0.1, link, law)
         assert power_main(alpha * (1.0 - 1e-6), 2.0, 0.2, link, law) == 0.0
         assert power_main(alpha * (1.0 + 1e-3), 2.0, 0.2, link, law) > 0.0
 
@@ -94,7 +93,7 @@ class TestPowerMain:
         assert worst < 1e-8
 
     def test_nondecreasing_near_threshold(self, law, link):
-        alpha = alpha_threshold(1.5, 0.25, link, law)
+        alpha = alpha_threshold(0.25 / 1.5, link, law)
         zs = alpha * (1.0 + np.array([1e-4, 1e-3, 1e-2, 5e-2, 1e-1]))
         mus = [power_main(z, 1.5, 0.25, link, law) for z in zs]
         assert all(b >= a for a, b in zip(mus, mus[1:]))
@@ -102,11 +101,11 @@ class TestPowerMain:
 
 class TestAlphaThreshold:
     def test_zero_multiplier(self, law, link):
-        assert alpha_threshold(2.0, 0.0, link, law) == 0.0
+        assert alpha_threshold(0.0, link, law) == 0.0
 
     def test_cdf_area_form_gamma1(self, law, link):
-        # lam/beta = 0.1: alpha solves a - 1 + e^-a = 0.1
-        alpha = alpha_threshold(2.0, 0.2, link, law)
+        # nu = lam/beta = 0.1: alpha solves a - 1 + e^-a = 0.1
+        alpha = alpha_threshold(0.1, link, law)
         f = lambda a: a - 1.0 + math.exp(-a) - 0.1
         lo, hi = 0.0, 2.0
         for _ in range(100):
@@ -119,19 +118,41 @@ class TestAlphaThreshold:
 
     def test_forms_agree_at_gamma1(self, law, link):
         # the zero-power-gain root equals the integration-by-parts form
-        # Int_0^alpha P(z_E <= t) dt = lam/beta
-        alpha = alpha_threshold(1.7, 0.3, link, law)
+        # Int_0^alpha P(z_E <= t) dt = nu
+        alpha = alpha_threshold(0.3 / 1.7, link, law)
         cdf_area = find_root(
             lambda a: integrate(law.cdf, 0.0, a, TOL).value - 0.3 / 1.7, 0.0, 30.0, TOL)
         assert alpha == pytest.approx(cdf_area, abs=1e-8)
 
     def test_general_gamma(self, law):
         link = LinkBudget(1.0, gamma=2.0)
-        alpha = alpha_threshold(2.0, 0.2, link, law)
+        alpha = alpha_threshold(0.1, link, law)
         assert kkt_lhs_main(alpha, 0.0, 2.0, link, law) == pytest.approx(0.2, abs=1e-9)
 
     def test_unreachable_multiplier(self, law, link):
-        assert math.isinf(alpha_threshold(1.0, 1e9, link, law))
+        assert math.isinf(alpha_threshold(1e9, link, law))
+        assert math.isinf(alpha_threshold(math.inf, link, law))
+
+    def test_gain_evaluated_once_per_gain(self, law, monkeypatch):
+        # the cutoff looks idle_marginal_gain up through its module, so the
+        # patched attribute sees every zero-power gain quadrature
+        from secthru import main_csi
+
+        calls = []
+
+        def counted(z, *args):
+            calls.append(z)
+            return idle_marginal_gain(z, *args)
+
+        monkeypatch.setattr(main_csi, "idle_marginal_gain", counted)
+        z_hi = law.tail_cutoff(TOL.quad_trunc_mass)
+        for gamma in (1.0, 2.0):
+            for nu in (1e-3, 1e-2, 0.1, 0.7):
+                calls.clear()
+                alpha = alpha_threshold(nu, LinkBudget(1.0, gamma), law, TOL)
+                assert 0.0 < alpha < z_hi
+                assert len(calls) == len(set(calls)), f"gamma={gamma} nu={nu}: {calls}"
+                assert calls.count(z_hi) == 1
 
 
 class TestCalibrationMain:
@@ -163,12 +184,12 @@ class TestThroughputMain:
 
     def test_theta_to_zero_continuity(self, law, link, fast_tol):
         res = throughput_main(make_qos(1e-6), link, law, law, fast_tol)
-        erg = ergodic_throughput_main(link, law, law, fast_tol)
+        erg = throughput_main(make_qos(0.0), link, law, law, fast_tol).throughput_bits_s_hz
         assert abs(res.throughput_bits_s_hz - erg) <= 1e-3
 
     def test_theta_zero_builds_no_table(self, law, link, fast_tol, monkeypatch):
         # only the policy path tabulates the theta = 0 power map
-        from secthru import ergodic
+        from secthru import main_csi
 
         builds = []
 
@@ -176,7 +197,7 @@ class TestThroughputMain:
             builds.append(args)
             return main_policy_table(*args)
 
-        monkeypatch.setattr(ergodic, "main_policy_table", counted)
+        monkeypatch.setattr(main_csi, "main_policy_table", counted)
         throughput_main(make_qos(0.0), link, law, law, fast_tol)
         assert builds == []
         build_policy_main(make_qos(0.0), link, law, law, fast_tol)

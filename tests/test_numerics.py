@@ -5,12 +5,10 @@ import pytest
 
 from secthru import (
     BracketError,
-    FadingLaw,
     NumericsError,
     QuadratureError,
     Tolerances,
     expand_bracket,
-    expectation_joint,
     find_root,
     integrate,
     integrate_density,
@@ -140,28 +138,6 @@ class TestIntegrate:
 
     def test_empty_interval(self):
         assert integrate(lambda x: x, 1.0, 1.0, TOL).value == 0.0
-
-
-class TestExpectationJoint:
-    def test_constant(self, law):
-        res = expectation_joint(lambda zm, ze: np.ones_like(zm), law, law)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
-
-    def test_product_of_means(self, law):
-        res = expectation_joint(lambda zm, ze: zm * ze, law, law)
-        assert res.value == pytest.approx(1.0, rel=1e-7)
-
-    def test_symmetry_indicator(self, law):
-        # discontinuous integrand: only coarse tolerances are reachable
-        loose = Tolerances(quad_rel_tol=1e-3)
-        res = expectation_joint(lambda zm, ze: (zm > ze).astype(float), law, law, loose)
-        assert res.value == pytest.approx(0.5, abs=5e-3)
-
-    def test_mixed_means(self):
-        law_m = FadingLaw(mean_gain=2.0)
-        law_e = FadingLaw(mean_gain=0.5)
-        res = expectation_joint(lambda zm, ze: zm + ze, law_m, law_e)
-        assert res.value == pytest.approx(2.5, rel=1e-7)
 
 
 class TestTolerances:

@@ -5,7 +5,6 @@ from secthru import (
     FadingLaw,
     InstabilityWarning,
     LinkBudget,
-    PowerPolicy,
     TailHistogram,
     Tolerances,
     ValidationError,

@@ -24,14 +24,19 @@ def _inner_rule(panels=4):
     return u, np.tile(half * w, panels)
 
 
-def full_lanes(rng, gamma, nu):
+def full_states(rng, gamma, nu):
     """Random states plus states just above and just below z_m - gamma*z_e = nu."""
     zm = rng.exponential(3.0, 8)
     ze = rng.exponential(3.0, 8)
     ze_near = rng.exponential(1.0, 2 * NEAR.size)
     zm_near = gamma * ze_near + nu * np.concatenate([1.0 + NEAR, 1.0 - NEAR])
-    zm = np.concatenate([zm, zm_near])
-    gze = gamma * np.concatenate([ze, ze_near])
+    return np.concatenate([zm, zm_near]), np.concatenate([ze, ze_near])
+
+
+def full_lanes(rng, gamma, nu):
+    """The power_lanes arguments of full_states."""
+    zm, ze = full_states(rng, gamma, nu)
+    gze = gamma * ze
     return zm, np.maximum(zm - gze, 0.0), gze / zm
 
 
@@ -70,6 +75,22 @@ def test_power_lanes_match_scalar_bisection(kind, beta):
             assert err.max() <= 1e-10, f"{where}: {err.max():.3e}"
             # every block converges within 12 Newton steps
             assert np.array_equal(power_lanes(zm, coef, ratio, beta, nu, capped), mu), where
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_power_grid_beta0_closed_form_matches_kernel(gamma):
+    # power_grid answers beta = 0 with the closed-form root; the kernel solves
+    # the same first-order condition with nu = lam
+    rng = np.random.default_rng(int(gamma * 10) + 100)
+    for lam in LAMS:
+        zm, ze = full_states(rng, gamma, lam)
+        gze = gamma * ze
+        mu = power_grid(zm, ze, gamma, 0.0, lam, TOL)
+        ref = power_lanes(zm, np.maximum(zm - gze, 0.0), gze / zm, 0.0, lam, TOL)
+        where = f"gamma={gamma} lam={lam}"
+        assert np.array_equal(mu > 0.0, ref > 0.0), where
+        err = np.abs(mu - ref) / np.maximum(1.0, mu)
+        assert err.max() <= 1e-10, f"{where}: {err.max():.3e}"
 
 
 def test_power_grid_lanes_are_independent():
