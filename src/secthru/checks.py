@@ -1,0 +1,321 @@
+"""Release checks: the solvers' optimality and the paper's claims, at tolerance.
+
+Each check is a function of a resolved cli.RunConfig that returns
+(ok, detail). `secthru validate` runs every check in CHECKS on the user's
+configuration, and tests/test_acceptance.py runs the same checks at its
+acceptance configuration; run() times one check for both. Each check seeds
+its own generator with cfg.seed plus a fixed offset, so its draws do not
+depend on which checks ran before it. The calibration and ordering checks
+share one throughput grid, solved once per configuration.
+
+The oracles below are independent references: numpy only, none of the
+package's quadrature or root finding (brute-force grid minimization of the
+per-state objectives, fixed-grid Simpson, and closed forms).
+"""
+
+import math
+import time
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+
+from . import full_csi, main_csi, queuesim
+from .model import LN2, LinkBudget
+from .numerics import NumericsError
+
+
+def secrecy_mgf_term(mu, z_m, z_e, gamma, beta):
+    """((1+mu*z_m)/(1+gamma*mu*z_e))^-beta, the per-state throughput integrand."""
+    return np.exp(-beta * (np.log1p(mu * z_m) - np.log1p(gamma * mu * z_e)))
+
+
+def brute_power_full(z_m, z_e, gamma, beta, lam, span=50.0):
+    """Grid minimizer of the per-state Lagrangian, refined to 1e-6."""
+    grid = np.arange(0.0, span + 1e-3, 1e-3)
+    obj = secrecy_mgf_term(grid, z_m, z_e, gamma, beta) + lam * grid
+    i = int(np.argmin(obj))
+    fine = np.arange(max(0.0, grid[i] - 2e-3), grid[i] + 2e-3, 1e-6)
+    obj = secrecy_mgf_term(fine, z_m, z_e, gamma, beta) + lam * fine
+    return float(fine[np.argmin(obj)])
+
+
+def reduced_objective_main(mu_grid, z_m, gamma, beta, lam, law, n_inner=2001):
+    """Per-gain main-CSI objective on a mu grid, inner integral by Simpson."""
+    hi = z_m / gamma
+    z_e = np.linspace(0.0, hi, n_inner)
+    pe = law.density(z_e)
+    vals = secrecy_mgf_term(mu_grid[:, None], z_m, z_e[None, :], gamma, beta) * pe[None, :]
+    weights = np.ones(n_inner)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    inner = (vals @ weights) * (hi / (n_inner - 1)) / 3.0
+    return inner + lam * mu_grid
+
+
+def brute_power_main(z_m, gamma, beta, lam, law, span=50.0):
+    """Grid minimizer of the reduced main-CSI Lagrangian, refined to 1e-6."""
+    grid = np.arange(0.0, span + 1e-2, 1e-2)
+    i = int(np.argmin(reduced_objective_main(grid, z_m, gamma, beta, lam, law)))
+    mid = grid[i]
+    for step in (1e-4, 1e-6):
+        lo = max(0.0, mid - 150.0 * step)
+        fine = lo + step * np.arange(0, 301)
+        j = int(np.argmin(reduced_objective_main(fine, z_m, gamma, beta, lam, law)))
+        mid = float(fine[j])
+    return mid
+
+
+def closed_form_power_beta1(z_m, z_e, gamma, lam):
+    """Full-CSI optimum at beta = 1: mu = (sqrt((z_m - gamma z_e)/lam) - 1)/z_m, clipped."""
+    z_m = np.asarray(z_m, dtype=float)
+    z_e = np.asarray(z_e, dtype=float)
+    diff = z_m - gamma * z_e
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mu = (np.sqrt(np.clip(diff, 0.0, None) / lam) - 1.0) / z_m
+    return np.where(diff > lam, mu, 0.0)
+
+
+_MODES = ("full", "main")
+_MEAN_POWER = {"full": full_csi.mean_power_full, "main": main_csi.mean_power_main}
+
+
+@lru_cache(maxsize=1)
+def _throughput_grid(cfg):
+    """{(mode, theta, snr_db): ThroughputResult} over cfg.theta x cfg.snr_db, both modes."""
+    return {(mode, theta, db): cfg.solve(mode, theta, db)
+            for mode in _MODES for theta in cfg.theta for db in cfg.snr_db}
+
+
+def kkt_residual_full(cfg):
+    """Full-CSI stationarity residual of pointwise_power at random states and multipliers."""
+    rng = np.random.default_rng(cfg.seed)
+    link, tol = cfg.link(cfg.snr_db[0]), cfg.tolerances()
+    worst = 0.0
+    for _ in range(200):
+        z_m, z_e = rng.exponential(1.0, 2)
+        beta = rng.uniform(0.3, 5.0)
+        lam = rng.uniform(0.05, 1.0)
+        mu = full_csi.pointwise_power(z_m, z_e, link, beta, lam, tol)
+        if mu > 0.0:
+            resid = abs(float(full_csi.kkt_lhs_full(mu, z_m, z_e, cfg.gamma, beta)) - lam)
+            worst = max(worst, resid / lam)
+    return worst < 1e-8, f"worst relative residual {worst:.3e}"
+
+
+def closed_form_beta1(cfg):
+    """power_grid at beta = 1 against its closed form."""
+    rng = np.random.default_rng(cfg.seed + 101)
+    z_m = rng.exponential(1.0, 1000)
+    z_e = rng.exponential(1.0, 1000)
+    lam = 0.37
+    mu = full_csi.power_grid(z_m, z_e, cfg.gamma, 1.0, lam, cfg.tolerances())
+    worst = float(np.max(np.abs(mu - closed_form_power_beta1(z_m, z_e, cfg.gamma, lam))))
+    return worst < 1e-8, f"1000 states, worst |mu - closed form| {worst:.3e}"
+
+
+def kkt_residual_main(cfg):
+    """Main-CSI stationarity residual of power_main at random gains and multipliers."""
+    rng = np.random.default_rng(cfg.seed + 303)
+    link, tol = cfg.link(cfg.snr_db[0]), cfg.tolerances()
+    law_e = cfg.laws()[1]
+    worst = 0.0
+    for _ in range(25):
+        z_m = rng.exponential(1.0) + 0.5
+        beta = rng.uniform(0.5, 4.0)
+        lam = rng.uniform(0.05, 0.5)
+        mu = main_csi.power_main(z_m, beta, lam, link, law_e, tol)
+        if mu > 0.0:
+            resid = abs(main_csi.kkt_lhs_main(z_m, mu, beta, link, law_e, tol) - lam)
+            worst = max(worst, resid / lam)
+    return worst < 1e-8, f"worst relative residual {worst:.3e}"
+
+
+@lru_cache(maxsize=1)
+def _oracle_states(seed, law_e):
+    """The oracle check's draws with their brute-force powers: 100 full-CSI
+    (z_m, z_e, gamma, beta, lam, mu) and 50 main-CSI (z_m, gamma, beta, lam, mu)
+    tuples. They do not depend on the tolerances, so each seed and law solves them once.
+    """
+    rng = np.random.default_rng(seed + 202)
+    full = []
+    for _ in range(100):
+        z_m = rng.uniform(0.1, 5.0)
+        z_e = rng.uniform(0.0, 2.5)
+        beta = rng.uniform(0.1, 10.0)
+        gamma = rng.uniform(0.25, 4.0)
+        lam = rng.uniform(0.05, 1.5)
+        full.append((z_m, z_e, gamma, beta, lam, brute_power_full(z_m, z_e, gamma, beta, lam)))
+    main = []
+    for _ in range(50):
+        z_m = rng.uniform(0.3, 5.0)
+        beta = rng.uniform(0.1, 10.0)
+        gamma = rng.uniform(0.25, 4.0)
+        lam = rng.uniform(0.02, 0.8)
+        main.append((z_m, gamma, beta, lam, brute_power_main(z_m, gamma, beta, lam, law_e)))
+    return tuple(full), tuple(main)
+
+
+def oracle(cfg):
+    """Both per-state solvers against brute-force grid minimizers, gamma drawn at random."""
+    tol = cfg.tolerances()
+    law_e = cfg.laws()[1]
+    full, main = _oracle_states(cfg.seed, law_e)
+    worst_full = max(
+        abs(full_csi.pointwise_power(z_m, z_e, LinkBudget(1.0, gamma), beta, lam, tol) - mu)
+        for z_m, z_e, gamma, beta, lam, mu in full)
+    worst_main = max(
+        abs(main_csi.power_main(z_m, beta, lam, LinkBudget(1.0, gamma), law_e, tol) - mu)
+        for z_m, gamma, beta, lam, mu in main)
+    ok = worst_full < 1e-3 and worst_main < 1e-3
+    return ok, f"150 states, worst full {worst_full:.3e}, worst main {worst_main:.3e}"
+
+
+def calibration(cfg):
+    """Reported residuals, and the mean power re-evaluated at full tolerance
+    (calibrate evaluates it relaxed), both within 1e-4 of the budget.
+    """
+    law_m, law_e = cfg.laws()
+    tol = cfg.tolerances()
+    worst_reported = worst_full_tol = 0.0
+    configs = 0
+    for (mode, theta, db), res in _throughput_grid(cfg).items():
+        link = cfg.link(db)
+        if link.avg_snr == 0.0:
+            continue
+        configs += 1
+        beta = cfg.qos(theta).beta
+        nu = res.lam / beta if beta > 0.0 else res.lam
+        spent = _MEAN_POWER[mode](nu, beta, link, law_m, law_e, tol)
+        worst_reported = max(worst_reported, res.power_residual / link.avg_snr)
+        worst_full_tol = max(worst_full_tol, abs(spent - link.avg_snr) / link.avg_snr)
+    ok = worst_reported <= 1e-4 and worst_full_tol <= 1e-4
+    return ok, (f"worst relative residual {worst_reported:.3e} reported, "
+                f"{worst_full_tol:.3e} at full tolerance, over {configs} configs")
+
+
+def ordering(cfg):
+    """full >= main, monotone in theta and SNR, and the CSI gain shrinking as theta grows."""
+    grid = _throughput_grid(cfg)
+    thetas, dbs = sorted(set(cfg.theta)), sorted(set(cfg.snr_db))
+
+    def rate(mode, theta, db):
+        return grid[(mode, theta, db)].throughput_bits_s_hz
+
+    def gap(theta, db):
+        full = rate("full", theta, db)
+        return (full - rate("main", theta, db)) / full if full > 0 else 0.0
+
+    ok = all(rate("full", t, d) >= rate("main", t, d) - 1e-6 for t in thetas for d in dbs)
+    for mode in _MODES:
+        ok &= all(rate(mode, a, d) >= rate(mode, b, d) - 1e-9
+                  for d in dbs for a, b in zip(thetas, thetas[1:]))
+        ok &= all(rate(mode, t, a) <= rate(mode, t, b) + 1e-9
+                  for t in thetas for a, b in zip(dbs, dbs[1:]))
+    ok &= all(gap(a, d) > gap(b, d) for d in dbs for a, b in zip(thetas, thetas[1:]))
+    db0 = cfg.snr_db[0]
+    return ok, (f"full>=main, monotone in theta and SNR; relative gap at {db0:g} dB "
+                + " -> ".join(f"{gap(t, db0):.4f}" for t in thetas))
+
+
+def theta0_continuity(cfg):
+    """C(1e-6) against C(0) in both modes, and a Monte Carlo confirmation of the
+    full-CSI C(0) over cfg.frames states (3 standard errors).
+    """
+    db0 = cfg.snr_db[0]
+    rate0 = {mode: cfg.solve(mode, 0.0, db0).throughput_bits_s_hz for mode in _MODES}
+    drift = {mode: abs(cfg.solve(mode, 1e-6, db0).throughput_bits_s_hz - rate0[mode])
+             for mode in _MODES}
+
+    law_m, law_e = cfg.laws()
+    policy = full_csi.build_policy_full(cfg.qos(0.0), cfg.link(db0), law_m, law_e,
+                                        cfg.tolerances())
+    rng = np.random.default_rng(cfg.seed + 55)
+    z_m = law_m.sample(rng, cfg.frames)
+    z_e = law_e.sample(rng, cfg.frames)
+    mu = policy.state_power(z_m, z_e)
+    rate = (np.log1p(mu * z_m) - np.log1p(cfg.gamma * mu * z_e)) / LN2
+    se = rate.std() / math.sqrt(cfg.frames)
+    mc_gap = abs(rate0["full"] - rate.mean())
+    ok = drift["full"] <= 1e-3 and drift["main"] <= 1e-3 and mc_gap <= 3.0 * se
+    return ok, (f"|full(1e-6)-C(0)| {drift['full']:.3e}, |main(1e-6)-C(0)| {drift['main']:.3e}, "
+                f"MC gap {mc_gap:.3e} vs 3se {3 * se:.3e} over {cfg.frames} states")
+
+
+def surface_structure(cfg):
+    """On cfg.grid: exact zeros where z_m <= gamma*z_e, theta = 0 spending more at
+    the best state than theta = 0.01, and theta = 0.01 spending more at moderate states.
+    """
+    ze_max, zm_max, steps = cfg.grid
+    ze, zm = np.linspace(0.0, ze_max, steps), np.linspace(0.0, zm_max, steps)
+    law_m, law_e = cfg.laws()
+    tol = cfg.tolerances()
+    link = cfg.link(cfg.snr_db[0])
+    s_qos = full_csi.policy_surface_full(cfg.qos(0.01), link, law_m, law_e, ze, zm, tol)
+    s_erg = full_csi.policy_surface_full(cfg.qos(0.0), link, law_m, law_e, ze, zm, tol)
+    ze_grid, zm_grid = np.meshgrid(ze, zm, indexing="ij")
+    diff = zm_grid - cfg.gamma * ze_grid
+    if diff.size == 0:
+        return False, "empty grid"
+    zeros_ok = bool(np.all(s_qos[diff <= 0] == 0.0) and np.all(s_erg[diff <= 0] == 0.0))
+    imax = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    peak_ok = bool(s_erg[imax] > s_qos[imax])
+    band = (diff > 0) & (s_qos > s_erg)
+    moderate_ok = bool(band.any()) and float(diff[band].min()) <= 1.0
+    return zeros_ok and peak_ok and moderate_ok, (
+        f"zero set exact {zeros_ok}; theta=0 peak power {float(s_erg[imax]):.3f} > "
+        f"theta=.01 {float(s_qos[imax]):.3f}; uniform-allocation cells {int(band.sum())}")
+
+
+def degenerate_limits(cfg):
+    """No throughput at zero budget, next to none against a 1e6-times stronger eavesdropper."""
+    zero_full = cfg.solve("full", 0.01, -math.inf).throughput_bits_s_hz
+    zero_main = cfg.solve("main", 0.01, -math.inf).throughput_bits_s_hz
+    eve = replace(cfg, gamma=1e6).solve("full", 0.01, cfg.snr_db[0]).throughput_bits_s_hz
+    ok = zero_full == 0.0 and zero_main == 0.0 and eve <= 1e-3
+    return ok, f"snr=0 -> ({zero_full}, {zero_main}); gamma=1e6 -> {eve:.3e}"
+
+
+def queue_decay(cfg):
+    """Tail-decay exponent of the simulated queue at theta = 0.01 within 20%, 8 seeds."""
+    law_m, law_e = cfg.laws()
+    tol = cfg.tolerances()
+    link = cfg.link(cfg.snr_db[0])
+    qos = cfg.qos(0.01)
+    policy = full_csi.build_policy_full(qos, link, law_m, law_e, tol)
+    res = cfg.solve("full", 0.01, cfg.snr_db[0])
+    arrival = res.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+    estimates = [
+        queuesim.estimate_decay(queuesim.simulate_queue(
+            policy, qos, link, law_m, law_e, arrival, cfg.frames, seed=cfg.seed + k))[0]
+        for k in range(8)
+    ]
+    mean_est = float(np.mean(estimates))
+    rel = abs(mean_est - 0.01) / 0.01
+    return rel <= 0.20, (f"theta_hat {mean_est:.5f} vs 0.01 (rel err {rel:.3f}; "
+                         f"8 seeds x {cfg.frames} frames)")
+
+
+CHECKS = {
+    "kkt-residual-full": kkt_residual_full,
+    "closed-form-beta1": closed_form_beta1,
+    "kkt-residual-main": kkt_residual_main,
+    "oracle": oracle,
+    "calibration": calibration,
+    "ordering": ordering,
+    "theta0-continuity": theta0_continuity,
+    "surface-structure": surface_structure,
+    "degenerate-limits": degenerate_limits,
+    "queue-decay": queue_decay,
+}
+
+
+def run(name: str, cfg):
+    """(ok, detail, seconds) of one check; ok is None when it raised NumericsError."""
+    start = time.perf_counter()
+    try:
+        ok, detail = CHECKS[name](cfg)
+        ok = bool(ok)
+    except NumericsError as exc:
+        ok, detail = None, f"numeric failure: {exc}"
+    return ok, detail, time.perf_counter() - start

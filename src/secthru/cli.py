@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import full_csi, main_csi, queuesim
-from .model import FadingLaw, LinkBudget, ValidationError, make_qos
+from . import checks, full_csi, main_csi
+from .model import FadingLaw, LinkBudget, QosSpec, ThroughputResult, ValidationError, make_qos
 from .numerics import NumericsError, Tolerances
 
 _THETA_DEFAULT = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 9))
@@ -51,12 +51,20 @@ class RunConfig:
             power_rel_tol=self.power_rel_tol,
         )
 
+    def qos(self, theta: float) -> QosSpec:
+        return make_qos(theta, self.frame_t, self.bandwidth)
+
     def link(self, snr_db: float) -> LinkBudget:
         snr = 0.0 if snr_db == -math.inf else 10.0 ** (snr_db / 10.0)
         return LinkBudget(avg_snr=snr, gamma=self.gamma)
 
     def laws(self):
         return FadingLaw(mean_gain=self.mean_zm), FadingLaw(mean_gain=self.mean_ze)
+
+    def solve(self, mode: str, theta: float, snr_db: float) -> ThroughputResult:
+        """One sweep row: the throughput of CSI mode 'full' or 'main'."""
+        solver = full_csi.throughput_full if mode == "full" else main_csi.throughput_main
+        return solver(self.qos(theta), self.link(snr_db), *self.laws(), self.tolerances())
 
     def modes(self):
         if self.csi == "both":
@@ -132,7 +140,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for db in cfg.snr_db:
         cfg.link(db)
     for theta in cfg.theta:
-        make_qos(theta, cfg.frame_t, cfg.bandwidth)
+        cfg.qos(theta)
     return cfg
 
 
@@ -169,26 +177,16 @@ def _write_csv(cfg: RunConfig, header: list, rows: list) -> None:
         sys.stdout.write(text)
 
 
-def _solve_row(mode: str, theta: float, cfg: RunConfig, snr_db: float):
-    qos = make_qos(theta, cfg.frame_t, cfg.bandwidth)
-    link = cfg.link(snr_db)
-    law_m, law_e = cfg.laws()
-    tol = cfg.tolerances()
-    if mode == "full":
-        return full_csi.throughput_full(qos, link, law_m, law_e, tol)
-    return main_csi.throughput_main(qos, link, law_m, law_e, tol)
-
-
 def cmd_sweep_theta(cfg: RunConfig) -> int:
     header = ["theta", "beta", "csi", "throughput_bits_s_hz", "lambda", "power_residual", "error"]
     rows = []
     failed = False
     snr_db = cfg.snr_db[0]
     for theta in cfg.theta:
-        beta = make_qos(theta, cfg.frame_t, cfg.bandwidth).beta
+        beta = cfg.qos(theta).beta
         for mode in cfg.modes():
             try:
-                res = _solve_row(mode, theta, cfg, snr_db)
+                res = cfg.solve(mode, theta, snr_db)
                 rows.append([theta, beta, mode, res.throughput_bits_s_hz,
                              res.lam, res.power_residual, ""])
             except NumericsError as exc:
@@ -204,11 +202,11 @@ def cmd_sweep_snr(cfg: RunConfig) -> int:
     rows = []
     failed = False
     for theta in cfg.theta:
-        beta = make_qos(theta, cfg.frame_t, cfg.bandwidth).beta
+        beta = cfg.qos(theta).beta
         for mode in cfg.modes():
             for snr_db in cfg.snr_db:
                 try:
-                    res = _solve_row(mode, theta, cfg, snr_db)
+                    res = cfg.solve(mode, theta, snr_db)
                     rows.append([theta, beta, mode, snr_db, res.throughput_bits_s_hz,
                                  res.lam, res.power_residual, ""])
                 except NumericsError as exc:
@@ -231,7 +229,7 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
     rows = []
     failed = False
     for theta in cfg.theta:
-        qos = make_qos(theta, cfg.frame_t, cfg.bandwidth)
+        qos = cfg.qos(theta)
         try:
             surface = full_csi.policy_surface_full(qos, link, law_m, law_e, ze, zm, tol)
         except NumericsError:
@@ -244,158 +242,15 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
     return 2 if failed else 0
 
 
-def _validation_checks(cfg: RunConfig):
-    """(name, callable) pairs; each callable returns (ok, detail)."""
-    law_m, law_e = cfg.laws()
-    tol = cfg.tolerances()
-    link = cfg.link(cfg.snr_db[0])
-    rng = np.random.default_rng(cfg.seed)
-
-    def kkt_residual_full():
-        worst = 0.0
-        for _ in range(200):
-            z_m, z_e = rng.exponential(1.0, 2)
-            beta = rng.uniform(0.3, 5.0)
-            lam = rng.uniform(0.05, 1.0)
-            mu = full_csi.pointwise_power(z_m, z_e, link, beta, lam, tol)
-            if mu > 0.0:
-                resid = abs(float(full_csi.kkt_lhs_full(mu, z_m, z_e, cfg.gamma, beta)) - lam)
-                worst = max(worst, resid / lam)
-        return worst < 1e-8, f"worst relative residual {worst:.3e}"
-
-    def closed_form_beta1():
-        z_m = rng.exponential(1.0, 500)
-        z_e = rng.exponential(1.0, 500)
-        lam = 0.4
-        mu = full_csi.power_grid(z_m, z_e, cfg.gamma, 1.0, lam, tol)
-        diff = z_m - cfg.gamma * z_e
-        ref = np.where(diff > lam, (np.sqrt(np.clip(diff, 0.0, None) / lam) - 1.0) / z_m, 0.0)
-        worst = float(np.max(np.abs(mu - ref)))
-        return worst < 1e-8, f"worst |mu - closed form| {worst:.3e}"
-
-    def kkt_residual_main():
-        worst = 0.0
-        for _ in range(25):
-            z_m = rng.exponential(1.0) + 0.5
-            beta = rng.uniform(0.5, 4.0)
-            lam = rng.uniform(0.05, 0.5)
-            mu = main_csi.power_main(z_m, beta, lam, link, law_e, tol)
-            if mu > 0.0:
-                resid = abs(main_csi.kkt_lhs_main(z_m, mu, beta, link, law_e, tol) - lam)
-                worst = max(worst, resid / lam)
-        return worst < 1e-8, f"worst relative residual {worst:.3e}"
-
-    def oracle_full():
-        worst = 0.0
-        for _ in range(12):
-            z_m = rng.uniform(0.2, 4.0)
-            z_e = rng.uniform(0.0, 2.0)
-            beta = rng.uniform(0.2, 8.0)
-            lam = rng.uniform(0.05, 1.0)
-            mu = full_csi.pointwise_power(z_m, z_e, link, beta, lam, tol)
-            grid = np.arange(0.0, 50.0, 1e-3)
-            obj = np.exp(-beta * (np.log1p(grid * z_m) - np.log1p(cfg.gamma * grid * z_e))) + lam * grid
-            i = int(np.argmin(obj))
-            fine = np.arange(max(0.0, grid[i] - 2e-3), grid[i] + 2e-3, 1e-6)
-            obj = np.exp(-beta * (np.log1p(fine * z_m) - np.log1p(cfg.gamma * fine * z_e))) + lam * fine
-            worst = max(worst, abs(mu - float(fine[np.argmin(obj)])))
-        return worst < 1e-3, f"worst |mu - grid minimizer| {worst:.3e}"
-
-    def calibration():
-        beta = make_qos(cfg.theta[0] if cfg.theta[0] > 0 else 0.01,
-                        cfg.frame_t, cfg.bandwidth).beta
-        lam_f = full_csi.calibrate_lambda_full(link, beta, law_m, law_e, tol)
-        res_f = abs(full_csi.mean_power_full(lam_f / beta, beta, link, law_m, law_e, tol)
-                    - link.avg_snr)
-        lam_m = main_csi.calibrate_lambda_main(link, beta, law_m, law_e, tol)
-        res_m = abs(main_csi.mean_power_main(lam_m / beta, beta, link, law_m, law_e, tol)
-                    - link.avg_snr)
-        rel = max(res_f, res_m) / link.avg_snr
-        return rel <= 1e-4, f"worst relative power residual {rel:.3e}"
-
-    def ordering():
-        thetas = sorted({min(cfg.theta), 0.01, max(cfg.theta)})
-        gaps = []
-        prev_full = math.inf
-        ok = True
-        for theta in thetas:
-            full = _solve_row("full", theta, cfg, cfg.snr_db[0]).throughput_bits_s_hz
-            main = _solve_row("main", theta, cfg, cfg.snr_db[0]).throughput_bits_s_hz
-            ok &= full >= main - 1e-6
-            ok &= full <= prev_full + 1e-9
-            prev_full = full
-            gaps.append((full - main) / full if full > 0 else 0.0)
-        ok &= gaps[-1] < gaps[0]
-        return ok, f"relative gaps across theta {['%.4f' % g for g in gaps]}"
-
-    def theta0_continuity():
-        qos0 = make_qos(0.0, cfg.frame_t, cfg.bandwidth)
-        qos6 = make_qos(1e-6, cfg.frame_t, cfg.bandwidth)
-        worst = max(abs(solve(qos6, link, law_m, law_e, tol).throughput_bits_s_hz
-                        - solve(qos0, link, law_m, law_e, tol).throughput_bits_s_hz)
-                    for solve in (full_csi.throughput_full, main_csi.throughput_main))
-        return worst <= 1e-3, f"worst |C(1e-6) - C(0)| {worst:.3e}"
-
-    def surface_structure():
-        z = np.linspace(0.0, 4.0, 21)
-        qos = make_qos(0.01, cfg.frame_t, cfg.bandwidth)
-        s_qos = full_csi.policy_surface_full(qos, link, law_m, law_e, z, z, tol)
-        s_erg = full_csi.policy_surface_full(make_qos(0.0), link, law_m, law_e, z, z, tol)
-        ze_grid, zm_grid = np.meshgrid(z, z, indexing="ij")
-        diff = zm_grid - cfg.gamma * ze_grid
-        zeros_ok = np.all(s_qos[diff <= 0] == 0.0) and np.all(s_erg[diff <= 0] == 0.0)
-        imax = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        opportunistic = s_erg[imax] > s_qos[imax]
-        uniform = bool(np.any((diff > 0) & (s_qos > s_erg)))
-        ok = bool(zeros_ok and opportunistic and uniform)
-        return ok, (f"zero set {bool(zeros_ok)}, theta=0 peak dominance {bool(opportunistic)}, "
-                    f"moderate-state dominance {uniform}")
-
-    def queue_decay():
-        qos = make_qos(0.01, cfg.frame_t, cfg.bandwidth)
-        policy = full_csi.build_policy_full(qos, link, law_m, law_e, tol)
-        res = full_csi.throughput_full(qos, link, law_m, law_e, tol)
-        arrival = res.throughput_bits_s_hz * cfg.frame_t * cfg.bandwidth
-        estimates = []
-        for k in range(8):
-            hist = queuesim.simulate_queue(policy, qos, link, law_m, law_e,
-                                           arrival, cfg.frames, seed=cfg.seed + k)
-            estimates.append(queuesim.estimate_decay(hist)[0])
-        mean_est = float(np.mean(estimates))
-        rel = abs(mean_est - 0.01) / 0.01
-        return rel <= 0.20, f"theta_hat {mean_est:.5f} vs 0.01 (rel err {rel:.3f}, 8 seeds)"
-
-    return [
-        ("kkt-residual-full", kkt_residual_full),
-        ("closed-form-beta1", closed_form_beta1),
-        ("kkt-residual-main", kkt_residual_main),
-        ("oracle-full", oracle_full),
-        ("calibration", calibration),
-        ("ordering", ordering),
-        ("theta0-continuity", theta0_continuity),
-        ("surface-structure", surface_structure),
-        ("queue-decay", queue_decay),
-    ]
-
-
 def cmd_validate(cfg: RunConfig) -> int:
-    any_fail = False
-    any_numeric = False
-    for name, check in _validation_checks(cfg):
-        try:
-            ok, detail = check()
-        except NumericsError as exc:
-            any_numeric = True
-            print(f"FAIL {name}: numeric failure: {exc}")
-            continue
-        if ok:
-            print(f"PASS {name}: {detail}")
-        else:
-            any_fail = True
-            print(f"FAIL {name}: {detail}")
-    if any_numeric:
+    outcomes = set()
+    for name in checks.CHECKS:
+        ok, detail, seconds = checks.run(name, cfg)
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({seconds:.2f}s)", flush=True)
+        outcomes.add(ok)
+    if None in outcomes:
         return 2
-    return 1 if any_fail else 0
+    return 1 if False in outcomes else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,7 +43,6 @@ from .numerics import (
     Tolerances,
     _brent,
     calibrate,
-    expand_bracket,
     find_root,
     integrate_density,
 )
@@ -79,16 +78,25 @@ def kkt_lhs_main(z_m: float, mu: float, beta: float, link: LinkBudget, law_e: Fa
 
 def power_main(z_m: float, beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
                tol: Tolerances = DEFAULT_TOL) -> float:
-    """Optimal power at gain z_m: 0 when the zero-power gain is <= lam, else the unique root."""
+    """Optimal power at gain z_m: 0 when the zero-power gain is <= lam, else the unique root.
+
+    The root is bracketed as in the lane kernel (_region.power_lanes): in
+    x = ln(1 + mu*z_m) it lies in [L/max(2, beta+1), L/min(2, beta+1)] with
+    L = ln(gain(0)/lam), widened by 1e-6*L at each end because the bracket
+    has zero width at beta = 1.
+    """
     if not beta > 0:
         raise ValidationError("beta must be positive")
     if not lam > 0:
         raise ValidationError("lam must be positive")
-    if kkt_lhs_main(z_m, 0.0, beta, link, law_e, tol) <= lam:
+    gain0 = kkt_lhs_main(z_m, 0.0, beta, link, law_e, tol)
+    if gain0 <= lam:
         return 0.0
+    big_l = math.log(gain0 / lam)
+    x_lo = max(0.0, big_l / max(2.0, beta + 1.0) - 1e-6 * big_l)
+    x_hi = big_l / min(2.0, beta + 1.0) + 1e-6 * big_l
     f = lambda mu: kkt_lhs_main(z_m, mu, beta, link, law_e, tol) - lam
-    lo, hi = expand_bracket(f, 0.0, 1.0)
-    return find_root(f, lo, hi, tol)
+    return find_root(f, math.expm1(x_lo) / z_m, math.expm1(x_hi) / z_m, tol)
 
 
 def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,

@@ -29,7 +29,7 @@ class NumericsError(RuntimeError):
 
 
 class BracketError(NumericsError):
-    """No sign change found on (or while expanding) a root bracket."""
+    """No sign change found on a root bracket."""
 
 
 class QuadratureError(NumericsError):
@@ -185,7 +185,7 @@ def find_root(
     Each step is an inverse-quadratic or secant step when that stays well
     inside the bracket, else a bisection. Stops when |f(x)| <= f_tol or when
     the bracket around the best iterate x is narrower than
-    root_tol * max(1, |x|). The caller brackets; see expand_bracket. Raises
+    root_tol * max(1, |x|). The caller brackets. Raises
     BracketError without a sign change, NumericsError on NaN, and
     NumericsError, with the last iterate as best, after max_iter steps.
     """
@@ -284,29 +284,3 @@ def calibrate(
                             best=math.exp(u))
     return math.exp(u), abs(f_u)
 
-
-def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    factor: float = 2.0,
-    max_expansions: int = 60,
-):
-    """Grow hi geometrically until f changes sign across [lo, hi].
-
-    Assumes f is monotone, so the bracket is advanced (lo <- hi) on failure to
-    keep it narrow. Raises BracketError when the cap is hit.
-    """
-    flo = float(f(lo))
-    if math.isnan(flo):
-        raise NumericsError("NaN at bracket endpoint")
-    cur = hi
-    for _ in range(max_expansions):
-        fcur = float(f(cur))
-        if math.isnan(fcur):
-            raise NumericsError("NaN during bracket expansion")
-        if fcur == 0.0 or (fcur > 0) != (flo > 0):
-            return lo, cur
-        lo, flo = cur, fcur
-        cur *= factor
-    raise BracketError(f"no sign change after {max_expansions} expansions")

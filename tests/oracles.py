@@ -2,25 +2,19 @@
 
 Everything here deliberately avoids the package's quadrature and root-finding
 paths: brute-force grid minimization of the per-state objectives, composite
-Simpson quadrature on fixed grids, and closed forms where they exist.
+Simpson quadrature on fixed grids, and closed forms where they exist. The
+oracles that the release checks share live in secthru.checks and are
+imported from there.
 """
 
 import numpy as np
 
-
-def secrecy_mgf_term(mu, z_m, z_e, gamma, beta):
-    """((1+mu*z_m)/(1+gamma*mu*z_e))^-beta, the per-state throughput integrand."""
-    return np.exp(-beta * (np.log1p(mu * z_m) - np.log1p(gamma * mu * z_e)))
-
-
-def brute_power_full(z_m, z_e, gamma, beta, lam, span=50.0):
-    """Grid minimizer of the per-state Lagrangian, refined to 1e-6."""
-    grid = np.arange(0.0, span + 1e-3, 1e-3)
-    obj = secrecy_mgf_term(grid, z_m, z_e, gamma, beta) + lam * grid
-    i = int(np.argmin(obj))
-    fine = np.arange(max(0.0, grid[i] - 2e-3), grid[i] + 2e-3, 1e-6)
-    obj = secrecy_mgf_term(fine, z_m, z_e, gamma, beta) + lam * fine
-    return float(fine[np.argmin(obj)])
+from secthru.checks import (
+    brute_power_full,
+    brute_power_main,
+    closed_form_power_beta1,
+    secrecy_mgf_term,
+)
 
 
 def simpson(values, h):
@@ -42,32 +36,6 @@ def simpson_density(g, law, lo, hi, n=20001):
     return simpson(vals, (hi - lo) / (n - 1))
 
 
-def reduced_objective_main(mu_grid, z_m, gamma, beta, lam, law, n_inner=2001):
-    """Per-gain main-CSI objective on a mu grid, inner integral by Simpson."""
-    hi = z_m / gamma
-    z_e = np.linspace(0.0, hi, n_inner)
-    pe = law.density(z_e)
-    vals = secrecy_mgf_term(mu_grid[:, None], z_m, z_e[None, :], gamma, beta) * pe[None, :]
-    weights = np.ones(n_inner)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    inner = (vals @ weights) * (hi / (n_inner - 1)) / 3.0
-    return inner + lam * mu_grid
-
-
-def brute_power_main(z_m, gamma, beta, lam, law, span=50.0):
-    """Grid minimizer of the reduced main-CSI Lagrangian, refined to 1e-6."""
-    grid = np.arange(0.0, span + 1e-2, 1e-2)
-    i = int(np.argmin(reduced_objective_main(grid, z_m, gamma, beta, lam, law)))
-    mid = grid[i]
-    for step in (1e-4, 1e-6):
-        lo = max(0.0, mid - 150.0 * step)
-        fine = lo + step * np.arange(0, 301)
-        j = int(np.argmin(reduced_objective_main(fine, z_m, gamma, beta, lam, law)))
-        mid = float(fine[j])
-    return mid
-
-
 def brute_power_ergodic_full(z_m, z_e, gamma, lam_nats, span=60.0):
     """Grid maximizer of the secrecy-rate Lagrangian (nats), refined to 1e-6."""
     grid = np.arange(0.0, span + 1e-3, 1e-3)
@@ -76,16 +44,6 @@ def brute_power_ergodic_full(z_m, z_e, gamma, lam_nats, span=60.0):
     fine = np.arange(max(0.0, grid[i] - 2e-3), grid[i] + 2e-3, 1e-6)
     obj = np.log1p(fine * z_m) - np.log1p(gamma * fine * z_e) - lam_nats * fine
     return float(fine[np.argmax(obj)])
-
-
-def closed_form_power_beta1(z_m, z_e, gamma, lam):
-    """Full-CSI optimum at beta = 1: mu = (sqrt((z_m - gamma z_e)/lam) - 1)/z_m, clipped."""
-    z_m = np.asarray(z_m, dtype=float)
-    z_e = np.asarray(z_e, dtype=float)
-    diff = z_m - gamma * z_e
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mu = (np.sqrt(np.clip(diff, 0.0, None) / lam) - 1.0) / z_m
-    return np.where(diff > lam, mu, 0.0)
 
 
 def bisect_lane_power(z_m, coef, ratio, beta, nu, width=1e-13):

@@ -8,11 +8,11 @@ from secthru import (
     ValidationError,
     build_policy_full,
     build_policy_main,
-    ergodic_power_full,
     make_qos,
     throughput_full,
     throughput_main,
 )
+from secthru.ergodic import ergodic_power_full
 from oracles import brute_power_ergodic_full
 
 LN2 = math.log(2.0)

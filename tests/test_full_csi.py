@@ -7,15 +7,17 @@ from secthru import (
     LinkBudget,
     Tolerances,
     build_policy_full,
-    calibrate_lambda_full,
-    ergodic_power_full,
-    kkt_lhs_full,
     make_qos,
+    policy_surface_full,
+    throughput_full,
+)
+from secthru.ergodic import ergodic_power_full
+from secthru.full_csi import (
+    calibrate_lambda_full,
+    kkt_lhs_full,
     mean_power_full,
     pointwise_power,
-    policy_surface_full,
     power_grid,
-    throughput_full,
 )
 from secthru._region import transmit_region_expectation
 from secthru.numerics import calibrate

@@ -7,20 +7,20 @@ from secthru import (
     FadingLaw,
     LinkBudget,
     Tolerances,
-    alpha_threshold,
     build_policy_main,
-    calibrate_lambda_full,
-    calibrate_lambda_main,
-    find_root,
-    integrate,
-    kkt_lhs_main,
     make_qos,
-    mean_power_main,
-    pointwise_power,
-    power_main,
     throughput_full,
     throughput_main,
 )
+from secthru.full_csi import calibrate_lambda_full, pointwise_power
+from secthru.main_csi import (
+    alpha_threshold,
+    calibrate_lambda_main,
+    kkt_lhs_main,
+    mean_power_main,
+    power_main,
+)
+from secthru.numerics import find_root, integrate
 from secthru._region import idle_marginal_gain, main_policy_table
 from oracles import brute_power_main, simpson_density
 

@@ -10,10 +10,10 @@ from secthru import (
     QosSpec,
     ThroughputResult,
     ValidationError,
-    integrate_density,
     make_qos,
-    sample_gain,
 )
+from secthru.model import sample_gain
+from secthru.numerics import integrate_density
 
 LN2 = math.log(2.0)
 

@@ -3,18 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from secthru import (
-    BracketError,
-    NumericsError,
-    QuadratureError,
-    Tolerances,
-    expand_bracket,
-    find_root,
-    integrate,
-    integrate_density,
-)
+from secthru import BracketError, NumericsError, QuadratureError, Tolerances
 from secthru.full_csi import kkt_lhs_full
-from secthru.numerics import calibrate
+from secthru.numerics import calibrate, find_root, integrate, integrate_density
 
 TOL = Tolerances()
 
@@ -90,17 +81,6 @@ class TestCalibrate:
 
     def test_zero_budget(self):
         assert calibrate(lambda lam, tol: 1.0 / lam, 0.0, 0.0, TOL) == (math.inf, 0.0)
-
-
-class TestExpandBracket:
-    def test_grows_until_sign_change(self):
-        f = lambda x: 100.0 - x
-        lo, hi = expand_bracket(f, 0.0, 1.0)
-        assert f(lo) > 0 > f(hi)
-
-    def test_gives_up(self):
-        with pytest.raises(BracketError):
-            expand_bracket(lambda x: 1.0, 0.0, 1.0, max_expansions=10)
 
 
 class TestIntegrateDensity:
