@@ -19,7 +19,6 @@ from .numerics import (
     NumericsError,
     QuadResult,
     Tolerances,
-    integrate_density,
     panel_nodes,
     refine_panels,
 )
@@ -196,13 +195,15 @@ def idle_marginal_gain(z_m: float, gamma: float, law_e: FadingLaw, tol: Toleranc
 
     This is the zero-power marginal gain of the main-CSI problem divided by
     beta, for every beta >= 0; it is strictly increasing in z_m, which the
-    cutoff solver (main_csi.alpha_threshold) relies on.
+    cutoff solver (main_csi.alpha_threshold) relies on. Integrated by parts
+    it is gamma * Int_0^{z_m/gamma} P(z_e <= t) dt, read in closed form from
+    law_e.integrated_cdf: the whole region z_e < z_m/gamma that the inner
+    rule of main_region_expectation integrates, without truncation and
+    without quadrature, so tol is not used.
     """
     if not z_m > 0.0:
         return 0.0
-    hi = min(z_m / gamma, law_e.tail_cutoff(tol.quad_trunc_mass))
-    res = integrate_density(lambda t: z_m - gamma * t, law_e, tol, hi=hi, floor=1e-6)
-    return res.value
+    return gamma * float(law_e.integrated_cdf(z_m / gamma))
 
 
 # the main-CSI simulation table: z_m nodes, and inner eavesdropper panels per node

@@ -104,12 +104,15 @@ def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
                     law_m: FadingLaw | None = None) -> float:
     """Cutoff gain below which the main-CSI policy with multiplier nu is silent.
 
-    The root of the zero-power marginal gain against nu, for every beta >= 0
-    (at gamma = 1, integration by parts turns it into
-    Int_0^alpha P(z_E <= t) dt = nu). Each gain is evaluated once: the
-    monotonicity probes at z_hi/4, z_hi/2 and z_hi are not repeated, and
-    Brent starts from the value at z_hi. Returns math.inf when nu is beyond
-    any gain achievable on the truncated support (nu = math.inf included).
+    The root of the zero-power marginal gain against nu, for every beta >= 0.
+    Integration by parts turns the gain into
+    gamma * Int_0^{alpha/gamma} P(z_E <= t) dt, which idle_marginal_gain reads
+    in closed form from law_e.integrated_cdf, so no gain costs a quadrature.
+    Each gain is evaluated once: the monotonicity probes at z_hi/4, z_hi/2
+    and z_hi are not repeated, and Brent starts from the value at z_hi; a
+    gain that does not increase over the probes raises NumericsError.
+    Returns math.inf when nu is beyond any gain achievable on the truncated
+    support (nu = math.inf included).
     """
     if nu < 0:
         raise ValidationError("nu must be nonnegative")
@@ -162,13 +165,25 @@ def calibrate_lambda_main(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
 
 
 def _calibrate_main(link, beta, law_m, law_e, tol):
-    """(nu, cutoff alpha, residual); nu = alpha = math.inf for a zero budget."""
+    """(nu, cutoff alpha, residual); nu = alpha = math.inf for a zero budget.
+
+    Each mean-power evaluation records the cutoff it solved, and the one at
+    the accepted nu is returned: the cutoff is not solved again. It does not
+    depend on the relaxed quad_rel_tol the calibration evaluates with, since
+    the zero-power gain is in closed form (idle_marginal_gain).
+    """
     if not beta >= 0:
         raise ValidationError("beta must be nonnegative")
+    cutoffs = {}
+
+    def mean_power(nu, t):
+        cutoffs[nu] = alpha = alpha_threshold(nu, link, law_e, t, law_m=law_m)
+        expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, t)
+        return expectation(None, max(link.avg_snr, 1e-6), False).value
+
     u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    nu, residual = calibrate(lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t),
-                             link.avg_snr, u_hi, tol)
-    return nu, alpha_threshold(nu, link, law_e, tol, law_m=law_m), residual
+    nu, residual = calibrate(mean_power, link.avg_snr, u_hi, tol)
+    return nu, cutoffs.get(nu, math.inf), residual
 
 
 def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

@@ -20,6 +20,9 @@ class FadingLaw:
     The built-in family 'exponential' models Rayleigh amplitude fading: the
     power gain is exponential with mean `mean_gain`. New families extend the
     dispatch in the methods below; every method must accept ndarray input.
+    A new family implements density, cdf, integrated_cdf (the main-CSI
+    cutoff gain is read from it, so it must be accurate to ~1e-12 relative
+    down to arguments near 0), tail_cutoff, mean and sample.
     """
 
     family: str = "exponential"
@@ -42,6 +45,18 @@ class FadingLaw:
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
         return np.where(z < 0.0, 0.0, -np.expm1(-np.clip(z, 0.0, None) / self.mean_gain))
+
+    def integrated_cdf(self, a):
+        """Int_0^a cdf(t) dt = m*(x - 1 + e^-x) with x = a/m (0 for a <= 0).
+
+        x + expm1(-x) cancels as x -> 0, losing about 2*eps/x relative, so
+        below x = 1e-3 a Taylor series in x is used instead: the relative
+        error stays below 5e-13 at every x.
+        """
+        x = np.clip(np.asarray(a, dtype=float), 0.0, None) / self.mean_gain
+        s = np.minimum(x, 1e-3)
+        series = s * s * (0.5 - s * (1 / 6 - s * (1 / 24 - s * (1 / 120 - s / 720))))
+        return self.mean_gain * np.where(x < 1e-3, series, x + np.expm1(-x))
 
     def tail_cutoff(self, mass: float) -> float:
         """Smallest Z with P(z > Z) <= mass; quadratures truncate here."""

@@ -20,7 +20,7 @@ from secthru.main_csi import (
     mean_power_main,
     power_main,
 )
-from secthru.numerics import find_root, integrate
+from secthru.numerics import find_root, integrate, integrate_density
 from secthru._region import idle_marginal_gain, main_policy_table
 from oracles import brute_power_main, simpson_density
 
@@ -133,9 +133,29 @@ class TestAlphaThreshold:
         assert math.isinf(alpha_threshold(1e9, link, law))
         assert math.isinf(alpha_threshold(math.inf, link, law))
 
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("mean_e", [0.1, 1.0, 10.0])
+    def test_closed_form_gain_matches_quadrature(self, law, gamma, mean_e):
+        # the gain is read from law_e.integrated_cdf; quadrature of its
+        # definition must agree, also at z/(gamma*m) <= 1e-6, where the plain
+        # z - gamma*m*(1 - e^-x) loses up to 1e-6 relative to cancellation
+        law_e = FadingLaw(mean_gain=mean_e)
+        ref_tol = Tolerances(quad_rel_tol=1e-14, quad_trunc_mass=1e-16)
+        worst = worst_plain = 0.0
+        for z in np.geomspace(1e-10, law.tail_cutoff(TOL.quad_trunc_mass), 41):
+            hi = min(z / gamma, law_e.tail_cutoff(ref_tol.quad_trunc_mass))
+            ref = integrate_density(lambda t: z - gamma * t, law_e, ref_tol, hi=hi).value
+            worst = max(worst, abs(idle_marginal_gain(z, gamma, law_e, TOL) - ref) / ref)
+            x = z / (gamma * mean_e)
+            if x <= 1e-6:
+                plain = z - gamma * mean_e * -math.expm1(-x)
+                worst_plain = max(worst_plain, abs(plain - ref) / ref)
+        assert worst <= 1e-12
+        assert worst_plain > 1e-10  # the grid reaches the cancellation range
+
     def test_gain_evaluated_once_per_gain(self, law, monkeypatch):
         # the cutoff looks idle_marginal_gain up through its module, so the
-        # patched attribute sees every zero-power gain quadrature
+        # patched attribute sees every zero-power gain evaluation
         from secthru import main_csi
 
         calls = []

@@ -80,6 +80,21 @@ class TestFadingLaw:
         assert np.allclose(law.density(z), np.exp(-z / 2.0) / 2.0)
         assert np.allclose(law.cdf(z), 1.0 - np.exp(-z / 2.0))
 
+    def test_integrated_cdf(self):
+        # m*(x - 1 + e^-x), x = a/m, against 40-digit decimal arithmetic on both
+        # sides of the series switch at x = 1e-3, where the plain form cancels
+        from decimal import Decimal, localcontext
+
+        law = FadingLaw(mean_gain=2.0)
+        a = 2.0 * np.concatenate([np.geomspace(1e-12, 1e-3, 40, endpoint=False),
+                                  np.geomspace(1e-3, 60.0, 40)])
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = [float(2 * (Decimal(x / 2.0) - 1 + (-Decimal(x / 2.0)).exp())) for x in a]
+        np.testing.assert_allclose(law.integrated_cdf(a), exact, rtol=1e-12, atol=0.0)
+        assert law.integrated_cdf(-1.0) == 0.0 and law.integrated_cdf(0.0) == 0.0
+        assert law.integrated_cdf(1.5) == law.integrated_cdf(np.array([1.5]))[0]
+
     def test_tail_cutoff(self, law):
         cut = law.tail_cutoff(1e-12)
         assert cut == pytest.approx(-math.log(1e-12))

@@ -72,8 +72,71 @@ class TestCalibrate:
         assert lam in seen  # the residual is not recomputed at the returned lam
         assert residual == pytest.approx(abs(c / lam - budget), rel=1e-12)
         assert lam == pytest.approx(c / budget, rel=2 * TOL.power_rel_tol)
-        assert len(seen) <= 12
+        assert len(seen) <= 3  # ln(P/budget) is linear in ln(lam): one probe past the root
         assert len(set(seen)) == len(seen)  # no multiplier evaluated twice
+
+    # the upper end of the walk as the solvers set it: ln of the Exp(1) tail cutoff
+    U_HI = math.log(-math.log(1e-12))
+
+    @staticmethod
+    def _calibrate_counted(power, budget, u_hi):
+        seen = []
+
+        def mean_power(lam, tol):
+            seen.append(lam)
+            return power(lam)
+
+        lam, residual = calibrate(mean_power, budget, u_hi, TOL)
+        assert residual <= TOL.power_rel_tol * budget
+        assert residual == abs(power(lam) - budget)
+        assert len(set(seen)) == len(seen)
+        return lam, seen
+
+    @pytest.mark.parametrize("u_root", [-2.0, -10.0, -27.6])
+    def test_flat_mean_power(self, u_root):
+        # the shape at beta = 29 and high SNR: slope -1/30 in ln(lam), root
+        # down to lam = 1e-12
+        c = math.exp(u_root / 30.0)
+        lam, seen = self._calibrate_counted(lambda lam: c * lam ** (-1.0 / 30.0), 1.0, self.U_HI)
+        assert math.log(lam) == pytest.approx(u_root, abs=30.0 * TOL.power_rel_tol)
+        assert len(seen) <= 7
+
+    @pytest.mark.parametrize("budget", [0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_steep_mean_power(self, budget):
+        # the low-SNR shape: the power dies off like exp(-lam); the two
+        # smallest budgets put the root above the walk's first probe
+        lam, seen = self._calibrate_counted(lambda lam: math.exp(-lam) / lam ** 2, budget,
+                                            self.U_HI)
+        assert len(seen) <= 7
+
+    @pytest.mark.parametrize("budget", [0.05, 0.5])
+    def test_zero_power_at_the_upper_end(self, budget):
+        # zero mean power from lam = 0.05 up to exp(u_hi) = 1, and a root above
+        # the first probe at exp(-4): zero-power probes end the bracket but
+        # never reach Brent as -inf or NaN
+        lam, _ = self._calibrate_counted(lambda lam: max(0.0, 1.0 - 20.0 * lam), budget, 0.0)
+        assert lam == pytest.approx((1.0 - budget) / 20.0, rel=2 * TOL.power_rel_tol)
+        assert lam > math.exp(-4.0)
+
+    def test_nan_in_the_walk(self):
+        with pytest.raises(NumericsError, match="NaN"):
+            calibrate(lambda lam, tol: math.nan, 1.0, self.U_HI, TOL)
+
+    def test_nan_in_brent(self):
+        # c/lam until both sides of the root are seen, then NaN: the walk
+        # brackets and Brent's first step hits the NaN
+        sides = set()
+
+        def mean_power(lam, tol):
+            if len(sides) == 2:
+                return math.nan
+            power = 2.5 / lam
+            sides.add(power > 1.0)
+            return power
+
+        with pytest.raises(NumericsError, match="NaN"):
+            calibrate(mean_power, 1.0, self.U_HI, TOL)
+        assert len(sides) == 2
 
     def test_mean_power_below_budget_everywhere(self):
         with pytest.raises(NumericsError, match="could not bracket"):
