@@ -5,8 +5,11 @@ z_m > gamma*z_e + nu (full CSI) or on z_m > alpha with an inner eavesdropper
 integral (main CSI), for every beta >= 0. The helpers here tensorize those
 regions so the per-state power solves vectorize through one lane kernel
 (power_lanes), and both quadrature dimensions refine together through
-numerics.refine_panels. Only the throughput readout (throughput_readout) and
-the reported multiplier (reported_lam) depend on whether beta is 0.
+numerics.refine_panels. The main-CSI power map has one evaluator, main_power
+(the lane kernel on an inner Gauss-Legendre rule); the main-CSI quadrature
+and the simulation table (main_policy_table) both call it. Only the
+throughput readout (throughput_readout) and the reported multiplier
+(reported_lam) depend on whether beta is 0.
 """
 
 import math
@@ -206,43 +209,90 @@ def idle_marginal_gain(z_m: float, gamma: float, law_e: FadingLaw, tol: Toleranc
     return gamma * float(law_e.integrated_cdf(z_m / gamma))
 
 
-# the main-CSI simulation table: z_m nodes, and inner eavesdropper panels per node
-_TABLE_POINTS = 2049
-_TABLE_INNER_PANELS = 64
+# the main-CSI simulation table: inner eavesdropper panels per node, nodes
+# before refinement, the interpolation bound relative to max(1, mu) and the
+# refinement rounds before it gives up
+TABLE_INNER_PANELS = 64
+_TABLE_START_POINTS = 513
+_TABLE_REL_TOL = 1e-4
+_TABLE_ROUNDS = 10
 
 
-def _inner_nodes(zm, u, wu, gamma, law_e):
-    """Nodes z_e = (z_m/gamma)*u^2 under each z_m, their density-times-jacobian
-    weights, and the power_lanes coefficients of the main-CSI gain there.
+def main_power(zm, panels, beta, nu, gamma, law_e, tol):
+    """Main-CSI power at gains zm > 0, on an inner rule of the given panel count.
+
+    Each gain solves the lane equation of power_lanes with terms
+    (z_m - gamma*z_e) p_E(z_e) over z_e < z_m/gamma, against the normalized
+    multiplier nu. The inner rule is Gauss-Legendre in u with
+    z_e = (z_m/gamma)*u^2, which resolves the layer of width ~1/mu near
+    z_e = 0 that the integrands develop once the power is large. Returns
+    (mu, ze, wpe, wu): the powers, the inner nodes under each gain, their
+    density-times-jacobian weights, and the u weights, so that
+    (f(z_e) * wpe) @ wu integrates f against p_E over each gain's region.
     """
+    u, wu = panel_nodes(0.0, 1.0, panels)
     span = zm / gamma
     ze = (u * u)[None, :] * span[:, None]
     wpe = law_e.density(ze) * span[:, None] * 2.0 * u[None, :]
-    return ze, wpe, wpe * wu * (zm[:, None] - gamma * ze)
+    coef = wpe * wu * (zm[:, None] - gamma * ze)
+    return power_lanes(zm, coef, u * u, beta, nu, tol), ze, wpe, wu
+
+
+def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
+    """Nodes (z, mu) of the main-CSI power map whose linear interpolation is
+    within 1e-4*max(1, mu) at every checked midpoint.
+
+    The power is 0 up to the cutoff alpha and turns on steeply just above it,
+    so the 513 starting nodes are alpha and alpha plus offsets placed
+    geometrically from 1e-6*alpha to the truncation point of the main-channel
+    law. Each round solves the power (main_power on TABLE_INNER_PANELS inner
+    panels) at the midpoint of every interval under check and keeps it as a
+    node; the halves of an interval whose interpolated midpoint missed the
+    bound are checked in the next round. After _TABLE_ROUNDS rounds with a
+    miss left, NumericsError carries the nodes so far. Requires
+    alpha < the truncation point.
+    """
+    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
+    anchor = max(alpha, zm_hi * 1e-14)
+    # the inner grid is built one kernel block at a time, never for the whole table
+    step = max(1, _BLOCK_TERMS // panel_nodes(0.0, 1.0, TABLE_INNER_PANELS)[0].size)
+
+    def solve(z):
+        return np.concatenate([main_power(zc, TABLE_INNER_PANELS, beta, nu, gamma, law_e, tol)[0]
+                               for zc in np.split(z, range(step, z.size, step))])
+
+    offsets = np.geomspace(1e-6 * anchor, zm_hi - alpha, _TABLE_START_POINTS - 1)
+    z = alpha + np.concatenate([[0.0], offsets])
+    mu = solve(z)
+    check = np.arange(z.size - 1)  # intervals [z[k], z[k+1]] to check
+    for _ in range(_TABLE_ROUNDS):
+        z_mid = 0.5 * (z[check] + z[check + 1])
+        mu_mid = solve(z_mid)
+        linear = 0.5 * (mu[check] + mu[check + 1])
+        miss = np.abs(mu_mid - linear) > _TABLE_REL_TOL * np.maximum(1.0, mu_mid)
+        z, mu = np.insert(z, check + 1, z_mid), np.insert(mu, check + 1, mu_mid)
+        if not miss.any():
+            return z, mu
+        # the j-th checked interval now starts at check[j] + j; check both its halves
+        lower = (check + np.arange(check.size))[miss]
+        check = np.column_stack([lower, lower + 1]).ravel()
+    raise NumericsError(f"main_policy_table: {int(miss.sum())} intervals miss the "
+                        f"interpolation bound after {_TABLE_ROUNDS} rounds", best=(z, mu))
 
 
 def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
-    """Dense-table evaluator of the main-CSI power map.
+    """Interpolating evaluator of the main-CSI power map, for queue simulation.
 
     Queue simulation evaluates the policy on millions of gains; re-solving the
-    inner integral per draw is wasteful, so the power is solved (as in
-    main_region_expectation, on a fixed inner grid) at nodes over
-    [alpha, cutoff] and interpolated. Below alpha the policy is exactly 0.
+    inner integral per draw is wasteful, so the power is solved at the nodes
+    of main_table_nodes, whose midpoint check bounds the interpolation error,
+    and interpolated linearly between them. At and below alpha the policy is
+    exactly 0; above the last node it is held at the last node's power.
     """
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
         return lambda z_m: np.zeros(np.shape(z_m))
-
-    # quadratic spacing: dense through the turn-on just above alpha
-    v = np.linspace(0.0, 1.0, _TABLE_POINTS)
-    grid = alpha + (zm_hi - alpha) * v * v
-    u, wu = panel_nodes(0.0, 1.0, _TABLE_INNER_PANELS)
-    # the inner grid is built one kernel block at a time, never for the whole table
-    step = max(1, _BLOCK_TERMS // u.size)
-    mu_grid = np.concatenate([
-        power_lanes(zc, _inner_nodes(zc, u, wu, gamma, law_e)[2], u * u, beta, nu, tol)
-        for zc in np.split(grid, range(step, grid.size, step))
-    ])
+    grid, mu_grid = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol)
 
     def state_power(z_m):
         z_m = np.asarray(z_m, dtype=float)
@@ -266,19 +316,18 @@ def main_region_expectation(
 ) -> QuadResult:
     """Expectation over z_m > alpha with a per-z_m power solve and inner z_e integral.
 
-    Each z_m node solves, for its power, the lane equation of power_lanes with
-    terms (z_m - gamma*z_e) p_E(z_e) integrated over z_e < z_m/gamma, against
-    the normalized multiplier nu (lam/beta, or the theta = 0 multiplier at
-    beta = 0). integrand(mu, z_m, z_e) is then integrated over the same
-    inner region; integrand=None integrates the power itself (no inner
-    integral). include_idle_mass adds the probability mass where the service
-    is zero (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1.
+    Each z_m node takes its power from main_power on an inner rule with as
+    many panels as the outer one, against the normalized multiplier nu
+    (lam/beta, or the theta = 0 multiplier at beta = 0).
+    integrand(mu, z_m, z_e) is then integrated on the same inner rule;
+    integrand=None integrates the power itself (no inner integral).
+    include_idle_mass adds the probability mass where the service is zero
+    (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1.
 
     Both variables are substituted to keep the threshold layers resolved at
     any calibration: the power turns on over a distance ~alpha above the
-    cutoff, so z_m = alpha*w^2 with uniform panels in w >= 1; the inner
-    integrands develop a layer of width ~1/mu near z_e = 0 once the power is
-    large, handled by z_e = (z_m/gamma)*u^2.
+    cutoff, so z_m = alpha*w^2 with uniform panels in w >= 1; main_power's
+    inner rule in u, z_e = (z_m/gamma)*u^2, handles the layer near z_e = 0.
     """
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
@@ -291,9 +340,7 @@ def main_region_expectation(
         w, wm = panel_nodes(1.0, w_max, n)
         zm = anchor * w * w
         wm = wm * 2.0 * anchor * w  # z_m jacobian folded into the weights
-        u, wu = panel_nodes(0.0, 1.0, n)
-        ze, wpe, coef = _inner_nodes(zm, u, wu, gamma, law_e)
-        mu = power_lanes(zm, coef, u * u, beta, nu, tol)
+        mu, ze, wpe, wu = main_power(zm, n, beta, nu, gamma, law_e, tol)
         if integrand is None:
             vals = mu
         else:

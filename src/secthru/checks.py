@@ -10,7 +10,8 @@ share one throughput grid, solved once per configuration.
 
 The oracles below are independent references: numpy only, none of the
 package's quadrature or root finding (brute-force grid minimization of the
-per-state objectives, fixed-grid Simpson, and closed forms).
+per-state objectives, fixed-grid Simpson and Gauss-Legendre rules, and closed
+forms).
 """
 
 import math
@@ -20,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import full_csi, main_csi, queuesim
-from .model import LN2, LinkBudget
+from . import _region, full_csi, main_csi, queuesim
+from .model import LN2
 from .numerics import NumericsError
 
 
@@ -54,16 +55,38 @@ def reduced_objective_main(mu_grid, z_m, gamma, beta, lam, law, n_inner=2001):
 
 
 def brute_power_main(z_m, gamma, beta, lam, law, span=50.0):
-    """Grid minimizer of the reduced main-CSI Lagrangian, refined to 1e-6."""
-    grid = np.arange(0.0, span + 1e-2, 1e-2)
+    """Grid minimizer of the reduced main-CSI Lagrangian on [0, span], refined
+    to 2e-8 * span (1e-6 at the default span).
+    """
+    scale = span / 50.0
+    grid = np.arange(0.0, span + 1e-2 * scale, 1e-2 * scale)
     i = int(np.argmin(reduced_objective_main(grid, z_m, gamma, beta, lam, law)))
     mid = grid[i]
-    for step in (1e-4, 1e-6):
+    for step in (1e-4 * scale, 1e-6 * scale):
         lo = max(0.0, mid - 150.0 * step)
         fine = lo + step * np.arange(0, 301)
         j = int(np.argmin(reduced_objective_main(fine, z_m, gamma, beta, lam, law)))
         mid = float(fine[j])
     return mid
+
+
+def stationarity_lhs_main(z_m, mu, gamma, beta, law, panels=64):
+    """Main-CSI stationarity left side at gain z_m and power mu,
+
+        beta * Int_0^{z_m/gamma} r^(-beta-1) (z_m - gamma z_e) / (1 + gamma mu z_e)^2 p_E dz_e,
+
+    r = (1 + mu z_m)/(1 + gamma mu z_e), by a fixed composite 32-point
+    Gauss-Legendre rule on uniform panels in z_e.
+    """
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, z_m / gamma, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    z_e = ((edges[:-1, None] + half) + half * x).ravel()
+    weights = (half * w).ravel()
+    log_ratio = np.log1p(mu * z_m) - np.log1p(gamma * mu * z_e)
+    gain = (beta * np.exp(-(beta + 1.0) * log_ratio) * (z_m - gamma * z_e)
+            / (1.0 + gamma * mu * z_e) ** 2)
+    return float(weights @ (gain * law.density(z_e)))
 
 
 def closed_form_power_beta1(z_m, z_e, gamma, lam):
@@ -74,6 +97,12 @@ def closed_form_power_beta1(z_m, z_e, gamma, lam):
     with np.errstate(invalid="ignore", divide="ignore"):
         mu = (np.sqrt(np.clip(diff, 0.0, None) / lam) - 1.0) / z_m
     return np.where(diff > lam, mu, 0.0)
+
+
+def main_power_at(z_m, gamma, beta, lam, law_e, tol):
+    """The main-CSI power evaluator at one gain, on the simulation table's inner rule."""
+    return float(_region.main_power(np.array([z_m]), _region.TABLE_INNER_PANELS, beta,
+                                    lam / beta, gamma, law_e, tol)[0][0])
 
 
 _MODES = ("full", "main")
@@ -88,15 +117,15 @@ def _throughput_grid(cfg):
 
 
 def kkt_residual_full(cfg):
-    """Full-CSI stationarity residual of pointwise_power at random states and multipliers."""
+    """Full-CSI stationarity residual of power_grid at random states and multipliers."""
     rng = np.random.default_rng(cfg.seed)
-    link, tol = cfg.link(cfg.snr_db[0]), cfg.tolerances()
+    tol = cfg.tolerances()
     worst = 0.0
     for _ in range(200):
         z_m, z_e = rng.exponential(1.0, 2)
         beta = rng.uniform(0.3, 5.0)
         lam = rng.uniform(0.05, 1.0)
-        mu = full_csi.pointwise_power(z_m, z_e, link, beta, lam, tol)
+        mu = float(full_csi.power_grid([z_m], [z_e], cfg.gamma, beta, lam, tol)[0])
         if mu > 0.0:
             resid = abs(float(full_csi.kkt_lhs_full(mu, z_m, z_e, cfg.gamma, beta)) - lam)
             worst = max(worst, resid / lam)
@@ -115,18 +144,20 @@ def closed_form_beta1(cfg):
 
 
 def kkt_residual_main(cfg):
-    """Main-CSI stationarity residual of power_main at random gains and multipliers."""
+    """Main-CSI stationarity residual of the power evaluator at random gains and
+    multipliers, its left side by stationarity_lhs_main.
+    """
     rng = np.random.default_rng(cfg.seed + 303)
-    link, tol = cfg.link(cfg.snr_db[0]), cfg.tolerances()
+    tol = cfg.tolerances()
     law_e = cfg.laws()[1]
     worst = 0.0
     for _ in range(25):
         z_m = rng.exponential(1.0) + 0.5
         beta = rng.uniform(0.5, 4.0)
         lam = rng.uniform(0.05, 0.5)
-        mu = main_csi.power_main(z_m, beta, lam, link, law_e, tol)
+        mu = main_power_at(z_m, cfg.gamma, beta, lam, law_e, tol)
         if mu > 0.0:
-            resid = abs(main_csi.kkt_lhs_main(z_m, mu, beta, link, law_e, tol) - lam)
+            resid = abs(stationarity_lhs_main(z_m, mu, cfg.gamma, beta, law_e) - lam)
             worst = max(worst, resid / lam)
     return worst < 1e-8, f"worst relative residual {worst:.3e}"
 
@@ -157,18 +188,37 @@ def _oracle_states(seed, law_e):
 
 
 def oracle(cfg):
-    """Both per-state solvers against brute-force grid minimizers, gamma drawn at random."""
+    """Both power evaluators against brute-force grid minimizers, gamma drawn at
+    random, and the simulated main-CSI policy (its interpolation table) at the
+    largest theta and SNR of cfg, at 1.02, 1.1 and 1.5 times its cutoff, there
+    relative to max(1, mu).
+    """
     tol = cfg.tolerances()
-    law_e = cfg.laws()[1]
+    law_m, law_e = cfg.laws()
     full, main = _oracle_states(cfg.seed, law_e)
     worst_full = max(
-        abs(full_csi.pointwise_power(z_m, z_e, LinkBudget(1.0, gamma), beta, lam, tol) - mu)
+        abs(float(full_csi.power_grid([z_m], [z_e], gamma, beta, lam, tol)[0]) - mu)
         for z_m, z_e, gamma, beta, lam, mu in full)
-    worst_main = max(
-        abs(main_csi.power_main(z_m, beta, lam, LinkBudget(1.0, gamma), law_e, tol) - mu)
-        for z_m, gamma, beta, lam, mu in main)
-    ok = worst_full < 1e-3 and worst_main < 1e-3
-    return ok, f"150 states, worst full {worst_full:.3e}, worst main {worst_main:.3e}"
+    worst_main = max(abs(main_power_at(z_m, gamma, beta, lam, law_e, tol) - mu)
+                     for z_m, gamma, beta, lam, mu in main)
+    theta, db = max(cfg.theta), max(cfg.snr_db)
+    policy = main_csi.build_policy_main(cfg.qos(theta), cfg.link(db), law_m, law_e, tol)
+    worst_table = 0.0
+    probed = policy.beta > 0.0 and math.isfinite(policy.threshold)
+    # brute_power_main minimizes the theta > 0 objective; a zero budget has no cutoff
+    if probed:
+        for z_m in policy.threshold * np.array([1.02, 1.1, 1.5]):
+            mu = float(policy.state_power(z_m))
+            # the power near the cutoff reaches hundreds at 30 dB: the search
+            # range follows it, and the error is taken relative to max(1, mu)
+            # as the table's own bound is
+            brute = brute_power_main(z_m, cfg.gamma, policy.beta, policy.lam, law_e,
+                                     span=max(50.0, 2.0 * mu))
+            worst_table = max(worst_table, abs(mu - brute) / max(1.0, brute))
+    ok = worst_full < 1e-3 and worst_main < 1e-3 and worst_table < 1e-3
+    table = f"{worst_table:.3e} of max(1, mu)" if probed else "not probed"
+    return ok, (f"150 states, worst full {worst_full:.3e}, worst main {worst_main:.3e}; "
+                f"main policy at theta {theta:g}, {db:g} dB near its cutoff {table}")
 
 
 def calibration(cfg):

@@ -68,18 +68,6 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
     return out
 
 
-def pointwise_power(z_m: float, z_e: float, link: LinkBudget, beta: float, lam: float,
-                    tol: Tolerances = DEFAULT_TOL) -> float:
-    """Optimal transmit SNR at a single state; 0 on or below the threshold."""
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    if not lam > 0:
-        raise ValidationError("lam must be positive")
-    mu = power_grid(np.atleast_1d(float(z_m)), np.atleast_1d(float(z_e)),
-                    link.gamma, beta, lam, tol)
-    return float(mu[0])
-
-
 def mean_power_full(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> float:

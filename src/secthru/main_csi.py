@@ -8,7 +8,10 @@ marginal gain over the eavesdropper law on z_e < z_m/gamma:
 
 with r(mu) = (1 + mu*z_m)/(1 + gamma*mu*z_e). The left side decreases strictly
 in mu and increases strictly in z_m at mu = 0, so the policy transmits exactly
-above a cutoff gain alpha and each active z_m has a unique root.
+above a cutoff gain alpha and each active z_m has a unique root. The power
+map has one evaluator, _region.main_power: the lane kernel on a Gauss-Legendre
+rule for the inner integral. The throughput and mean-power quadratures call it
+at their own nodes, and the simulation policy interpolates a table of it.
 
 Divided by beta, the condition holds for every beta >= 0 with the normalized
 multiplier nu = lam/beta: at beta = 0 (theta = 0, no QoS constraint) it is the
@@ -19,8 +22,6 @@ budget with equality.
 """
 
 import math
-
-import numpy as np
 
 from ._region import (
     idle_marginal_gain,
@@ -37,66 +38,7 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    NumericsError,
-    Tolerances,
-    _brent,
-    calibrate,
-    find_root,
-    integrate_density,
-)
-
-
-def _marginal_weight(mu, zm, ze, gamma, beta):
-    log_ratio = np.log1p(mu * zm) - np.log1p(gamma * mu * ze)
-    return (
-        beta
-        * np.exp(-(beta + 1.0) * log_ratio)
-        * (zm - gamma * ze)
-        / (1.0 + gamma * mu * ze) ** 2
-    )
-
-
-def kkt_lhs_main(z_m: float, mu: float, beta: float, link: LinkBudget, law_e: FadingLaw,
-                 tol: Tolerances = DEFAULT_TOL) -> float:
-    """Marginal gain of power at main-channel gain z_m, averaged over z_e."""
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    if mu < 0:
-        raise ValidationError("mu must be nonnegative")
-    gamma = link.gamma
-    if not z_m > 0.0:
-        return 0.0
-    hi = min(z_m / gamma, law_e.tail_cutoff(tol.quad_trunc_mass))
-    res = integrate_density(
-        lambda ze: _marginal_weight(mu, z_m, ze, gamma, beta),
-        law_e, tol, hi=hi, floor=1e-6,
-    )
-    return res.value
-
-
-def power_main(z_m: float, beta: float, lam: float, link: LinkBudget, law_e: FadingLaw,
-               tol: Tolerances = DEFAULT_TOL) -> float:
-    """Optimal power at gain z_m: 0 when the zero-power gain is <= lam, else the unique root.
-
-    The root is bracketed as in the lane kernel (_region.power_lanes): in
-    x = ln(1 + mu*z_m) it lies in [L/max(2, beta+1), L/min(2, beta+1)] with
-    L = ln(gain(0)/lam), widened by 1e-6*L at each end because the bracket
-    has zero width at beta = 1.
-    """
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    if not lam > 0:
-        raise ValidationError("lam must be positive")
-    gain0 = kkt_lhs_main(z_m, 0.0, beta, link, law_e, tol)
-    if gain0 <= lam:
-        return 0.0
-    big_l = math.log(gain0 / lam)
-    x_lo = max(0.0, big_l / max(2.0, beta + 1.0) - 1e-6 * big_l)
-    x_hi = big_l / min(2.0, beta + 1.0) + 1e-6 * big_l
-    f = lambda mu: kkt_lhs_main(z_m, mu, beta, link, law_e, tol) - lam
-    return find_root(f, math.expm1(x_lo) / z_m, math.expm1(x_hi) / z_m, tol)
+from .numerics import DEFAULT_TOL, NumericsError, Tolerances, _brent, calibrate
 
 
 def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,

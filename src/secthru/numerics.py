@@ -1,10 +1,10 @@
-"""Deterministic scalar root finding and truncated semi-infinite quadrature.
+"""Deterministic scalar root finding, power calibration and panel quadrature.
 
 Every solver in the package funnels through the primitives here: Brent root
 finding on a bracketed sign change, the average-power calibration built on it,
 and composite Gauss-Legendre quadrature whose panel count doubles until two
-successive refinements agree. Evaluation order is
-fixed, so results are bit-reproducible for fixed tolerances.
+successive refinements agree. Evaluation order is fixed, so results are
+bit-reproducible for fixed tolerances.
 """
 
 import math
@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .model import FadingLaw, ValidationError
+from .model import ValidationError
 
 
 class NumericsError(RuntimeError):
@@ -134,66 +134,17 @@ def refine_panels(
     )
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: Tolerances = DEFAULT_TOL,
-    floor: float = 0.0,
-    start_panels: int = 8,
-) -> QuadResult:
-    """Adaptively refined quadrature of a plain (vectorized) integrand."""
-    if not hi > lo:
-        return QuadResult(0.0, 0.0, 0)
-
-    def at(n: int) -> float:
-        z, w = panel_nodes(lo, hi, n)
-        return float(w @ np.asarray(f(z), dtype=float))
-
-    return refine_panels(at, tol, floor=floor, start_panels=start_panels)
-
-
-def integrate_density(
-    g: Callable[[np.ndarray], np.ndarray],
-    law: FadingLaw,
-    tol: Tolerances = DEFAULT_TOL,
-    lo: float = 0.0,
-    hi: Optional[float] = None,
-    floor: float = 0.0,
-    start_panels: int = 8,
-) -> QuadResult:
-    """Integral of g(z) * density(z) over [lo, hi].
-
-    hi defaults to the law's tail cutoff at quad_trunc_mass, so for bounded g
-    the neglected tail contributes less than that mass times sup|g|.
-    """
-    if hi is None:
-        hi = law.tail_cutoff(tol.quad_trunc_mass)
-    return integrate(lambda z: np.asarray(g(z), dtype=float) * law.density(z),
-                     lo, hi, tol, floor=floor, start_panels=start_panels)
-
-
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerances = DEFAULT_TOL,
-    f_tol: float = 0.0,
-) -> float:
-    """Brent's method (1973) for a sign change of a scalar map on [lo, hi].
+def _brent(f, x_pre, f_pre, x_cur, f_cur, tol, f_tol):
+    """Brent's method (1973) for a sign change of a scalar map between two
+    evaluated endpoints, f_pre = f(x_pre) and f_cur = f(x_cur); returns the
+    root and f there.
 
     Each step is an inverse-quadratic or secant step when that stays well
     inside the bracket, else a bisection. Stops when |f(x)| <= f_tol or when
     the bracket around the best iterate x is narrower than
-    root_tol * max(1, |x|). The caller brackets. Raises
-    BracketError without a sign change, NumericsError on NaN, and
-    NumericsError, with the last iterate as best, after max_iter steps.
-    """
-    return _brent(f, lo, float(f(lo)), hi, float(f(hi)), tol, f_tol)[0]
-
-
-def _brent(f, x_pre, f_pre, x_cur, f_cur, tol, f_tol):
-    """find_root from two evaluated endpoints; returns the root and f there.
+    root_tol * max(1, |x|). The caller brackets. Raises BracketError without
+    a sign change, NumericsError on NaN, and NumericsError, with the last
+    iterate as best, after max_iter steps.
 
     x_cur is the best iterate, x_pre the one before it, and x_blk the
     contrapoint: f(x_blk) and f(x_cur) have opposite signs.
@@ -237,7 +188,7 @@ def _brent(f, x_pre, f_pre, x_cur, f_cur, tol, f_tol):
         f_cur = float(f(x_cur))
         if math.isnan(f_cur):
             raise NumericsError("NaN during root finding")
-    raise NumericsError(f"find_root not converged after {tol.max_iter} steps", best=x_cur)
+    raise NumericsError(f"Brent root not converged after {tol.max_iter} steps", best=x_cur)
 
 
 # |ln(P/B)| <= f_tol bounds |P/B - 1| by expm1(f_tol); the shrink keeps that

@@ -14,7 +14,20 @@ from secthru.checks import (
     brute_power_main,
     closed_form_power_beta1,
     secrecy_mgf_term,
+    stationarity_lhs_main,
 )
+
+__all__ = [
+    "bisect_lane_power",
+    "brute_power_ergodic_full",
+    "brute_power_full",
+    "brute_power_main",
+    "closed_form_power_beta1",
+    "secrecy_mgf_term",
+    "simpson",
+    "simpson_density",
+    "stationarity_lhs_main",
+]
 
 
 def simpson(values, h):

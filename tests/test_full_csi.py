@@ -16,7 +16,6 @@ from secthru.full_csi import (
     calibrate_lambda_full,
     kkt_lhs_full,
     mean_power_full,
-    pointwise_power,
     power_grid,
 )
 from secthru._region import transmit_region_expectation
@@ -44,18 +43,23 @@ def closed_form_mean_rate(link, law, tol):
     return max(0.0, rate.value)
 
 
-class TestPointwisePower:
-    def test_zero_gain_state(self, link):
-        # z_m - gamma*z_e = 0 <= lam/beta: silent
-        assert pointwise_power(1.0, 1.0, link, beta=1.0, lam=0.1) == 0.0
+def pointwise_power(z_m, z_e, gamma, beta, lam):
+    """power_grid at one state."""
+    return float(power_grid([z_m], [z_e], gamma, beta, lam, TOL)[0])
 
-    def test_beta1_closed_form_spec_point(self, link):
-        mu = pointwise_power(2.0, 0.5, link, beta=1.0, lam=0.5)
+
+class TestPointwisePower:
+    def test_zero_gain_state(self):
+        # z_m - gamma*z_e = 0 <= lam/beta: silent
+        assert pointwise_power(1.0, 1.0, 1.0, beta=1.0, lam=0.1) == 0.0
+
+    def test_beta1_closed_form_spec_point(self):
+        mu = pointwise_power(2.0, 0.5, 1.0, beta=1.0, lam=0.5)
         assert mu == pytest.approx((math.sqrt(3.0) - 1.0) / 2.0, abs=1e-10)
 
-    def test_brute_force_spec_point(self, link):
+    def test_brute_force_spec_point(self):
         beta = make_qos(0.01).beta  # 2.8854
-        mu = pointwise_power(2.0, 0.5, link, beta=beta, lam=1.0)
+        mu = pointwise_power(2.0, 0.5, 1.0, beta=beta, lam=1.0)
         assert mu == pytest.approx(brute_power_full(2.0, 0.5, 1.0, beta, 1.0), abs=1e-3)
 
     def test_beta1_closed_form_random_states(self, link):
@@ -66,14 +70,14 @@ class TestPointwisePower:
         mu = power_grid(z_m, z_e, 1.0, 1.0, lam, TOL)
         assert np.max(np.abs(mu - closed_form_power_beta1(z_m, z_e, 1.0, lam))) < 1e-8
 
-    def test_kkt_residual(self, link):
+    def test_kkt_residual(self):
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(100):
             z_m, z_e = rng.exponential(1.0, 2)
             beta = rng.uniform(0.2, 6.0)
             lam = rng.uniform(0.02, 1.5)
-            mu = pointwise_power(z_m, z_e, link, beta, lam)
+            mu = pointwise_power(z_m, z_e, 1.0, beta, lam)
             if mu > 0:
                 resid = abs(float(kkt_lhs_full(mu, z_m, z_e, 1.0, beta)) - lam)
                 worst = max(worst, resid / lam)
@@ -100,14 +104,6 @@ class TestPointwisePower:
                 continue
             f = secrecy_mgf_term(mus, z_m, z_e, gamma, beta)
             assert np.all(np.diff(f, 2) >= -1e-12)
-
-    def test_validates_arguments(self, link):
-        from secthru import ValidationError
-
-        with pytest.raises(ValidationError):
-            pointwise_power(1.0, 0.5, link, beta=0.0, lam=0.5)
-        with pytest.raises(ValidationError):
-            pointwise_power(1.0, 0.5, link, beta=1.0, lam=0.0)
 
 
 class TestMeanPower:

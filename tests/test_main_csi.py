@@ -6,96 +6,100 @@ import pytest
 from secthru import (
     FadingLaw,
     LinkBudget,
+    NumericsError,
     Tolerances,
     build_policy_main,
     make_qos,
     throughput_full,
     throughput_main,
 )
-from secthru.full_csi import calibrate_lambda_full, pointwise_power
-from secthru.main_csi import (
-    alpha_threshold,
-    calibrate_lambda_main,
-    kkt_lhs_main,
-    mean_power_main,
-    power_main,
-)
-from secthru.numerics import find_root, integrate, integrate_density
-from secthru._region import idle_marginal_gain, main_policy_table
-from oracles import brute_power_main, simpson_density
+from secthru import _region, main_csi
+from secthru.checks import main_power_at
+from secthru.full_csi import calibrate_lambda_full, power_grid
+from secthru.main_csi import alpha_threshold, calibrate_lambda_main, mean_power_main
+from secthru._region import idle_marginal_gain, main_policy_table, main_table_nodes
+from oracles import brute_power_main, simpson, simpson_density, stationarity_lhs_main
 
 TOL = Tolerances()
 
 
 class TestKktLhsMain:
-    def test_empty_region(self, law, link):
-        assert kkt_lhs_main(0.0, 0.5, 1.0, link, law) == 0.0
+    """The stationarity left side that kkt-residual-main holds the power evaluator to."""
 
-    def test_zero_power_analytic(self, law, link):
+    def test_empty_region(self, law):
+        assert stationarity_lhs_main(0.0, 0.5, 1.0, 1.0, law) == 0.0
+
+    def test_zero_power_analytic(self, law):
         # gamma=1, Exp(1): beta * (z - 1 + e^-z)
         for beta in (1.0, 2.0):
             for z in (0.5, 2.0, 5.0):
                 expected = beta * (z - 1.0 + math.exp(-z))
-                assert kkt_lhs_main(z, 0.0, beta, link, law) == pytest.approx(expected, rel=1e-9)
+                assert stationarity_lhs_main(z, 0.0, 1.0, beta, law) == pytest.approx(
+                    expected, rel=1e-9)
 
-    def test_spec_point_closed_form(self, law, link):
+    def test_spec_point_closed_form(self, law):
         # (z_M=2, mu=0.5, gamma=1, beta=1): the ratio factors cancel and the
         # integral collapses to (1/4) * int_0^2 (2-t) e^-t dt = (1 + e^-2)/4
-        value = kkt_lhs_main(2.0, 0.5, 1.0, link, law)
+        value = stationarity_lhs_main(2.0, 0.5, 1.0, 1.0, law)
         assert value == pytest.approx((1.0 + math.exp(-2.0)) / 4.0, rel=1e-10)
 
-    def test_against_dense_quadrature(self, law, link):
+    def test_against_dense_quadrature(self, law):
         def weight(ze):
             log_ratio = np.log1p(0.5 * 2.0) - np.log1p(0.5 * ze)
             return 1.0 * np.exp(-2.0 * log_ratio) * (2.0 - ze) / (1.0 + 0.5 * ze) ** 2
 
         oracle = simpson_density(weight, law, 0.0, 2.0, n=40001)
-        assert kkt_lhs_main(2.0, 0.5, 1.0, link, law) == pytest.approx(oracle, rel=1e-8)
+        assert stationarity_lhs_main(2.0, 0.5, 1.0, 1.0, law) == pytest.approx(oracle, rel=1e-8)
 
-    def test_decreasing_in_mu(self, law, link):
-        values = [kkt_lhs_main(2.0, mu, 2.0, link, law) for mu in (0.0, 0.2, 1.0, 5.0)]
+    def test_decreasing_in_mu(self, law):
+        values = [stationarity_lhs_main(2.0, mu, 1.0, 2.0, law) for mu in (0.0, 0.2, 1.0, 5.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestPowerMain:
+    """The main-CSI power evaluator, _region.main_power, at one gain on the table's
+    inner rule (checks.main_power_at).
+    """
+
     def test_silent_below_threshold(self, law, link):
         alpha = alpha_threshold(0.1, link, law)
-        assert power_main(alpha * (1.0 - 1e-6), 2.0, 0.2, link, law) == 0.0
-        assert power_main(alpha * (1.0 + 1e-3), 2.0, 0.2, link, law) > 0.0
+        assert main_power_at(alpha * (1.0 - 1e-6), 1.0, 2.0, 0.2, law, TOL) == 0.0
+        assert main_power_at(alpha * (1.0 + 1e-3), 1.0, 2.0, 0.2, law, TOL) > 0.0
 
-    def test_no_eavesdropper_limit(self, link):
+    def test_no_eavesdropper_limit(self):
         # a vanishing eavesdropper gain reduces the condition to
-        # beta * z_m / (1 + mu z_m)^2 = lam, i.e. water-filling-like closed form
+        # beta * z_m / (1 + mu z_m)^2 = lam, i.e. water-filling-like closed
+        # form; the inner rule resolves a law of mean 1e-9 at 2^14 panels
         law_e = FadingLaw(mean_gain=1e-9)
         z_m, lam = 2.0, 0.3
-        mu = power_main(z_m, 1.0, lam, link, law_e)
+        mu = float(_region.main_power(np.array([z_m]), 2 ** 14, 1.0, lam, 1.0, law_e, TOL)[0][0])
         expected = (math.sqrt(z_m / lam) - 1.0) / z_m
         assert mu == pytest.approx(expected, rel=1e-5)
-        full = pointwise_power(z_m, 0.0, link, beta=1.0, lam=lam)
+        full = float(power_grid([z_m], [0.0], 1.0, 1.0, lam, TOL)[0])
         assert mu == pytest.approx(full, rel=1e-5)
 
-    def test_brute_force_spec_point(self, law, link):
-        mu = power_main(2.0, 1.0, 0.3, link, law)
+    def test_brute_force_spec_point(self, law):
+        mu = main_power_at(2.0, 1.0, 1.0, 0.3, law, TOL)
         oracle = brute_power_main(2.0, 1.0, 1.0, 0.3, law)
         assert mu == pytest.approx(oracle, abs=1e-3)
 
-    def test_kkt_residual(self, law, link):
+    def test_kkt_residual(self, law):
         rng = np.random.default_rng(31)
         worst = 0.0
         for _ in range(25):
             z_m = rng.uniform(0.5, 5.0)
             beta = rng.uniform(0.4, 4.0)
             lam = rng.uniform(0.05, 0.6)
-            mu = power_main(z_m, beta, lam, link, law)
+            mu = main_power_at(z_m, 1.0, beta, lam, law, TOL)
             if mu > 0:
-                resid = abs(kkt_lhs_main(z_m, mu, beta, link, law) - lam)
+                resid = abs(stationarity_lhs_main(z_m, mu, 1.0, beta, law) - lam)
                 worst = max(worst, resid / lam)
         assert worst < 1e-8
 
     def test_nondecreasing_near_threshold(self, law, link):
         alpha = alpha_threshold(0.25 / 1.5, link, law)
         zs = alpha * (1.0 + np.array([1e-4, 1e-3, 1e-2, 5e-2, 1e-1]))
-        mus = [power_main(z, 1.5, 0.25, link, law) for z in zs]
+        mus = [main_power_at(z, 1.0, 1.5, 0.25, law, TOL) for z in zs]
         assert all(b >= a for a, b in zip(mus, mus[1:]))
 
 
@@ -120,14 +124,23 @@ class TestAlphaThreshold:
         # the zero-power-gain root equals the integration-by-parts form
         # Int_0^alpha P(z_E <= t) dt = nu
         alpha = alpha_threshold(0.3 / 1.7, link, law)
-        cdf_area = find_root(
-            lambda a: integrate(law.cdf, 0.0, a, TOL).value - 0.3 / 1.7, 0.0, 30.0, TOL)
-        assert alpha == pytest.approx(cdf_area, abs=1e-8)
+
+        def cdf_area(a, n=2001):
+            return simpson(law.cdf(np.linspace(0.0, a, n)), a / (n - 1))
+
+        lo, hi = 0.0, 30.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if cdf_area(mid) > 0.3 / 1.7:
+                hi = mid
+            else:
+                lo = mid
+        assert alpha == pytest.approx(0.5 * (lo + hi), abs=1e-8)
 
     def test_general_gamma(self, law):
         link = LinkBudget(1.0, gamma=2.0)
         alpha = alpha_threshold(0.1, link, law)
-        assert kkt_lhs_main(alpha, 0.0, 2.0, link, law) == pytest.approx(0.2, abs=1e-9)
+        assert stationarity_lhs_main(alpha, 0.0, 2.0, 2.0, law) == pytest.approx(0.2, abs=1e-9)
 
     def test_unreachable_multiplier(self, law, link):
         assert math.isinf(alpha_threshold(1e9, link, law))
@@ -140,11 +153,10 @@ class TestAlphaThreshold:
         # definition must agree, also at z/(gamma*m) <= 1e-6, where the plain
         # z - gamma*m*(1 - e^-x) loses up to 1e-6 relative to cancellation
         law_e = FadingLaw(mean_gain=mean_e)
-        ref_tol = Tolerances(quad_rel_tol=1e-14, quad_trunc_mass=1e-16)
         worst = worst_plain = 0.0
         for z in np.geomspace(1e-10, law.tail_cutoff(TOL.quad_trunc_mass), 41):
-            hi = min(z / gamma, law_e.tail_cutoff(ref_tol.quad_trunc_mass))
-            ref = integrate_density(lambda t: z - gamma * t, law_e, ref_tol, hi=hi).value
+            # the stationarity left side at zero power and beta = 1 is the gain
+            ref = stationarity_lhs_main(z, 0.0, gamma, 1.0, law_e)
             worst = max(worst, abs(idle_marginal_gain(z, gamma, law_e, TOL) - ref) / ref)
             x = z / (gamma * mean_e)
             if x <= 1e-6:
@@ -156,8 +168,6 @@ class TestAlphaThreshold:
     def test_gain_evaluated_once_per_gain(self, law, monkeypatch):
         # the cutoff looks idle_marginal_gain up through its module, so the
         # patched attribute sees every zero-power gain evaluation
-        from secthru import main_csi
-
         calls = []
 
         def counted(z, *args):
@@ -209,8 +219,6 @@ class TestThroughputMain:
 
     def test_theta_zero_builds_no_table(self, law, link, fast_tol, monkeypatch):
         # only the policy path tabulates the theta = 0 power map
-        from secthru import main_csi
-
         builds = []
 
         def counted(*args):
@@ -245,8 +253,54 @@ class TestPolicyMain:
     def test_table_tracks_solver(self, main_policy):
         policy, law, link, tol = main_policy
         for z in (policy.threshold * 1.5, 2.0, 4.0):
-            direct = power_main(z, policy.beta, policy.lam, link, law, tol)
+            direct = main_power_at(z, link.gamma, policy.beta, policy.lam, law, tol)
             assert float(policy.state_power(z)) == pytest.approx(direct, rel=1e-4, abs=1e-6)
+
+    def test_table_meets_brute_force_near_cutoff(self):
+        # theta 0.1, 10 dB, gamma 1: the power rises from 0 to 8.6 between
+        # alpha and 1.5 alpha, with alpha = 3.3e-3
+        law = FadingLaw()
+        policy = build_policy_main(make_qos(0.1), LinkBudget(10.0, 1.0), law, law, TOL)
+        z = policy.threshold * np.array([1.02, 1.1, 1.5])
+        brute = [brute_power_main(zi, 1.0, policy.beta, policy.lam, law) for zi in z]
+        assert np.max(np.abs(policy.state_power(z) - brute)) < 1e-3
+
+    def test_table_meets_brute_force_at_high_snr(self):
+        # theta 0.1, 30 dB: the power at 1.5 alpha is about 860, beyond the
+        # default brute-force search range of [0, 50]
+        law = FadingLaw()
+        policy = build_policy_main(make_qos(0.1), LinkBudget(1000.0, 1.0), law, law, TOL)
+        z = 1.5 * policy.threshold
+        mu = float(policy.state_power(z))
+        brute = brute_power_main(z, 1.0, policy.beta, policy.lam, law, span=2.0 * mu)
+        assert mu > 50.0
+        assert abs(mu - brute) < 1e-3 * mu
+
+    @pytest.mark.parametrize("theta,snr_db,gamma,mean_e", [(1.0, 30.0, 0.3, 0.1),
+                                                           (1e-3, 30.0, 3.0, 10.0)])
+    def test_table_midpoints_meet_the_bound(self, theta, snr_db, gamma, mean_e):
+        # stress-box corners: alpha = 2.8e-7 and 2.0e-3
+        law_m, law_e = FadingLaw(), FadingLaw(mean_gain=mean_e)
+        link = LinkBudget(10.0 ** (snr_db / 10.0), gamma)
+        beta = make_qos(theta).beta
+        nu, alpha, _ = main_csi._calibrate_main(link, beta, law_m, law_e, TOL)
+        z, _ = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, TOL)
+        z_mid = 0.5 * (z[1:] + z[:-1])
+        exact = np.concatenate([
+            _region.main_power(zc, _region.TABLE_INNER_PANELS, beta, nu, gamma, law_e, TOL)[0]
+            for zc in np.array_split(z_mid, z_mid.size // 16)])
+        interp = main_policy_table(beta, nu, alpha, gamma, law_m, law_e, TOL)(z_mid)
+        assert np.all(np.abs(interp - exact) <= 1e-4 * np.maximum(1.0, exact))
+
+    def test_table_raises_when_rounds_run_out(self, main_policy, monkeypatch):
+        policy, law, link, tol = main_policy
+        monkeypatch.setattr(_region, "_TABLE_REL_TOL", 1e-15)
+        monkeypatch.setattr(_region, "_TABLE_ROUNDS", 2)
+        nu = policy.lam / policy.beta
+        with pytest.raises(NumericsError, match="main_policy_table") as err:
+            main_policy_table(policy.beta, nu, policy.threshold, link.gamma, law, law, tol)
+        z, mu = err.value.best
+        assert np.all(np.diff(z) > 0.0) and z.size == mu.size
 
     def test_mean_power_of_table(self, main_policy):
         policy, law, link, _ = main_policy

@@ -5,13 +5,35 @@ import pytest
 
 from secthru import BracketError, NumericsError, QuadratureError, Tolerances
 from secthru.full_csi import kkt_lhs_full
-from secthru.numerics import calibrate, find_root, integrate, integrate_density
+from secthru.numerics import _brent, calibrate, panel_nodes, refine_panels
 
 TOL = Tolerances()
 
 
+def find_root(f, lo, hi, tol, f_tol=0.0):
+    """_brent on [lo, hi], both ends evaluated here."""
+    return _brent(f, lo, float(f(lo)), hi, float(f(hi)), tol, f_tol)[0]
+
+
+def integrate(f, lo, hi, tol=TOL, floor=0.0, start_panels=8):
+    """refine_panels over panel_nodes on [lo, hi]: the quadrature every region
+    expectation runs, on a plain integrand.
+    """
+    def at(n):
+        z, w = panel_nodes(lo, hi, n)
+        return float(w @ f(z))
+
+    return refine_panels(at, tol, floor=floor, start_panels=start_panels)
+
+
+def integrate_density(g, law, tol=TOL, lo=0.0, hi=None, start_panels=8):
+    """integrate of g times the law's density, up to its tail cutoff by default."""
+    hi = law.tail_cutoff(tol.quad_trunc_mass) if hi is None else hi
+    return integrate(lambda z: g(z) * law.density(z), lo, hi, tol, start_panels=start_panels)
+
+
 class TestBisectRoot:
-    """find_root: Brent's method, safeguarded by bisection, on a sign-checked bracket."""
+    """_brent: Brent's method, safeguarded by bisection, on a sign-checked bracket."""
 
     def test_linear(self):
         assert find_root(lambda x: x - 1.0, 0.0, 2.0, TOL) == pytest.approx(1.0, abs=1e-11)
