@@ -148,13 +148,15 @@ def transmit_region_expectation(
     tol: Tolerances,
     floor: float,
     include_idle_mass: bool,
+    panels: Optional[int] = None,
 ) -> QuadResult:
     """Joint expectation of integrand(mu, z_m, z_e) over z_m > gamma*z_e + offset.
 
     power_fn supplies mu on the active region. With include_idle_mass the
     complement contributes 1 per unit probability (the value every throughput
     integrand takes at zero rate), so the result is a full expectation of a
-    function that equals 1 off the transmit region.
+    function that equals 1 off the transmit region. panels fixes the panel
+    count per axis (see _quadrature); by default both axes refine together.
 
     Both variables are substituted to resolve the threshold boundary layers:
     the power turns on over a distance ~offset above z_m = gamma*z_e + offset
@@ -190,11 +192,23 @@ def transmit_region_expectation(
             inner = inner + law_m.cdf(t)
         return float(we @ (inner * law_e.density(ze))) + idle_tail
 
-    return refine_panels(at, tol, floor=floor, max_panels=256)
+    return _quadrature(at, tol, floor, panels)
 
 
-def idle_marginal_gain(z_m: float, gamma: float, law_e: FadingLaw, tol: Tolerances) -> float:
-    """Integral of (z_m - gamma*t) over the eavesdropper law for t < z_m/gamma.
+def _quadrature(at: Callable[[int], float], tol: Tolerances, floor: float,
+                panels: Optional[int]) -> QuadResult:
+    """refine_panels on a region rule at(n) of n panels per axis, or, given
+    panels, at(panels) alone with no error estimate (error inf): the first
+    rung costs about a fifth of a refinement that stops at the second.
+    """
+    if panels is None:
+        return refine_panels(at, tol, floor=floor, max_panels=256)
+    return QuadResult(at(panels), math.inf, panels)
+
+
+def idle_marginal_gain(z_m, gamma: float, law_e: FadingLaw, tol: Tolerances):
+    """Integral of (z_m - gamma*t) over the eavesdropper law for t < z_m/gamma,
+    at a gain or an array of gains (0 where z_m <= 0).
 
     This is the zero-power marginal gain of the main-CSI problem divided by
     beta, for every beta >= 0; it is strictly increasing in z_m, which the
@@ -204,9 +218,7 @@ def idle_marginal_gain(z_m: float, gamma: float, law_e: FadingLaw, tol: Toleranc
     rule of main_region_expectation integrates, without truncation and
     without quadrature, so tol is not used.
     """
-    if not z_m > 0.0:
-        return 0.0
-    return gamma * float(law_e.integrated_cdf(z_m / gamma))
+    return gamma * law_e.integrated_cdf(np.asarray(z_m, dtype=float) / gamma)
 
 
 # the main-CSI simulation table: inner eavesdropper panels per node, nodes
@@ -216,6 +228,9 @@ TABLE_INNER_PANELS = 64
 _TABLE_START_POINTS = 513
 _TABLE_REL_TOL = 1e-4
 _TABLE_ROUNDS = 10
+# the largest relative miss of the fixed inner rule's zero-power gain against
+# idle_marginal_gain; inside the realistic range the rule meets it to ~1e-13
+_INNER_RULE_REL_TOL = 1e-8
 
 
 def main_power(zm, panels, beta, nu, gamma, law_e, tol):
@@ -238,6 +253,31 @@ def main_power(zm, panels, beta, nu, gamma, law_e, tol):
     return power_lanes(zm, coef, u * u, beta, nu, tol), ze, wpe, wu
 
 
+def fixed_rule_power(zm, beta, nu, gamma, law_e, tol, layer: str):
+    """main_power on the fixed TABLE_INNER_PANELS-panel inner rule, which the
+    simulation table and the release checks use, checked at every gain.
+
+    A fixed rule cannot resolve an eavesdropper law far narrower than
+    z_m/gamma: at eavesdropper mean 1e-9 and z_m = 2 its nodes miss nearly
+    all of the density and the power would silently come out 0. So the rule's
+    zero-power gain, ((z_m - gamma*z_e) * wpe) @ wu, is compared with the
+    closed form idle_marginal_gain, and a relative miss above 1e-8 at any
+    gain raises NumericsError naming layer, with the powers as best.
+    """
+    mu, ze, wpe, wu = main_power(zm, TABLE_INNER_PANELS, beta, nu, gamma, law_e, tol)
+    rule = ((zm[:, None] - gamma * ze) * wpe) @ wu
+    exact = idle_marginal_gain(zm, gamma, law_e, tol)
+    miss = np.abs(rule - exact) > _INNER_RULE_REL_TOL * exact
+    if miss.any():
+        k = int(np.argmax(miss))
+        raise NumericsError(
+            f"{layer}: the {TABLE_INNER_PANELS}-panel inner rule's zero-power gain at "
+            f"z_m = {zm[k]:g} is {rule[k]:.6g} against {exact[k]:.6g} in closed form "
+            f"({int(miss.sum())} of {zm.size} gains miss by more than "
+            f"{_INNER_RULE_REL_TOL:g} relative)", best=mu)
+    return mu
+
+
 def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
     """Nodes (z, mu) of the main-CSI power map whose linear interpolation is
     within 1e-4*max(1, mu) at every checked midpoint.
@@ -245,12 +285,13 @@ def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
     The power is 0 up to the cutoff alpha and turns on steeply just above it,
     so the 513 starting nodes are alpha and alpha plus offsets placed
     geometrically from 1e-6*alpha to the truncation point of the main-channel
-    law. Each round solves the power (main_power on TABLE_INNER_PANELS inner
-    panels) at the midpoint of every interval under check and keeps it as a
-    node; the halves of an interval whose interpolated midpoint missed the
-    bound are checked in the next round. After _TABLE_ROUNDS rounds with a
-    miss left, NumericsError carries the nodes so far. Requires
-    alpha < the truncation point.
+    law. Each round solves the power (fixed_rule_power, which raises
+    NumericsError where its inner rule cannot resolve the eavesdropper law)
+    at the midpoint of every interval under check and keeps it as a node;
+    the halves of an interval whose interpolated midpoint missed the bound
+    are checked in the next round. After _TABLE_ROUNDS rounds with a miss
+    left, NumericsError carries the nodes so far. Requires alpha < the
+    truncation point.
     """
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     anchor = max(alpha, zm_hi * 1e-14)
@@ -258,7 +299,8 @@ def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
     step = max(1, _BLOCK_TERMS // panel_nodes(0.0, 1.0, TABLE_INNER_PANELS)[0].size)
 
     def solve(z):
-        return np.concatenate([main_power(zc, TABLE_INNER_PANELS, beta, nu, gamma, law_e, tol)[0]
+        return np.concatenate([fixed_rule_power(zc, beta, nu, gamma, law_e, tol,
+                                                "main_policy_table")
                                for zc in np.split(z, range(step, z.size, step))])
 
     offsets = np.geomspace(1e-6 * anchor, zm_hi - alpha, _TABLE_START_POINTS - 1)
@@ -313,6 +355,7 @@ def main_region_expectation(
     alpha: float,
     floor: float,
     include_idle_mass: bool,
+    panels: Optional[int] = None,
 ) -> QuadResult:
     """Expectation over z_m > alpha with a per-z_m power solve and inner z_e integral.
 
@@ -322,7 +365,9 @@ def main_region_expectation(
     integrand(mu, z_m, z_e) is then integrated on the same inner rule;
     integrand=None integrates the power itself (no inner integral).
     include_idle_mass adds the probability mass where the service is zero
-    (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1.
+    (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1. panels
+    fixes the outer (and so the inner) panel count (see _quadrature); by
+    default both refine together.
 
     Both variables are substituted to keep the threshold layers resolved at
     any calibration: the power turns on over a distance ~alpha above the
@@ -349,4 +394,4 @@ def main_region_expectation(
                 vals = vals + (1.0 - law_e.cdf(zm / gamma))
         return float(wm @ (vals * law_m.density(zm))) + base
 
-    return refine_panels(at, tol, floor=floor, max_panels=256)
+    return _quadrature(at, tol, floor, panels)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _region, full_csi, main_csi, queuesim
-from .model import LN2
+from .model import LN2, PowerPolicy
 from .numerics import NumericsError
 
 
@@ -100,9 +100,11 @@ def closed_form_power_beta1(z_m, z_e, gamma, lam):
 
 
 def main_power_at(z_m, gamma, beta, lam, law_e, tol):
-    """The main-CSI power evaluator at one gain, on the simulation table's inner rule."""
-    return float(_region.main_power(np.array([z_m]), _region.TABLE_INNER_PANELS, beta,
-                                    lam / beta, gamma, law_e, tol)[0][0])
+    """The main-CSI power evaluator at one gain, on the simulation table's inner
+    rule (NumericsError where that rule cannot resolve law_e).
+    """
+    return float(_region.fixed_rule_power(np.array([z_m]), beta, lam / beta, gamma, law_e, tol,
+                                          "checks.main_power_at")[0])
 
 
 _MODES = ("full", "main")
@@ -273,17 +275,17 @@ def theta0_continuity(cfg):
     full-CSI C(0) over cfg.frames states (3 standard errors).
     """
     db0 = cfg.snr_db[0]
-    rate0 = {mode: cfg.solve(mode, 0.0, db0).throughput_bits_s_hz for mode in _MODES}
+    solved = {mode: cfg.solve(mode, 0.0, db0) for mode in _MODES}
+    rate0 = {mode: res.throughput_bits_s_hz for mode, res in solved.items()}
     drift = {mode: abs(cfg.solve(mode, 1e-6, db0).throughput_bits_s_hz - rate0[mode])
              for mode in _MODES}
 
     law_m, law_e = cfg.laws()
-    policy = full_csi.build_policy_full(cfg.qos(0.0), cfg.link(db0), law_m, law_e,
-                                        cfg.tolerances())
     rng = np.random.default_rng(cfg.seed + 55)
     z_m = law_m.sample(rng, cfg.frames)
     z_e = law_e.sample(rng, cfg.frames)
-    mu = policy.state_power(z_m, z_e)
+    # the policy of the solved row: its multiplier, not a second calibration
+    mu = full_csi.power_grid(z_m, z_e, cfg.gamma, 0.0, solved["full"].lam, cfg.tolerances())
     rate = (np.log1p(mu * z_m) - np.log1p(cfg.gamma * mu * z_e)) / LN2
     se = rate.std() / math.sqrt(cfg.frames)
     mc_gap = abs(rate0["full"] - rate.mean())
@@ -332,8 +334,11 @@ def queue_decay(cfg):
     tol = cfg.tolerances()
     link = cfg.link(cfg.snr_db[0])
     qos = cfg.qos(0.01)
-    policy = full_csi.build_policy_full(qos, link, law_m, law_e, tol)
     res = cfg.solve("full", 0.01, cfg.snr_db[0])
+    # the policy of the solved row: its multiplier, not a second calibration
+    policy = PowerPolicy(csi_mode="full", lam=res.lam, beta=qos.beta, threshold=res.lam / qos.beta,
+                         state_power=lambda z_m, z_e: full_csi.power_grid(
+                             z_m, z_e, cfg.gamma, qos.beta, res.lam, tol))
     arrival = res.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
     estimates = [
         queuesim.estimate_decay(queuesim.simulate_queue(

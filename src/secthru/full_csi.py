@@ -30,7 +30,7 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, Tolerances, calibrate
+from .numerics import DEFAULT_TOL, FIRST_RUNG, Tolerances, calibrate
 
 
 def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
@@ -70,15 +70,17 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
 
 def mean_power_full(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
-                    tol: Tolerances = DEFAULT_TOL) -> float:
-    """Expected transmit SNR of the policy with normalized multiplier nu."""
+                    tol: Tolerances = DEFAULT_TOL, panels: int | None = None) -> float:
+    """Expected transmit SNR of the policy with normalized multiplier nu,
+    refined to tol, or on a fixed number of panels per axis.
+    """
     if not (nu > 0 and beta >= 0):
         raise ValidationError("nu must be positive and beta nonnegative")
-    expectation = _policy_expectation(nu, beta, link, law_m, law_e, tol)
+    expectation = _policy_expectation(nu, beta, link, law_m, law_e, tol, panels)
     return expectation(lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), False).value
 
 
-def _policy_expectation(nu, beta, link, law_m, law_e, tol):
+def _policy_expectation(nu, beta, link, law_m, law_e, tol, panels=None):
     """expectation(integrand, floor, include_idle_mass) under the policy with
     multiplier nu, over its transmit region z_m > gamma*z_e + nu.
     """
@@ -93,6 +95,7 @@ def _policy_expectation(nu, beta, link, law_m, law_e, tol):
         tol=tol,
         floor=floor,
         include_idle_mass=idle,
+        panels=panels,
     )
 
 
@@ -107,13 +110,18 @@ def calibrate_lambda_full(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
 
 
 def _calibrate_full(link, beta, law_m, law_e, tol):
-    """(nu, residual); nu = math.inf for a zero budget."""
+    """(nu, residual); nu = math.inf for a zero budget.
+
+    The mean power on the quadrature's first rung is the coarse evaluator of
+    numerics.calibrate, and the refined mean power polishes its root.
+    """
     if not beta >= 0:
         raise ValidationError("beta must be nonnegative")
     # at nu = zm_hi the threshold is beyond the truncated support: zero power
     u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
     return calibrate(lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t),
-                     link.avg_snr, u_hi, tol)
+                     link.avg_snr, u_hi, tol,
+                     lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t, FIRST_RUNG))
 
 
 def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

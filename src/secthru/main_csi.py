@@ -38,7 +38,7 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, NumericsError, Tolerances, _brent, calibrate
+from .numerics import DEFAULT_TOL, FIRST_RUNG, NumericsError, Tolerances, _brent, calibrate
 
 
 def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
@@ -75,14 +75,16 @@ def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
 
 def mean_power_main(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
-                    tol: Tolerances = DEFAULT_TOL) -> float:
-    """Expected transmit SNR of the main-CSI policy with normalized multiplier nu."""
+                    tol: Tolerances = DEFAULT_TOL, panels: int | None = None) -> float:
+    """Expected transmit SNR of the main-CSI policy with normalized multiplier
+    nu, refined to tol, or on a fixed number of outer and inner panels.
+    """
     alpha = alpha_threshold(nu, link, law_e, tol, law_m=law_m)
-    expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol)
+    expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels)
     return expectation(None, max(link.avg_snr, 1e-6), False).value
 
 
-def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol):
+def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels=None):
     """expectation(integrand, floor, include_idle_mass) under the policy with
     multiplier nu and cutoff alpha (integrand None: the power itself).
     """
@@ -97,6 +99,7 @@ def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol):
         alpha=alpha,
         floor=floor,
         include_idle_mass=idle,
+        panels=panels,
     )
 
 
@@ -109,23 +112,19 @@ def calibrate_lambda_main(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
 def _calibrate_main(link, beta, law_m, law_e, tol):
     """(nu, cutoff alpha, residual); nu = alpha = math.inf for a zero budget.
 
-    Each mean-power evaluation records the cutoff it solved, and the one at
-    the accepted nu is returned: the cutoff is not solved again. It does not
-    depend on the relaxed quad_rel_tol the calibration evaluates with, since
-    the zero-power gain is in closed form (idle_marginal_gain).
+    The mean power on the quadrature's first rung is the coarse evaluator of
+    numerics.calibrate, and the refined mean power polishes its root. The
+    cutoff at the accepted nu is solved once more: its gain is in closed
+    form (idle_marginal_gain), so that costs no quadrature.
     """
     if not beta >= 0:
         raise ValidationError("beta must be nonnegative")
-    cutoffs = {}
-
-    def mean_power(nu, t):
-        cutoffs[nu] = alpha = alpha_threshold(nu, link, law_e, t, law_m=law_m)
-        expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, t)
-        return expectation(None, max(link.avg_snr, 1e-6), False).value
-
     u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    nu, residual = calibrate(mean_power, link.avg_snr, u_hi, tol)
-    return nu, cutoffs.get(nu, math.inf), residual
+    nu, residual = calibrate(lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t),
+                             link.avg_snr, u_hi, tol,
+                             lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t,
+                                                           FIRST_RUNG))
+    return nu, alpha_threshold(nu, link, law_e, tol, law_m=law_m), residual
 
 
 def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

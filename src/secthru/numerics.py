@@ -70,6 +70,8 @@ DEFAULT_TOL = Tolerances()
 
 _GL_ORDER = 16
 _MAX_PANELS = 4096
+# refine_panels' first rung; the solvers evaluate calibrate's coarse mean power there
+FIRST_RUNG = 8
 
 
 class QuadResult(NamedTuple):
@@ -99,7 +101,7 @@ def refine_panels(
     value_at: Callable[[int], float],
     tol: Tolerances = DEFAULT_TOL,
     floor: float = 0.0,
-    start_panels: int = 8,
+    start_panels: int = FIRST_RUNG,
     max_panels: int = _MAX_PANELS,
 ) -> QuadResult:
     """Double the panel count until two successive values agree.
@@ -194,8 +196,53 @@ def _brent(f, x_pre, f_pre, x_cur, f_cur, tol, f_tol):
 # |ln(P/B)| <= f_tol bounds |P/B - 1| by expm1(f_tol); the shrink keeps that
 # within power_rel_tol through the roundings of the log and the ratio
 _CALIBRATION_SHRINK = 1.0 - 1e-6
+# the coarse stage's share of f_tol: its root then sits well inside the
+# refined stage's acceptance band, so one refined evaluation usually accepts it
+_COARSE_F_TOL_SHARE = 0.125
 # the walk stops before exp(u) underflows
 _U_MIN = math.log(1e-300)
+
+
+def _walk(log_ratio, u, u_hi, f_tol, slope, overshoot, min_step):
+    """Bracket walk on a decreasing h = log_ratio(u) from u, toward its root.
+
+    Returns the probes (above, below), (u, h) with h > 0 at above and a
+    finite h < 0 at below, or one probe with |h| <= f_tol as both. Each step
+    goes to the root of the secant through the last two probes once both lie
+    on the same side, else to the root of the line of the given slope through
+    the last probe; it is lengthened by the factor overshoot and clamped to
+    [min_step, 16]. It never steps up past the midpoint to u_hi,
+    and a probe with h = -inf (zero mean power) is only ever a bracket end:
+    the walk bisects toward the other end until both ends have finite h.
+    Raises NumericsError when it finds no bracket.
+    """
+    above = below = last = None
+    for _ in range(60):
+        h = log_ratio(u)
+        probe = (u, h)
+        if abs(h) <= f_tol:
+            return probe, probe
+        if h > 0.0:
+            above = probe
+        else:
+            below = probe
+        if above is not None and below is not None:
+            if below[1] > -math.inf:
+                return above, below
+            u = 0.5 * (above[0] + below[0])
+        elif h == -math.inf:
+            u -= 4.0
+        else:
+            same_side = (last is not None and math.isfinite(last[1])
+                         and (last[1] > 0.0) == (h > 0.0) and last[1] != h)
+            step = h * (u - last[0]) / (last[1] - h) if same_side else -h / slope
+            u += math.copysign(min(max(overshoot * abs(step), min_step), 16.0), step)
+            if h > 0.0:
+                u = min(u, 0.5 * (probe[0] + u_hi))
+            elif u < _U_MIN:
+                break
+        last = probe
+    raise NumericsError("could not bracket the power calibration")
 
 
 def calibrate(
@@ -203,77 +250,75 @@ def calibrate(
     budget: float,
     u_hi: float,
     tol: Tolerances = DEFAULT_TOL,
+    coarse_power: Optional[Callable[[float, Tolerances], float]] = None,
 ):
     """Multiplier lam at which a decreasing mean power spends the budget.
 
     mean_power(lam, tol) must fall strictly in lam and lie below the budget
     at lam = exp(u_hi). The root is found in u = ln(lam) on
     h(u) = ln(mean_power/budget), which is close to linear: its slope runs
-    from about -1/(beta+1) at high SNR to below -1 at low SNR.
+    from about -1/(beta+1) at high SNR to below -1 at low SNR. A stage is one
+    bracket walk (_walk) and, unless the walk lands within f_tol, Brent
+    (_brent) on the bracket, to f_tol = log1p(power_rel_tol) shrunk slightly
+    so that |mean_power - budget| <= power_rel_tol * budget at the returned
+    lam.
 
-    The bracket walk starts at u_hi - 4 and moves toward the root, by the
-    root of the secant through its last two probes once both lie on the
-    same side, else by h at a unit slope; each step is lengthened by a
-    quarter to overshoot the root and clamped to [0.5, 16]. It never steps
-    up past the midpoint to u_hi, and a probe with zero mean power, where h
-    has no finite value, is only ever a bracket end: the walk bisects toward
-    the other end until both ends have finite h. Brent (_brent) then
-    finishes on h to f_tol = log1p(power_rel_tol), shrunk slightly so that
-    |mean_power - budget| <= power_rel_tol * budget at the returned lam.
+    With one evaluator there is one stage. Its walk starts at u_hi - 4 with
+    unit slope, and lengthens each step by a quarter, to at least 0.5, so
+    that it crosses the root. coarse_power(lam, tol) is a cheap
+    approximation of mean_power, such as the mean power on the first rung of
+    its quadrature: a first stage solves it the same way to f_tol/8. The
+    stage on mean_power then starts at that root and accepts its first probe
+    when that lies within f_tol. Otherwise its walk aims at the root: it
+    steps along the secant of the coarse bracket, neither lengthened nor
+    clamped from below. If the coarse stage raises NumericsError, the stage
+    on mean_power starts as it does with one evaluator.
 
-    No u is evaluated twice, and the residual |mean_power - budget| is the
-    one already evaluated at the returned lam. The mean power only needs to
-    sit ~50x below that target, so it is evaluated with quad_rel_tol relaxed
-    to 0.02 * power_rel_tol. On the benchmark and acceptance configurations
-    a calibration takes 4-6 evaluations. Returns (lam, residual), or
-    (math.inf, 0.0) for a zero budget; raises NumericsError on a NaN mean
-    power, when the walk finds no bracket, or when the residual misses its
-    target.
+    No u is evaluated twice by one evaluator, and the residual
+    |mean_power - budget| is the one already evaluated at the returned lam.
+    The mean power only needs to sit ~50x below that target, so both
+    evaluators are called with quad_rel_tol relaxed to 0.02 * power_rel_tol.
+    On the benchmark and acceptance configurations one evaluator takes 4-6
+    evaluations per calibration; with a first-rung coarse_power the coarse
+    stage takes 5-7 and mean_power is evaluated once. Where the first rung
+    misses the refined mean power by more than f_tol, as on some rows of
+    the realistic range, it is evaluated 2-3 times. Returns
+    (lam, residual), or (math.inf, 0.0) for a zero budget; raises
+    NumericsError on a NaN mean power, when the walk finds no bracket, or
+    when the residual misses its target.
     """
     if budget == 0.0:
         return math.inf, 0.0
     target = tol.power_rel_tol * budget
     tol_cal = replace(tol, quad_rel_tol=max(tol.quad_rel_tol, 0.02 * tol.power_rel_tol))
-    spent = {}
+    f_tol = _CALIBRATION_SHRINK * math.log1p(tol.power_rel_tol)
 
-    def log_ratio(u: float) -> float:
-        power = float(mean_power(math.exp(u), tol_cal))
-        if math.isnan(power):
-            raise NumericsError(f"NaN mean power at lam = {math.exp(u):g}")
-        spent[u] = power
-        return math.log(power / budget) if power > 0.0 else -math.inf
+    def solve(power, u, slope, overshoot, min_step, stage_tol):
+        """One stage: (root, spent power by u, slope of the walk's bracket)."""
+        spent = {}
 
-    above = below = last = None  # probes (u, h): nearest with h > 0, with h < 0, the last
-    u = u_hi - 4.0
-    for _ in range(60):
-        h = log_ratio(u)
-        if h == 0.0:
-            return math.exp(u), abs(spent[u] - budget)
-        probe = (u, h)
-        if h > 0.0:
-            above = probe
-        else:
-            below = probe
-        if above is not None and below is not None:
-            if below[1] > -math.inf:
-                break
-            u = 0.5 * (above[0] + below[0])
-        elif h == -math.inf:
-            u -= 4.0
-        else:
-            same_side = (last is not None and math.isfinite(last[1])
-                         and (last[1] > 0.0) == (h > 0.0) and last[1] != h)
-            step = h * (u - last[0]) / (last[1] - h) if same_side else h
-            u += math.copysign(min(max(1.25 * abs(step), 0.5), 16.0), step)
-            if h > 0.0:
-                u = min(u, 0.5 * (probe[0] + u_hi))
-            elif u < _U_MIN:
-                break
-        last = probe
-    if above is None or below is None or below[1] == -math.inf:
-        raise NumericsError("could not bracket the power calibration")
-    u, _ = _brent(log_ratio, above[0], above[1], below[0], below[1], tol,
-                  _CALIBRATION_SHRINK * math.log1p(tol.power_rel_tol))
+        def log_ratio(u: float) -> float:
+            value = float(power(math.exp(u), tol_cal))
+            if math.isnan(value):
+                raise NumericsError(f"NaN mean power at lam = {math.exp(u):g}")
+            spent[u] = value
+            return math.log(value / budget) if value > 0.0 else -math.inf
+
+        above, below = _walk(log_ratio, u, u_hi, stage_tol, slope, overshoot, min_step)
+        if above is below:
+            return above[0], spent, slope
+        u, _ = _brent(log_ratio, *above, *below, tol, stage_tol)
+        return u, spent, (above[1] - below[1]) / (above[0] - below[0])
+
+    start, slope, overshoot, min_step = u_hi - 4.0, -1.0, 1.25, 0.5
+    if coarse_power is not None:
+        try:
+            start, _, slope = solve(coarse_power, start, slope, overshoot, min_step,
+                                    _COARSE_F_TOL_SHARE * f_tol)
+            overshoot, min_step = 1.0, 0.0
+        except NumericsError:
+            pass
+    u, spent, _ = solve(mean_power, start, slope, overshoot, min_step, f_tol)
     residual = abs(spent[u] - budget)
     if residual > target:
         raise NumericsError(f"calibration residual {residual:.3e} above target {target:.3e}",

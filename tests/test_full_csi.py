@@ -19,7 +19,7 @@ from secthru.full_csi import (
     power_grid,
 )
 from secthru._region import transmit_region_expectation
-from secthru.numerics import calibrate
+from secthru.numerics import FIRST_RUNG, calibrate
 from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term
 
 TOL = Tolerances()
@@ -27,17 +27,22 @@ TOL = Tolerances()
 
 def closed_form_mean_rate(link, law, tol):
     """Mean secrecy rate (bits/s/Hz) of the theta = 0 policy assembled directly:
-    the closed-form power calibrated on its nats multiplier, then E{log2 r}.
+    the closed-form power calibrated on its nats multiplier, coarse stage on
+    the first quadrature rung, then E{log2 r}.
     """
-    def expect(lam, integrand, floor, t):
+    def expect(lam, integrand, floor, t, panels=None):
         return transmit_region_expectation(
             power_fn=lambda zm, ze: ergodic_power_full(zm, ze, link.gamma, lam),
             integrand=integrand, offset=lam, gamma=link.gamma, law_m=law, law_e=law,
-            tol=t, floor=floor, include_idle_mass=False)
+            tol=t, floor=floor, include_idle_mass=False, panels=panels)
 
-    lam, _ = calibrate(lambda lam, t: expect(lam, lambda mu, zm, ze: mu,
-                                             max(link.avg_snr, 1e-6), t).value,
-                       link.avg_snr, math.log(law.tail_cutoff(tol.quad_trunc_mass)), tol)
+    def mean_power(panels):
+        return lambda lam, t: expect(lam, lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), t,
+                                     panels).value
+
+    lam, _ = calibrate(mean_power(None), link.avg_snr,
+                       math.log(law.tail_cutoff(tol.quad_trunc_mass)), tol,
+                       mean_power(FIRST_RUNG))
     rate = expect(lam, lambda mu, zm, ze: (np.log1p(mu * zm) - np.log1p(link.gamma * mu * ze))
                   / math.log(2.0), 0.01, tol)
     return max(0.0, rate.value)

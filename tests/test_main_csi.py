@@ -78,6 +78,17 @@ class TestPowerMain:
         full = float(power_grid([z_m], [0.0], 1.0, 1.0, lam, TOL)[0])
         assert mu == pytest.approx(full, rel=1e-5)
 
+    def test_fixed_rule_raises_on_a_narrow_eavesdropper_law(self, law, link):
+        # at eavesdropper mean 1e-9 the 64-panel rule's zero-power gain at
+        # z_m = 2 is 1.6e-4 against 2.0 in closed form, and its power would
+        # be 0; near the cutoff z_m = 0.3 it reads 0.40 against 0.30
+        law_e = FadingLaw(mean_gain=1e-9)
+        with pytest.raises(NumericsError, match="checks.main_power_at"):
+            main_power_at(2.0, 1.0, 1.0, 0.3, law_e, TOL)
+        alpha = alpha_threshold(0.3, link, law_e, TOL, law_m=law)
+        with pytest.raises(NumericsError, match="main_policy_table"):
+            main_policy_table(1.0, 0.3, alpha, 1.0, law, law_e, TOL)
+
     def test_brute_force_spec_point(self, law):
         mu = main_power_at(2.0, 1.0, 1.0, 0.3, law, TOL)
         oracle = brute_power_main(2.0, 1.0, 1.0, 0.3, law)

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,14 +103,16 @@ class TestCalibrate:
     U_HI = math.log(-math.log(1e-12))
 
     @staticmethod
-    def _calibrate_counted(power, budget, u_hi):
+    def _calibrate_counted(power, budget, u_hi, coarse=None):
+        """lam and the multipliers mean_power saw; coarse(lam) is the coarse evaluator."""
         seen = []
 
         def mean_power(lam, tol):
             seen.append(lam)
             return power(lam)
 
-        lam, residual = calibrate(mean_power, budget, u_hi, TOL)
+        lam, residual = calibrate(mean_power, budget, u_hi, TOL,
+                                  None if coarse is None else lambda lam, tol: coarse(lam))
         assert residual <= TOL.power_rel_tol * budget
         assert residual == abs(power(lam) - budget)
         assert len(set(seen)) == len(seen)
@@ -139,6 +143,54 @@ class TestCalibrate:
         lam, _ = self._calibrate_counted(lambda lam: max(0.0, 1.0 - 20.0 * lam), budget, 0.0)
         assert lam == pytest.approx((1.0 - budget) / 20.0, rel=2 * TOL.power_rel_tol)
         assert lam > math.exp(-4.0)
+
+    # the shapes of the tests above: (mean power, budget, ln of the root)
+    SHAPES = [
+        (lambda lam: 2.5 / lam, 10.0, math.log(0.25)),
+        (lambda lam: math.exp(-27.6 / 30.0) * lam ** (-1.0 / 30.0), 1.0, -27.6),
+        (lambda lam: math.exp(-lam) / lam ** 2, 100.0, None),
+        (lambda lam: math.exp(-lam) / lam ** 2, 0.01, None),
+    ]
+
+    @pytest.mark.parametrize("eps", [-1e-6, 1e-9, 1e-7, 1e-6, 5e-6])
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_close_coarse_power_costs_at_most_two_evaluations(self, shape, eps):
+        # a coarse evaluator within eps of the mean power, as the first
+        # quadrature rung is (2e-7 on the benchmark configurations)
+        power, budget, _ = self.SHAPES[shape]
+        _, seen = self._calibrate_counted(power, budget, self.U_HI,
+                                          coarse=lambda lam: power(lam) * (1.0 + eps))
+        assert len(seen) <= 2
+
+    @pytest.mark.parametrize("kind", ["nan", "raises", "10x", "0.1x"])
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_bad_coarse_power_still_converges(self, shape, kind):
+        # a NaN or a NumericsError ends the coarse stage and the refined one
+        # starts cold; a coarse root off by a factor 10 in power is walked away from
+        power, budget, u_root = self.SHAPES[shape]
+
+        def raises(lam):
+            raise QuadratureError("not converged")
+
+        coarse = {"nan": lambda lam: math.nan, "raises": raises,
+                  "10x": lambda lam: 10.0 * power(lam), "0.1x": lambda lam: 0.1 * power(lam)}
+        lam, seen = self._calibrate_counted(power, budget, self.U_HI, coarse=coarse[kind])
+        if u_root is not None:
+            assert math.log(lam) == pytest.approx(u_root, abs=30.0 * TOL.power_rel_tol)
+        assert len(seen) <= 7  # no more than a cold start takes
+
+    def test_every_bench_calibration_takes_at_most_two_refined_evaluations(self):
+        # the 12 calibrations of the sweep benchmark workloads, counted by the
+        # tool that writes BENCH_calibration.json
+        path = Path(__file__).resolve().parents[1] / "tools" / "calibration_counts.py"
+        spec = importlib.util.spec_from_file_location("calibration_counts", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert len(tool.BENCH) == 12
+        for config in tool.BENCH:
+            row = tool.count_calibration(*config)
+            assert row["refined_evals"] <= 2, config
+            assert row["residual_rel"] <= TOL.power_rel_tol
 
     def test_nan_in_the_walk(self):
         with pytest.raises(NumericsError, match="NaN"):

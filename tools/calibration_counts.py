@@ -2,8 +2,10 @@
 
 Each calibration runs numerics.calibrate around full_csi.mean_power_full or
 main_csi.mean_power_main, exactly as the solvers set it up (budget avg_snr,
-upper end ln of the main-channel tail cutoff), with a wrapper that counts the
-mean-power evaluations. Two sets of calibrations are counted:
+upper end ln of the main-channel tail cutoff, and the mean power on the
+quadrature's first rung, numerics.FIRST_RUNG, as the coarse evaluator), with
+wrappers that count the coarse and the refined mean-power evaluations
+separately; "evals" counts both. Two sets of calibrations are counted:
 
 - bench: the 12 calibrations of the sweep-full and sweep-main benchmark
   workloads (their sweep rows and policy surfaces);
@@ -13,8 +15,8 @@ mean-power evaluations. Two sets of calibrations are counted:
 It also counts the quadratures that main_csi.alpha_threshold makes through
 _region.idle_marginal_gain over the bench calibrations, read from a cProfile
 of that run (nothing is patched). Counts depend only on the code and the
-default Tolerances, not on the machine; each row also lists its probes as
-[ln(nu), mean power].
+default Tolerances, not on the machine; each row also lists its refined
+probes as [ln(nu), mean power] (the coarse ones under "coarse_probes").
 
 Run from the root of a checkout:
 
@@ -58,27 +60,37 @@ def count_calibration(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
     beta = make_qos(theta).beta
     link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
     law = FadingLaw()
-    probes = []
+    probes = {None: [], numerics.FIRST_RUNG: []}
 
-    def mean_power(nu, t):
-        value = MEAN_POWER[mode](nu, beta, link, law, law, t)
-        probes.append((math.log(nu), value))
-        return value
+    def counted(panels):
+        def mean_power(nu, t):
+            value = MEAN_POWER[mode](nu, beta, link, law, law, t, panels)
+            probes[panels].append((math.log(nu), value))
+            return value
+        return mean_power
 
     u_hi = math.log(law.tail_cutoff(tol.quad_trunc_mass))
-    nu, residual = numerics.calibrate(mean_power, link.avg_snr, u_hi, tol)
+    nu, residual = numerics.calibrate(counted(None), link.avg_snr, u_hi, tol,
+                                      counted(numerics.FIRST_RUNG))
+    refined, coarse = probes[None], probes[numerics.FIRST_RUNG]
     return {
-        "evals": len(probes),
+        "evals": len(coarse) + len(refined),
+        "coarse_evals": len(coarse),
+        "refined_evals": len(refined),
         "nu": nu,
         "residual_rel": residual / link.avg_snr,
-        "probes": [[round(u, 4), p] for u, p in probes],
+        "probes": [[round(u, 4), p] for u, p in refined],
+        "coarse_probes": [[round(u, 4), p] for u, p in coarse],
     }
 
 
 def count_set(configs):
     rows = {key(*c): count_calibration(*c) for c in configs}
-    evals = [r["evals"] for r in rows.values()]
-    return {"total_evals": sum(evals), "max_evals": max(evals), "rows": rows}
+    out = {}
+    for name in ("evals", "coarse_evals", "refined_evals"):
+        counts = [r[name] for r in rows.values()]
+        out[f"total_{name}"], out[f"max_{name}"] = sum(counts), max(counts)
+    return {**out, "rows": rows}
 
 
 def idle_gain_quadratures(profile):
@@ -112,8 +124,10 @@ def main(argv=None):
     data[args.label] = record
     out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     for name in ("bench", "acceptance"):
-        print(f"{args.label} {name}: {record[name]['total_evals']} evaluations, "
-              f"at most {record[name]['max_evals']} per calibration")
+        counts = record[name]
+        print(f"{args.label} {name}: {counts['total_coarse_evals']} coarse and "
+              f"{counts['total_refined_evals']} refined evaluations, at most "
+              f"{counts['max_coarse_evals']} and {counts['max_refined_evals']} per calibration")
     print(f"{args.label} idle_marginal_gain quadratures: "
           f"{record['idle_marginal_gain_quadratures']}")
 
