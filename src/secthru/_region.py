@@ -85,9 +85,10 @@ def power_lanes(z_m, coef, ratio, beta: float, nu: float, tol: Tolerances) -> np
 def _log_gain(p, c, s, beta, nu):
     """ln(G/nu) + min(2, beta+1)*x and its x-derivative at p = mu*z_m = e^x - 1.
 
-    Per term, for beta >= 1, ((1+q)/(1+p))^(beta-1) with q = s*p is written
-    through (1+p)/(1+q) = 1 + (1-s)*p/(1+q), which keeps near-threshold lanes
-    (s -> 1) and large beta free of cancellation.
+    A 2-D c holds each lane's terms; a 1-D c is one term per lane, passed
+    already as ln(c/nu). Per term, for beta >= 1, ((1+q)/(1+p))^(beta-1) with
+    q = s*p is written through (1+p)/(1+q) = 1 + (1-s)*p/(1+q), which keeps
+    near-threshold lanes (s -> 1) and large beta free of cancellation.
     """
     if c.ndim == 2:
         p = p[:, None]
@@ -98,7 +99,7 @@ def _log_gain(p, c, s, beta, nu):
     else:
         e, k = (beta - 1.0) * np.log1p(q), (beta - 1.0) * s * (1.0 + p) / (1.0 + q)
     if c.ndim == 1:
-        return np.log(c / nu) + e, k
+        return c + e, k
     w = c * np.exp(e)
     total = w.sum(axis=1)
     return np.log(total / nu), (w * k).sum(axis=1) / total
@@ -108,9 +109,13 @@ def _newton_block(out, mu, z, c, s, beta, nu, tol):
     """Solve one block of power_lanes into mu, a view of out."""
     b = min(2.0, beta + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # lanes with no gain drop out below
+        if c.ndim == 1:
+            c = np.log(c / nu)
         big_l, k = _log_gain(np.zeros(z.size), c, s, beta, nu)
     mu[:] = 0.0
     lane = np.flatnonzero(big_l > 0.0)
+    if lane.size == 0:
+        return
     z, c, s, big_l, k = (v[lane] for v in (z, c, s, big_l, k))
     lo, hi = big_l / max(2.0, beta + 1.0), big_l / b
     x = np.clip(big_l / (b - k), lo, hi)
@@ -128,14 +133,44 @@ def _newton_block(out, mu, z, c, s, beta, nu, tol):
         p_new = np.expm1(x_new)
         mu_new = p_new / z
         done = np.abs(mu_new - p / z) <= tol.root_tol * np.maximum(1.0, mu_new)
-        mu[lane[done]] = mu_new[done]
-        keep = ~done
-        lane, z, c, s, lo, hi, x, p = (v[keep] for v in (lane, z, c, s, lo, hi, x_new, p_new))
-        if lane.size == 0:
-            return
+        x, p = x_new, p_new
+        if done.any():  # lanes mostly finish together: compact only when some did
+            mu[lane[done]] = mu_new[done]
+            keep = ~done
+            lane, z, c, s, lo, hi, x, p = (v[keep] for v in (lane, z, c, s, lo, hi, x, p))
+            if lane.size == 0:
+                return
     mu[lane] = p / z
     raise NumericsError(f"power_lanes: {lane.size} lanes not converged after "
                         f"{tol.max_iter} steps", best=out)
+
+
+class NodePowers:
+    """The node powers one solve has computed, by panel count, at one multiplier.
+
+    A region expectation under the policy with multiplier nu solves the same
+    powers at the same nodes on every rung, whatever its integrand, and the
+    power does not depend on quad_rel_tol. So within one solve (one beta,
+    link, pair of laws, root_tol and max_iter) the calibration's last
+    evaluations and the throughput readout at the same nu share their rungs.
+    Only the latest multiplier's grids are kept: a new nu drops the others.
+    """
+
+    def __init__(self):
+        self.nu = None
+        self.grids = {}
+
+    def get(self, nu: float, panels: int, solve: Callable[[], object]):
+        """The stored solve() of this rung at nu, solved and stored on a miss."""
+        if nu != self.nu:
+            self.nu, self.grids = nu, {}
+        if panels not in self.grids:
+            self.grids[panels] = solve()
+        return self.grids[panels]
+
+
+def _node_powers(nodes: Optional[NodePowers], nu: float, panels: int, solve):
+    return solve() if nodes is None else nodes.get(nu, panels, solve)
 
 
 def transmit_region_expectation(
@@ -149,6 +184,7 @@ def transmit_region_expectation(
     floor: float,
     include_idle_mass: bool,
     panels: Optional[int] = None,
+    nodes: Optional[NodePowers] = None,
 ) -> QuadResult:
     """Joint expectation of integrand(mu, z_m, z_e) over z_m > gamma*z_e + offset.
 
@@ -157,6 +193,9 @@ def transmit_region_expectation(
     integrand takes at zero rate), so the result is a full expectation of a
     function that equals 1 off the transmit region. panels fixes the panel
     count per axis (see _quadrature); by default both axes refine together.
+    Given nodes, each rung's powers come from that store under the multiplier
+    offset, and are solved only on a miss; power_fn must then be the policy
+    of the store's solve.
 
     Both variables are substituted to resolve the threshold boundary layers:
     the power turns on over a distance ~offset above z_m = gamma*z_e + offset
@@ -184,7 +223,7 @@ def transmit_region_expectation(
         v = 1.0 + (v_max[:, None] - 1.0) * u[None, :]
         zm = (gamma * ze)[:, None] + offset * v * v
         zeg = np.broadcast_to(ze[:, None], zm.shape)
-        mu = power_fn(zm, zeg)
+        mu = _node_powers(nodes, offset, n, lambda: power_fn(zm, zeg))
         vals = integrand(mu, zm, zeg) * law_m.density(zm)
         jac = 2.0 * offset * v * (v_max[:, None] - 1.0)
         inner = (vals * jac) @ wu
@@ -356,6 +395,7 @@ def main_region_expectation(
     floor: float,
     include_idle_mass: bool,
     panels: Optional[int] = None,
+    nodes: Optional[NodePowers] = None,
 ) -> QuadResult:
     """Expectation over z_m > alpha with a per-z_m power solve and inner z_e integral.
 
@@ -367,7 +407,9 @@ def main_region_expectation(
     include_idle_mass adds the probability mass where the service is zero
     (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1. panels
     fixes the outer (and so the inner) panel count (see _quadrature); by
-    default both refine together.
+    default both refine together. Given nodes, each rung's main_power result
+    (powers and inner rule) comes from that store under nu, and is solved
+    only on a miss.
 
     Both variables are substituted to keep the threshold layers resolved at
     any calibration: the power turns on over a distance ~alpha above the
@@ -385,7 +427,8 @@ def main_region_expectation(
         w, wm = panel_nodes(1.0, w_max, n)
         zm = anchor * w * w
         wm = wm * 2.0 * anchor * w  # z_m jacobian folded into the weights
-        mu, ze, wpe, wu = main_power(zm, n, beta, nu, gamma, law_e, tol)
+        mu, ze, wpe, wu = _node_powers(
+            nodes, nu, n, lambda: main_power(zm, n, beta, nu, gamma, law_e, tol))
         if integrand is None:
             vals = mu
         else:

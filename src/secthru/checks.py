@@ -334,7 +334,9 @@ def queue_decay(cfg):
     tol = cfg.tolerances()
     link = cfg.link(cfg.snr_db[0])
     qos = cfg.qos(0.01)
-    res = cfg.solve("full", 0.01, cfg.snr_db[0])
+    row = ("full", 0.01, cfg.snr_db[0])
+    # the row of the shared grid when it holds one, solved once per config
+    res = _throughput_grid(cfg)[row] if 0.01 in cfg.theta else cfg.solve(*row)
     # the policy of the solved row: its multiplier, not a second calibration
     policy = PowerPolicy(csi_mode="full", lam=res.lam, beta=qos.beta, threshold=res.lam / qos.beta,
                          state_power=lambda z_m, z_e: full_csi.power_grid(

@@ -20,7 +20,13 @@ import math
 
 import numpy as np
 
-from ._region import power_lanes, reported_lam, throughput_readout, transmit_region_expectation
+from ._region import (
+    NodePowers,
+    power_lanes,
+    reported_lam,
+    throughput_readout,
+    transmit_region_expectation,
+)
 from .ergodic import ergodic_power_full
 from .model import (
     FadingLaw,
@@ -70,19 +76,23 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
 
 def mean_power_full(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
-                    tol: Tolerances = DEFAULT_TOL, panels: int | None = None) -> float:
+                    tol: Tolerances = DEFAULT_TOL, panels: int | None = None,
+                    nodes: NodePowers | None = None) -> float:
     """Expected transmit SNR of the policy with normalized multiplier nu,
-    refined to tol, or on a fixed number of panels per axis.
+    refined to tol, or on a fixed number of panels per axis; nodes is the
+    solve's store of node powers, if any (see _policy_expectation).
     """
     if not (nu > 0 and beta >= 0):
         raise ValidationError("nu must be positive and beta nonnegative")
-    expectation = _policy_expectation(nu, beta, link, law_m, law_e, tol, panels)
+    expectation = _policy_expectation(nu, beta, link, law_m, law_e, tol, panels, nodes)
     return expectation(lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), False).value
 
 
-def _policy_expectation(nu, beta, link, law_m, law_e, tol, panels=None):
+def _policy_expectation(nu, beta, link, law_m, law_e, tol, panels=None, nodes=None):
     """expectation(integrand, floor, include_idle_mass) under the policy with
-    multiplier nu, over its transmit region z_m > gamma*z_e + nu.
+    multiplier nu, over its transmit region z_m > gamma*z_e + nu. Given nodes
+    (a NodePowers of one solve at these beta, link, laws, root_tol and
+    max_iter), each rung's powers are read from it and solved only on a miss.
     """
     lam = reported_lam(beta, nu)
     return lambda integrand, floor, idle: transmit_region_expectation(
@@ -96,6 +106,7 @@ def _policy_expectation(nu, beta, link, law_m, law_e, tol, panels=None):
         floor=floor,
         include_idle_mass=idle,
         panels=panels,
+        nodes=nodes,
     )
 
 
@@ -109,19 +120,26 @@ def calibrate_lambda_full(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
     return reported_lam(beta, _calibrate_full(link, beta, law_m, law_e, tol)[0])
 
 
-def _calibrate_full(link, beta, law_m, law_e, tol):
+def _calibrate_full(link, beta, law_m, law_e, tol, nodes=None):
     """(nu, residual); nu = math.inf for a zero budget.
 
     The mean power on the quadrature's first rung is the coarse evaluator of
-    numerics.calibrate, and the refined mean power polishes its root.
+    numerics.calibrate, and the refined mean power polishes its root. Both
+    evaluators share one NodePowers store, nodes or a new one, so the refined
+    stage's first probe, which sits at the coarse root, reads the first rung
+    the coarse stage solved there. The caller may pass nodes on to the
+    readout at the returned nu.
     """
     if not beta >= 0:
         raise ValidationError("beta must be nonnegative")
+    nodes = NodePowers() if nodes is None else nodes
     # at nu = zm_hi the threshold is beyond the truncated support: zero power
     u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    return calibrate(lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t),
+    # positional, so that wrappers of mean_power_full see every argument
+    return calibrate(lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t, None, nodes),
                      link.avg_snr, u_hi, tol,
-                     lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t, FIRST_RUNG))
+                     lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t, FIRST_RUNG,
+                                                   nodes))
 
 
 def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
@@ -129,11 +147,14 @@ def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
     """Effective secure throughput under the calibrated full-CSI policy.
 
     At theta == 0 this is the maximum mean secrecy rate (throughput_readout).
+    The readout shares the calibration's NodePowers store, so the rungs the
+    accepted refined probe solved at nu are not solved again.
     """
     beta = qos.beta
-    nu, residual = _calibrate_full(link, beta, law_m, law_e, tol)
+    nodes = NodePowers()
+    nu, residual = _calibrate_full(link, beta, law_m, law_e, tol, nodes)
     value, quad_error = throughput_readout(
-        beta, link.gamma, _policy_expectation(nu, beta, link, law_m, law_e, tol))
+        beta, link.gamma, _policy_expectation(nu, beta, link, law_m, law_e, tol, None, nodes))
     return ThroughputResult(
         throughput_bits_s_hz=value,
         throughput_bits_s=value * qos.bandwidth_b,

@@ -24,6 +24,7 @@ budget with equality.
 import math
 
 from ._region import (
+    NodePowers,
     idle_marginal_gain,
     main_policy_table,
     main_region_expectation,
@@ -75,18 +76,23 @@ def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
 
 def mean_power_main(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
-                    tol: Tolerances = DEFAULT_TOL, panels: int | None = None) -> float:
+                    tol: Tolerances = DEFAULT_TOL, panels: int | None = None,
+                    nodes: NodePowers | None = None) -> float:
     """Expected transmit SNR of the main-CSI policy with normalized multiplier
-    nu, refined to tol, or on a fixed number of outer and inner panels.
+    nu, refined to tol, or on a fixed number of outer and inner panels; nodes
+    is the solve's store of node powers, if any (see _policy_expectation).
     """
     alpha = alpha_threshold(nu, link, law_e, tol, law_m=law_m)
-    expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels)
+    expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels, nodes)
     return expectation(None, max(link.avg_snr, 1e-6), False).value
 
 
-def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels=None):
+def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels=None, nodes=None):
     """expectation(integrand, floor, include_idle_mass) under the policy with
-    multiplier nu and cutoff alpha (integrand None: the power itself).
+    multiplier nu and cutoff alpha (integrand None: the power itself). Given
+    nodes (a NodePowers of one solve at these beta, link, laws, root_tol and
+    max_iter), each rung's main_power result is read from it and solved only
+    on a miss.
     """
     return lambda integrand, floor, idle: main_region_expectation(
         beta=beta,
@@ -100,6 +106,7 @@ def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels=None):
         floor=floor,
         include_idle_mass=idle,
         panels=panels,
+        nodes=nodes,
     )
 
 
@@ -109,21 +116,27 @@ def calibrate_lambda_main(link: LinkBudget, beta: float, law_m: FadingLaw, law_e
     return reported_lam(beta, _calibrate_main(link, beta, law_m, law_e, tol)[0])
 
 
-def _calibrate_main(link, beta, law_m, law_e, tol):
+def _calibrate_main(link, beta, law_m, law_e, tol, nodes=None):
     """(nu, cutoff alpha, residual); nu = alpha = math.inf for a zero budget.
 
     The mean power on the quadrature's first rung is the coarse evaluator of
-    numerics.calibrate, and the refined mean power polishes its root. The
-    cutoff at the accepted nu is solved once more: its gain is in closed
-    form (idle_marginal_gain), so that costs no quadrature.
+    numerics.calibrate, and the refined mean power polishes its root. Both
+    evaluators share one NodePowers store, nodes or a new one, so the refined
+    stage's first probe, which sits at the coarse root, reads the first rung
+    the coarse stage solved there. The caller may pass nodes on to the
+    readout at the returned nu. The cutoff at the accepted nu is solved once
+    more: its gain is in closed form (idle_marginal_gain), so that costs no
+    quadrature.
     """
     if not beta >= 0:
         raise ValidationError("beta must be nonnegative")
+    nodes = NodePowers() if nodes is None else nodes
     u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    nu, residual = calibrate(lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t),
-                             link.avg_snr, u_hi, tol,
-                             lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t,
-                                                           FIRST_RUNG))
+    # positional, so that wrappers of mean_power_main see every argument
+    nu, residual = calibrate(
+        lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t, None, nodes),
+        link.avg_snr, u_hi, tol,
+        lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t, FIRST_RUNG, nodes))
     return nu, alpha_threshold(nu, link, law_e, tol, law_m=law_m), residual
 
 
@@ -132,12 +145,16 @@ def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: Fad
     """Effective secure throughput under the calibrated main-CSI policy.
 
     At theta == 0 this is the maximum mean secrecy rate (throughput_readout).
-    The simulation table is built only by build_policy_main.
+    The simulation table is built only by build_policy_main. The readout
+    shares the calibration's NodePowers store, so the rungs the accepted
+    refined probe solved at nu are not solved again.
     """
     beta = qos.beta
-    nu, alpha, residual = _calibrate_main(link, beta, law_m, law_e, tol)
+    nodes = NodePowers()
+    nu, alpha, residual = _calibrate_main(link, beta, law_m, law_e, tol, nodes)
     value, quad_error = throughput_readout(
-        beta, link.gamma, _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol))
+        beta, link.gamma,
+        _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, None, nodes))
     return ThroughputResult(
         throughput_bits_s_hz=value,
         throughput_bits_s=value * qos.bandwidth_b,

@@ -11,6 +11,7 @@ from secthru import (
     policy_surface_full,
     throughput_full,
 )
+from secthru import _region, full_csi
 from secthru.ergodic import ergodic_power_full
 from secthru.full_csi import (
     calibrate_lambda_full,
@@ -18,7 +19,7 @@ from secthru.full_csi import (
     mean_power_full,
     power_grid,
 )
-from secthru._region import transmit_region_expectation
+from secthru._region import NodePowers, throughput_readout, transmit_region_expectation
 from secthru.numerics import FIRST_RUNG, calibrate
 from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term
 
@@ -156,8 +157,6 @@ class TestCalibration:
     def test_mean_power_evaluations(self, law, link, monkeypatch):
         # theta = 0.1 at 0 dB; the calibrator looks mean_power_full up through
         # its module, so patching the attribute sees every evaluation
-        from secthru import full_csi
-
         calls = []
 
         def counted(nu, *args):
@@ -199,6 +198,63 @@ class TestThroughput:
         assert res.quad_error < 1e-4
         assert res.theta == 0.01
         assert res.throughput_bits_s == pytest.approx(1e5 * res.throughput_bits_s_hz)
+
+
+ROWS = [(theta, snr_db) for theta in (0.01, 0.1) for snr_db in (0.0, 10.0)]
+
+
+def row_link(snr_db):
+    return LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=1.0)
+
+
+class TestNodeReuse:
+    """One throughput row solves the powers of each (multiplier, node set) once."""
+
+    @pytest.mark.parametrize("theta, snr_db", ROWS)
+    def test_no_node_set_solved_twice(self, law, theta, snr_db, monkeypatch):
+        solved, lanes = [], _region.power_lanes
+
+        def counted(z_m, coef, *args):
+            solved.append((args[2], z_m.size))  # (nu, lanes)
+            return lanes(z_m, coef, *args)
+
+        monkeypatch.setattr(full_csi, "power_lanes", counted)
+        monkeypatch.setattr(_region, "power_lanes", counted)
+        throughput_full(make_qos(theta), row_link(snr_db), law, law, TOL)
+        assert solved
+        assert len(set(solved)) == len(solved)
+
+    @pytest.mark.parametrize("theta, snr_db", ROWS)
+    def test_readout_equals_one_without_store(self, law, theta, snr_db):
+        qos, link = make_qos(theta), row_link(snr_db)
+        res = throughput_full(qos, link, law, law, TOL)
+        nu, _ = full_csi._calibrate_full(link, qos.beta, law, law, TOL)
+        fresh = throughput_readout(qos.beta, link.gamma, full_csi._policy_expectation(
+            nu, qos.beta, link, law, law, TOL))
+        assert (res.throughput_bits_s_hz, res.quad_error) == fresh
+
+    def test_store_holds_one_multiplier(self, law, link, monkeypatch):
+        stores, asked = [], []
+
+        class Recorded(NodePowers):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+            def get(self, nu, panels, solve):
+                asked.append((nu, panels))
+                return super().get(nu, panels, solve)
+
+        monkeypatch.setattr(full_csi, "NodePowers", Recorded)
+        throughput_full(make_qos(0.1), link, law, law, TOL)
+        assert len(stores) == 1
+        (store,) = stores
+        assert len({nu for nu, _ in asked}) > 1  # the calibration moved nu
+        last = asked[-1][0]
+        assert store.nu == last
+        assert set(store.grids) == {n for nu, n in asked if nu == last}
+        for n, mu in store.grids.items():
+            assert mu.shape == (16 * n, 16 * n)  # the 16-point rule on n panels per axis
 
 
 class TestPolicySurface:

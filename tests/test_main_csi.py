@@ -13,11 +13,17 @@ from secthru import (
     throughput_full,
     throughput_main,
 )
-from secthru import _region, main_csi
+from secthru import _region, full_csi, main_csi
 from secthru.checks import main_power_at
 from secthru.full_csi import calibrate_lambda_full, power_grid
 from secthru.main_csi import alpha_threshold, calibrate_lambda_main, mean_power_main
-from secthru._region import idle_marginal_gain, main_policy_table, main_table_nodes
+from secthru._region import (
+    NodePowers,
+    idle_marginal_gain,
+    main_policy_table,
+    main_table_nodes,
+    throughput_readout,
+)
 from oracles import brute_power_main, simpson, simpson_density, stationarity_lhs_main
 
 TOL = Tolerances()
@@ -241,6 +247,65 @@ class TestThroughputMain:
         assert builds == []
         build_policy_main(make_qos(0.0), link, law, law, fast_tol)
         assert len(builds) == 1
+
+
+ROWS = [(theta, snr_db) for theta in (0.01, 0.1) for snr_db in (0.0, 10.0)]
+
+
+def row_link(snr_db):
+    return LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=1.0)
+
+
+class TestNodeReuse:
+    """One throughput row solves the powers of each (multiplier, node set) once."""
+
+    @pytest.mark.parametrize("theta, snr_db", ROWS)
+    def test_no_node_set_solved_twice(self, law, theta, snr_db, monkeypatch):
+        solved, lanes = [], _region.power_lanes
+
+        def counted(z_m, coef, *args):
+            solved.append((args[2], z_m.size))  # (nu, gains)
+            return lanes(z_m, coef, *args)
+
+        monkeypatch.setattr(full_csi, "power_lanes", counted)
+        monkeypatch.setattr(_region, "power_lanes", counted)
+        throughput_main(make_qos(theta), row_link(snr_db), law, law, TOL)
+        assert solved
+        assert len(set(solved)) == len(solved)
+
+    @pytest.mark.parametrize("theta, snr_db", ROWS)
+    def test_readout_equals_one_without_store(self, law, theta, snr_db):
+        qos, link = make_qos(theta), row_link(snr_db)
+        res = throughput_main(qos, link, law, law, TOL)
+        nu, alpha, _ = main_csi._calibrate_main(link, qos.beta, law, law, TOL)
+        fresh = throughput_readout(qos.beta, link.gamma, main_csi._policy_expectation(
+            nu, alpha, qos.beta, link, law, law, TOL))
+        assert (res.throughput_bits_s_hz, res.quad_error) == fresh
+
+    def test_store_holds_one_multiplier(self, law, link, monkeypatch):
+        stores, asked = [], []
+
+        class Recorded(NodePowers):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+            def get(self, nu, panels, solve):
+                asked.append((nu, panels))
+                return super().get(nu, panels, solve)
+
+        monkeypatch.setattr(main_csi, "NodePowers", Recorded)
+        throughput_main(make_qos(0.1), link, law, law, TOL)
+        assert len(stores) == 1
+        (store,) = stores
+        assert len({nu for nu, _ in asked}) > 1  # the calibration moved nu
+        last = asked[-1][0]
+        assert store.nu == last
+        assert set(store.grids) == {n for nu, n in asked if nu == last}
+        for n, (mu, ze, wpe, wu) in store.grids.items():
+            # main_power's result on the 16-point rule, n outer and n inner panels
+            assert mu.shape == wu.shape == (16 * n,)
+            assert ze.shape == wpe.shape == (16 * n, 16 * n)
 
 
 @pytest.fixture(scope="module")

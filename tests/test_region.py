@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secthru import NumericsError, Tolerances
-from secthru._region import power_lanes
+from secthru._region import NodePowers, power_lanes
 from secthru.full_csi import power_grid
 from oracles import bisect_lane_power
 
@@ -123,3 +123,18 @@ def test_iteration_cap_raises_with_best_estimate():
     best = err.value.best
     assert best.shape == exact.shape
     assert np.allclose(best, exact, rtol=1e-2, atol=1e-12)
+
+
+def test_node_store_solves_each_rung_once_and_drops_old_multipliers():
+    nodes, solves = NodePowers(), []
+
+    def solver(nu, panels):
+        def solve():
+            solves.append((nu, panels))
+            return np.full(panels, nu)
+        return solve
+
+    for nu, panels in ((0.5, 8), (0.5, 16), (0.5, 8), (0.25, 8), (0.25, 8), (0.5, 8)):
+        assert np.array_equal(nodes.get(nu, panels, solver(nu, panels)), np.full(panels, nu))
+    assert solves == [(0.5, 8), (0.5, 16), (0.25, 8), (0.5, 8)]
+    assert nodes.nu == 0.5 and list(nodes.grids) == [8]  # 0.5's first 16-panel rung was dropped

@@ -1,4 +1,4 @@
-"""Mean-power evaluations per multiplier calibration, recorded in BENCH_calibration.json.
+"""Mean-power evaluations per calibration and lane-kernel work per row, for BENCH_calibration.json.
 
 Each calibration runs numerics.calibrate around full_csi.mean_power_full or
 main_csi.mean_power_main, exactly as the solvers set it up (budget avg_snr,
@@ -12,11 +12,15 @@ separately; "evals" counts both. Two sets of calibrations are counted:
 - acceptance: the 18-row acceptance grid, theta {1e-3, 1e-2, 1e-1} x SNR
   {-10, 0, 10} dB in both CSI modes.
 
-It also counts the quadratures that main_csi.alpha_threshold makes through
-_region.idle_marginal_gain over the bench calibrations, read from a cProfile
-of that run (nothing is patched). Counts depend only on the code and the
-default Tolerances, not on the machine; each row also lists its refined
-probes as [ln(nu), mean power] (the coarse ones under "coarse_probes").
+Under "lanes" it counts the work of the power-lane kernel for each bench
+row: the calls of _region.power_lanes and their terms (the size of the coef
+argument: one per full-CSI state, inner nodes times gains for main CSI) in
+full_csi.throughput_full or main_csi.throughput_main, split into the
+calibration and the throughput readout. The kernel is wrapped at both of its
+import sites (full_csi for power_grid, _region for main_power) for the
+length of each row only. Counts depend only on the code and the default
+Tolerances, not on the machine; each row also lists its refined probes as
+[ln(nu), mean power] (the coarse ones under "coarse_probes").
 
 Run from the root of a checkout:
 
@@ -27,16 +31,15 @@ labels already there, so the file can hold a before/after pair.
 """
 
 import argparse
-import cProfile
 import json
 import math
 import platform
-import pstats
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from secthru import full_csi, main_csi, numerics
+from secthru import _region, full_csi, main_csi, numerics
 from secthru.model import FadingLaw, LinkBudget, make_qos
 
 # (mode, theta, snr_db, gamma) of every calibration in the two sweep workloads
@@ -49,6 +52,7 @@ BENCH = (
 ACCEPTANCE = [(mode, t, db, 1.0) for mode in ("full", "main")
               for t in (1e-3, 1e-2, 1e-1) for db in (-10.0, 0.0, 10.0)]
 MEAN_POWER = {"full": full_csi.mean_power_full, "main": main_csi.mean_power_main}
+SOLVER = {"full": full_csi, "main": main_csi}
 
 
 def key(mode, theta, snr_db, gamma):
@@ -93,16 +97,38 @@ def count_set(configs):
     return {**out, "rows": rows}
 
 
-def idle_gain_quadratures(profile):
-    """Quadratures called from idle_marginal_gain in a profiled run."""
-    stats = pstats.Stats(profile).stats
-    calls = 0
-    for (path, _, name), (_, _, _, _, callers) in stats.items():
-        if name in ("integrate_density", "integrate", "refine_panels") and path.endswith(
-                "numerics.py"):
-            calls += sum(c[0] for (_, _, caller), c in callers.items()
-                         if caller == "idle_marginal_gain")
-    return calls
+def count_lanes(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
+    """power_lanes calls and terms of one throughput row, by stage."""
+    qos = make_qos(theta)
+    link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
+    law = FadingLaw()
+    solver = SOLVER[mode]
+    counts = {f"{stage}_{what}": 0 for stage in ("calibration", "readout")
+              for what in ("calls", "terms")}
+    stage = ["calibration"]
+    lanes, readout = _region.power_lanes, solver.throughput_readout
+
+    def counted_lanes(z_m, coef, *args):
+        counts[f"{stage[0]}_calls"] += 1
+        counts[f"{stage[0]}_terms"] += int(np.size(coef))
+        return lanes(z_m, coef, *args)
+
+    def staged_readout(*args):
+        stage[0] = "readout"
+        return readout(*args)
+
+    with mock.patch.object(full_csi, "power_lanes", counted_lanes), \
+            mock.patch.object(_region, "power_lanes", counted_lanes), \
+            mock.patch.object(solver, "throughput_readout", staged_readout):
+        getattr(solver, f"throughput_{mode}")(qos, link, law, law, tol)
+    return counts
+
+
+def count_lane_set(configs):
+    rows = {key(*c): count_lanes(*c) for c in configs}
+    out = {f"total_{name}": sum(r[name] for r in rows.values())
+           for name in next(iter(rows.values()))}
+    return {**out, "rows": rows}
 
 
 def main(argv=None):
@@ -111,13 +137,12 @@ def main(argv=None):
     parser.add_argument("--out", default="BENCH_calibration.json")
     args = parser.parse_args(argv)
 
-    profile = cProfile.Profile()
     record = {
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "machine": platform.machine()},
-        "bench": profile.runcall(count_set, BENCH),
+        "bench": count_set(BENCH),
         "acceptance": count_set(ACCEPTANCE),
-        "idle_marginal_gain_quadratures": idle_gain_quadratures(profile),
+        "lanes": count_lane_set(BENCH),
     }
     out = Path(args.out)
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
@@ -128,8 +153,10 @@ def main(argv=None):
         print(f"{args.label} {name}: {counts['total_coarse_evals']} coarse and "
               f"{counts['total_refined_evals']} refined evaluations, at most "
               f"{counts['max_coarse_evals']} and {counts['max_refined_evals']} per calibration")
-    print(f"{args.label} idle_marginal_gain quadratures: "
-          f"{record['idle_marginal_gain_quadratures']}")
+    lanes = record["lanes"]
+    for stage in ("calibration", "readout"):
+        print(f"{args.label} bench lanes, {stage}: {lanes[f'total_{stage}_calls']} "
+              f"power_lanes calls, {lanes[f'total_{stage}_terms']} terms")
 
 
 if __name__ == "__main__":
