@@ -6,13 +6,14 @@ mean-secrecy-rate benchmark), and a queue-tail Monte Carlo validator of the
 QoS-exponent semantics. See the CLI (`secthru`) for sweep and validation runs.
 """
 
-from .full_csi import build_policy_full, policy_surface_full, throughput_full
-from .main_csi import build_policy_main, throughput_main
+from .full_csi import build_policy_full, solve_full, throughput_full
+from .main_csi import build_policy_main, solve_main, throughput_main
 from .model import (
     FadingLaw,
     LinkBudget,
     PowerPolicy,
     QosSpec,
+    Solution,
     ThroughputResult,
     ValidationError,
     make_qos,
@@ -30,6 +31,7 @@ __all__ = [
     "PowerPolicy",
     "QosSpec",
     "QuadratureError",
+    "Solution",
     "TailHistogram",
     "ThroughputResult",
     "Tolerances",
@@ -38,8 +40,9 @@ __all__ = [
     "build_policy_main",
     "estimate_decay",
     "make_qos",
-    "policy_surface_full",
     "simulate_queue",
+    "solve_full",
+    "solve_main",
     "throughput_full",
     "throughput_main",
 ]

@@ -9,7 +9,9 @@ numerics.refine_panels. The main-CSI power map has one evaluator, main_power
 (the lane kernel on an inner Gauss-Legendre rule); the main-CSI quadrature
 and the simulation table (main_policy_table) both call it. Only the
 throughput readout (throughput_readout) and the reported multiplier
-(reported_lam) depend on whether beta is 0.
+(reported_lam) depend on whether beta is 0. The calibration of a solve
+(calibrate_policy) and its Solution record (solution) are wired here once
+for both CSI modes.
 """
 
 import math
@@ -17,11 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import LN2, FadingLaw
+from .model import LN2, FadingLaw, Solution, ThroughputResult
 from .numerics import (
+    FIRST_RUNG,
     NumericsError,
     QuadResult,
     Tolerances,
+    calibrate,
     panel_nodes,
     refine_panels,
 )
@@ -52,6 +56,45 @@ def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
     res = expectation(lambda mu, zm, ze: np.exp(-beta * log_ratio(mu, zm, ze)), 1.0, True)
     return (max(0.0, -math.log(res.value) / (beta * LN2)),
             res.error / (max(res.value, 1e-12) * beta * LN2))
+
+
+def calibrate_policy(mean_power, beta, link, law_m, law_e, tol, nodes):
+    """(nu, residual) of the multiplier that spends link.avg_snr with equality
+    (nu = math.inf for a zero budget), at the beta of a QosSpec.
+
+    mean_power(nu, beta, link, law_m, law_e, tol, panels, nodes) is the CSI
+    mode's mean power: on the quadrature's first rung the coarse evaluator of
+    numerics.calibrate, refined the one that polishes the coarse root. Both
+    share the NodePowers store nodes, so the refined stage's first probe, at
+    the coarse root, reads the first rung the coarse stage solved there, and
+    the readout at the returned nu reads the rungs of the accepted probe.
+    """
+    # at nu = zm_hi the threshold is beyond the truncated support: zero power
+    u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
+    # positional, so that wrappers of mean_power see every argument
+    return calibrate(lambda nu, t: mean_power(nu, beta, link, law_m, law_e, t, None, nodes),
+                     link.avg_snr, u_hi, tol,
+                     lambda nu, t: mean_power(nu, beta, link, law_m, law_e, t, FIRST_RUNG, nodes))
+
+
+def solution(csi_mode, qos, gamma, nu, threshold, residual, expectation, build_state_power):
+    """The Solution of a calibrated multiplier nu, its throughput read out now
+    through expectation, the CSI mode's region expectation under the policy at
+    nu (see throughput_readout) on the calibration's NodePowers store. That is
+    not kept, and build_state_power must not hold the store: no node grid
+    outlives the solve.
+    """
+    value, quad_error = throughput_readout(qos.beta, gamma, expectation)
+    throughput = ThroughputResult(
+        throughput_bits_s_hz=value,
+        throughput_bits_s=value * qos.bandwidth_b,
+        lam=reported_lam(qos.beta, nu),
+        power_residual=residual,
+        quad_error=quad_error,
+        theta=qos.theta,
+    )
+    return Solution(csi_mode=csi_mode, beta=qos.beta, nu=nu, threshold=threshold,
+                    throughput=throughput, build_state_power=build_state_power)
 
 
 # lane-terms solved together: the kernel's temporaries stay near a megabyte

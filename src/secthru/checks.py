@@ -5,8 +5,9 @@ Each check is a function of a resolved cli.RunConfig that returns
 configuration, and tests/test_acceptance.py runs the same checks at its
 acceptance configuration; run() times one check for both. Each check seeds
 its own generator with cfg.seed plus a fixed offset, so its draws do not
-depend on which checks ran before it. The calibration and ordering checks
-share one throughput grid, solved once per configuration.
+depend on which checks ran before it. The checks take their solved rows
+from _solved, which solves each (mode, theta, snr_db) of a configuration
+once however many checks read it.
 
 The oracles below are independent references: numpy only, none of the
 package's quadrature or root finding (brute-force grid minimization of the
@@ -14,15 +15,16 @@ per-state objectives, fixed-grid Simpson and Gauss-Legendre rules, and closed
 forms).
 """
 
+import itertools
 import math
 import time
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import _region, full_csi, main_csi, queuesim
-from .model import LN2, PowerPolicy
+from .model import LN2
 from .numerics import NumericsError
 
 
@@ -111,11 +113,16 @@ _MODES = ("full", "main")
 _MEAN_POWER = {"full": full_csi.mean_power_full, "main": main_csi.mean_power_main}
 
 
-@lru_cache(maxsize=1)
-def _throughput_grid(cfg):
-    """{(mode, theta, snr_db): ThroughputResult} over cfg.theta x cfg.snr_db, both modes."""
-    return {(mode, theta, db): cfg.solve(mode, theta, db)
-            for mode in _MODES for theta in cfg.theta for db in cfg.snr_db}
+# unbounded: a Solution keeps no node grid (about 1 kB), and validate checks one config
+@lru_cache(maxsize=None)
+def _solved(cfg, mode, theta, snr_db):
+    """cfg.solve(mode, theta, snr_db), solved once however many checks read it."""
+    return cfg.solve(mode, theta, snr_db)
+
+
+def _rate(cfg, mode, theta, snr_db):
+    """Throughput in bits/s/Hz of one row of cfg (_solved)."""
+    return _solved(cfg, mode, theta, snr_db).throughput.throughput_bits_s_hz
 
 
 def kkt_residual_full(cfg):
@@ -196,7 +203,7 @@ def oracle(cfg):
     relative to max(1, mu).
     """
     tol = cfg.tolerances()
-    law_m, law_e = cfg.laws()
+    law_e = cfg.laws()[1]
     full, main = _oracle_states(cfg.seed, law_e)
     worst_full = max(
         abs(float(full_csi.power_grid([z_m], [z_e], gamma, beta, lam, tol)[0]) - mu)
@@ -204,7 +211,7 @@ def oracle(cfg):
     worst_main = max(abs(main_power_at(z_m, gamma, beta, lam, law_e, tol) - mu)
                      for z_m, gamma, beta, lam, mu in main)
     theta, db = max(cfg.theta), max(cfg.snr_db)
-    policy = main_csi.build_policy_main(cfg.qos(theta), cfg.link(db), law_m, law_e, tol)
+    policy = _solved(cfg, "main", theta, db).policy()
     worst_table = 0.0
     probed = policy.beta > 0.0 and math.isfinite(policy.threshold)
     # brute_power_main minimizes the theta > 0 objective; a zero budget has no cutoff
@@ -231,15 +238,14 @@ def calibration(cfg):
     tol = cfg.tolerances()
     worst_reported = worst_full_tol = 0.0
     configs = 0
-    for (mode, theta, db), res in _throughput_grid(cfg).items():
+    for mode, theta, db in itertools.product(_MODES, cfg.theta, cfg.snr_db):
         link = cfg.link(db)
         if link.avg_snr == 0.0:
             continue
         configs += 1
-        beta = cfg.qos(theta).beta
-        nu = res.lam / beta if beta > 0.0 else res.lam
-        spent = _MEAN_POWER[mode](nu, beta, link, law_m, law_e, tol)
-        worst_reported = max(worst_reported, res.power_residual / link.avg_snr)
+        sol = _solved(cfg, mode, theta, db)
+        spent = _MEAN_POWER[mode](sol.nu, sol.beta, link, law_m, law_e, tol)
+        worst_reported = max(worst_reported, sol.throughput.power_residual / link.avg_snr)
         worst_full_tol = max(worst_full_tol, abs(spent - link.avg_snr) / link.avg_snr)
     ok = worst_reported <= 1e-4 and worst_full_tol <= 1e-4
     return ok, (f"worst relative residual {worst_reported:.3e} reported, "
@@ -248,11 +254,8 @@ def calibration(cfg):
 
 def ordering(cfg):
     """full >= main, monotone in theta and SNR, and the CSI gain shrinking as theta grows."""
-    grid = _throughput_grid(cfg)
     thetas, dbs = sorted(set(cfg.theta)), sorted(set(cfg.snr_db))
-
-    def rate(mode, theta, db):
-        return grid[(mode, theta, db)].throughput_bits_s_hz
+    rate = partial(_rate, cfg)
 
     def gap(theta, db):
         full = rate("full", theta, db)
@@ -275,17 +278,14 @@ def theta0_continuity(cfg):
     full-CSI C(0) over cfg.frames states (3 standard errors).
     """
     db0 = cfg.snr_db[0]
-    solved = {mode: cfg.solve(mode, 0.0, db0) for mode in _MODES}
-    rate0 = {mode: res.throughput_bits_s_hz for mode, res in solved.items()}
-    drift = {mode: abs(cfg.solve(mode, 1e-6, db0).throughput_bits_s_hz - rate0[mode])
-             for mode in _MODES}
+    rate0 = {mode: _rate(cfg, mode, 0.0, db0) for mode in _MODES}
+    drift = {mode: abs(_rate(cfg, mode, 1e-6, db0) - rate0[mode]) for mode in _MODES}
 
     law_m, law_e = cfg.laws()
     rng = np.random.default_rng(cfg.seed + 55)
     z_m = law_m.sample(rng, cfg.frames)
     z_e = law_e.sample(rng, cfg.frames)
-    # the policy of the solved row: its multiplier, not a second calibration
-    mu = full_csi.power_grid(z_m, z_e, cfg.gamma, 0.0, solved["full"].lam, cfg.tolerances())
+    mu = _solved(cfg, "full", 0.0, db0).policy().state_power(z_m, z_e)
     rate = (np.log1p(mu * z_m) - np.log1p(cfg.gamma * mu * z_e)) / LN2
     se = rate.std() / math.sqrt(cfg.frames)
     mc_gap = abs(rate0["full"] - rate.mean())
@@ -300,11 +300,8 @@ def surface_structure(cfg):
     """
     ze_max, zm_max, steps = cfg.grid
     ze, zm = np.linspace(0.0, ze_max, steps), np.linspace(0.0, zm_max, steps)
-    law_m, law_e = cfg.laws()
-    tol = cfg.tolerances()
-    link = cfg.link(cfg.snr_db[0])
-    s_qos = full_csi.policy_surface_full(cfg.qos(0.01), link, law_m, law_e, ze, zm, tol)
-    s_erg = full_csi.policy_surface_full(cfg.qos(0.0), link, law_m, law_e, ze, zm, tol)
+    s_qos, s_erg = (_solved(cfg, "full", theta, cfg.snr_db[0]).policy().state_power(
+        zm[None, :], ze[:, None]) for theta in (0.01, 0.0))
     ze_grid, zm_grid = np.meshgrid(ze, zm, indexing="ij")
     diff = zm_grid - cfg.gamma * ze_grid
     if diff.size == 0:
@@ -321,9 +318,10 @@ def surface_structure(cfg):
 
 def degenerate_limits(cfg):
     """No throughput at zero budget, next to none against a 1e6-times stronger eavesdropper."""
-    zero_full = cfg.solve("full", 0.01, -math.inf).throughput_bits_s_hz
-    zero_main = cfg.solve("main", 0.01, -math.inf).throughput_bits_s_hz
-    eve = replace(cfg, gamma=1e6).solve("full", 0.01, cfg.snr_db[0]).throughput_bits_s_hz
+    zero_full = _rate(cfg, "full", 0.01, -math.inf)
+    zero_main = _rate(cfg, "main", 0.01, -math.inf)
+    # a configuration of its own, solved once here, outside the memo of cfg
+    eve = replace(cfg, gamma=1e6).solve("full", 0.01, cfg.snr_db[0]).throughput.throughput_bits_s_hz
     ok = zero_full == 0.0 and zero_main == 0.0 and eve <= 1e-3
     return ok, f"snr=0 -> ({zero_full}, {zero_main}); gamma=1e6 -> {eve:.3e}"
 
@@ -331,17 +329,11 @@ def degenerate_limits(cfg):
 def queue_decay(cfg):
     """Tail-decay exponent of the simulated queue at theta = 0.01 within 20%, 8 seeds."""
     law_m, law_e = cfg.laws()
-    tol = cfg.tolerances()
     link = cfg.link(cfg.snr_db[0])
     qos = cfg.qos(0.01)
-    row = ("full", 0.01, cfg.snr_db[0])
-    # the row of the shared grid when it holds one, solved once per config
-    res = _throughput_grid(cfg)[row] if 0.01 in cfg.theta else cfg.solve(*row)
-    # the policy of the solved row: its multiplier, not a second calibration
-    policy = PowerPolicy(csi_mode="full", lam=res.lam, beta=qos.beta, threshold=res.lam / qos.beta,
-                         state_power=lambda z_m, z_e: full_csi.power_grid(
-                             z_m, z_e, cfg.gamma, qos.beta, res.lam, tol))
-    arrival = res.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+    sol = _solved(cfg, "full", 0.01, cfg.snr_db[0])
+    policy = sol.policy()
+    arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
     estimates = [
         queuesim.estimate_decay(queuesim.simulate_queue(
             policy, qos, link, law_m, law_e, arrival, cfg.frames, seed=cfg.seed + k))[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import checks, full_csi, main_csi
-from .model import FadingLaw, LinkBudget, QosSpec, ThroughputResult, ValidationError, make_qos
+from .model import FadingLaw, LinkBudget, QosSpec, Solution, ValidationError, make_qos
 from .numerics import NumericsError, Tolerances
 
 _THETA_DEFAULT = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 9))
@@ -61,9 +61,9 @@ class RunConfig:
     def laws(self):
         return FadingLaw(mean_gain=self.mean_zm), FadingLaw(mean_gain=self.mean_ze)
 
-    def solve(self, mode: str, theta: float, snr_db: float) -> ThroughputResult:
-        """One sweep row: the throughput of CSI mode 'full' or 'main'."""
-        solver = full_csi.throughput_full if mode == "full" else main_csi.throughput_main
+    def solve(self, mode: str, theta: float, snr_db: float) -> Solution:
+        """One row: the calibrated solution of CSI mode 'full' or 'main'."""
+        solver = full_csi.solve_full if mode == "full" else main_csi.solve_main
         return solver(self.qos(theta), self.link(snr_db), *self.laws(), self.tolerances())
 
     def modes(self):
@@ -177,43 +177,33 @@ def _write_csv(cfg: RunConfig, header: list, rows: list) -> None:
         sys.stdout.write(text)
 
 
-def cmd_sweep_theta(cfg: RunConfig) -> int:
-    header = ["theta", "beta", "csi", "throughput_bits_s_hz", "lambda", "power_residual", "error"]
+def _sweep(cfg: RunConfig, snr_values: tuple, snr_column: bool) -> int:
+    """Rows over theta x CSI mode x snr_values; a failed solve's row carries its error."""
+    key = ["theta", "beta", "csi"] + (["snr_db"] if snr_column else [])
+    header = key + ["throughput_bits_s_hz", "lambda", "power_residual", "error"]
     rows = []
     failed = False
-    snr_db = cfg.snr_db[0]
     for theta in cfg.theta:
         beta = cfg.qos(theta).beta
         for mode in cfg.modes():
-            try:
-                res = cfg.solve(mode, theta, snr_db)
-                rows.append([theta, beta, mode, res.throughput_bits_s_hz,
-                             res.lam, res.power_residual, ""])
-            except NumericsError as exc:
-                failed = True
-                rows.append([theta, beta, mode, "", "", "", str(exc)])
+            for snr_db in snr_values:
+                row = [theta, beta, mode] + ([snr_db] if snr_column else [])
+                try:
+                    res = cfg.solve(mode, theta, snr_db).throughput
+                    rows.append(row + [res.throughput_bits_s_hz, res.lam, res.power_residual, ""])
+                except NumericsError as exc:
+                    failed = True
+                    rows.append(row + ["", "", "", str(exc)])
     _write_csv(cfg, header, rows)
     return 2 if failed else 0
+
+
+def cmd_sweep_theta(cfg: RunConfig) -> int:
+    return _sweep(cfg, cfg.snr_db[:1], snr_column=False)
 
 
 def cmd_sweep_snr(cfg: RunConfig) -> int:
-    header = ["theta", "beta", "csi", "snr_db", "throughput_bits_s_hz",
-              "lambda", "power_residual", "error"]
-    rows = []
-    failed = False
-    for theta in cfg.theta:
-        beta = cfg.qos(theta).beta
-        for mode in cfg.modes():
-            for snr_db in cfg.snr_db:
-                try:
-                    res = cfg.solve(mode, theta, snr_db)
-                    rows.append([theta, beta, mode, snr_db, res.throughput_bits_s_hz,
-                                 res.lam, res.power_residual, ""])
-                except NumericsError as exc:
-                    failed = True
-                    rows.append([theta, beta, mode, snr_db, "", "", "", str(exc)])
-    _write_csv(cfg, header, rows)
-    return 2 if failed else 0
+    return _sweep(cfg, cfg.snr_db, snr_column=True)
 
 
 def cmd_policy_surface(cfg: RunConfig) -> int:
@@ -222,18 +212,17 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
     ze_max, zm_max, steps = cfg.grid
     ze = np.linspace(0.0, ze_max, steps)
     zm = np.linspace(0.0, zm_max, steps)
-    law_m, law_e = cfg.laws()
-    tol = cfg.tolerances()
-    link = cfg.link(cfg.snr_db[0])
     header = ["theta", "z_e", "z_m", "mu"]
     rows = []
     failed = False
     for theta in cfg.theta:
-        qos = cfg.qos(theta)
         try:
-            surface = full_csi.policy_surface_full(qos, link, law_m, law_e, ze, zm, tol)
-        except NumericsError:
+            # surface[i, j] is the power at (zm[j], ze[i])
+            policy = cfg.solve("full", theta, cfg.snr_db[0]).policy()
+            surface = policy.state_power(zm[None, :], ze[:, None])
+        except NumericsError as exc:
             failed = True
+            print(f"numeric error at theta={theta!r}: {exc}", file=sys.stderr)
             continue
         for i, z_e in enumerate(ze):
             for j, z_m in enumerate(zm):

@@ -16,15 +16,14 @@ throughput is -ln E{r^(-beta)} / (theta*T*B) with the integrand equal to 1
 wherever no power is allocated, or E{log2 r} at theta = 0.
 """
 
-import math
-
 import numpy as np
 
 from ._region import (
     NodePowers,
+    calibrate_policy,
     power_lanes,
     reported_lam,
-    throughput_readout,
+    solution,
     transmit_region_expectation,
 )
 from .ergodic import ergodic_power_full
@@ -33,10 +32,11 @@ from .model import (
     LinkBudget,
     PowerPolicy,
     QosSpec,
+    Solution,
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, FIRST_RUNG, Tolerances, calibrate
+from .numerics import DEFAULT_TOL, Tolerances
 
 
 def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
@@ -110,88 +110,30 @@ def _policy_expectation(nu, beta, link, law_m, law_e, tol, panels=None, nodes=No
     )
 
 
-def calibrate_lambda_full(link: LinkBudget, beta: float, law_m: FadingLaw, law_e: FadingLaw,
-                          tol: Tolerances = DEFAULT_TOL) -> float:
-    """Multiplier lam* that spends the average-SNR budget with equality.
+def solve_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
+               tol: Tolerances = DEFAULT_TOL) -> Solution:
+    """Calibrate the full-CSI policy and read out its effective secure throughput.
 
-    Brent root finding on ln(nu) (numerics.calibrate): mean power is strictly
-    decreasing in nu. Returns math.inf for a zero budget (the all-zero policy).
+    One calibration (_region.calibrate_policy) and a readout on its
+    NodePowers store (_region.solution). The threshold is nu, and the policy
+    is power_grid at the calibrated multiplier.
     """
-    return reported_lam(beta, _calibrate_full(link, beta, law_m, law_e, tol)[0])
-
-
-def _calibrate_full(link, beta, law_m, law_e, tol, nodes=None):
-    """(nu, residual); nu = math.inf for a zero budget.
-
-    The mean power on the quadrature's first rung is the coarse evaluator of
-    numerics.calibrate, and the refined mean power polishes its root. Both
-    evaluators share one NodePowers store, nodes or a new one, so the refined
-    stage's first probe, which sits at the coarse root, reads the first rung
-    the coarse stage solved there. The caller may pass nodes on to the
-    readout at the returned nu.
-    """
-    if not beta >= 0:
-        raise ValidationError("beta must be nonnegative")
-    nodes = NodePowers() if nodes is None else nodes
-    # at nu = zm_hi the threshold is beyond the truncated support: zero power
-    u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    # positional, so that wrappers of mean_power_full see every argument
-    return calibrate(lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t, None, nodes),
-                     link.avg_snr, u_hi, tol,
-                     lambda nu, t: mean_power_full(nu, beta, link, law_m, law_e, t, FIRST_RUNG,
-                                                   nodes))
+    beta, gamma = qos.beta, link.gamma
+    nodes = NodePowers()
+    nu, residual = calibrate_policy(mean_power_full, beta, link, law_m, law_e, tol, nodes)
+    lam = reported_lam(beta, nu)
+    return solution("full", qos, gamma, nu, nu, residual,
+                    _policy_expectation(nu, beta, link, law_m, law_e, tol, None, nodes),
+                    lambda: lambda z_m, z_e: power_grid(z_m, z_e, gamma, beta, lam, tol))
 
 
 def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> ThroughputResult:
-    """Effective secure throughput under the calibrated full-CSI policy.
-
-    At theta == 0 this is the maximum mean secrecy rate (throughput_readout).
-    The readout shares the calibration's NodePowers store, so the rungs the
-    accepted refined probe solved at nu are not solved again.
-    """
-    beta = qos.beta
-    nodes = NodePowers()
-    nu, residual = _calibrate_full(link, beta, law_m, law_e, tol, nodes)
-    value, quad_error = throughput_readout(
-        beta, link.gamma, _policy_expectation(nu, beta, link, law_m, law_e, tol, None, nodes))
-    return ThroughputResult(
-        throughput_bits_s_hz=value,
-        throughput_bits_s=value * qos.bandwidth_b,
-        lam=reported_lam(beta, nu),
-        power_residual=residual,
-        quad_error=quad_error,
-        theta=qos.theta,
-    )
-
-
-def policy_surface_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
-                        ze_values: np.ndarray, zm_values: np.ndarray,
-                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Calibrated power on a rectangular grid: surface[i, j] = mu(zm_values[j], ze_values[i]).
-
-    Exact zeros on the no-transmit region. theta == 0 produces the
-    unconstrained benchmark surface.
-    """
-    ze_values = np.asarray(ze_values, dtype=float)
-    zm_values = np.asarray(zm_values, dtype=float)
-    if ze_values.size == 0 or zm_values.size == 0:
-        return np.zeros((ze_values.size, zm_values.size))
-    lam = calibrate_lambda_full(link, qos.beta, law_m, law_e, tol)
-    return power_grid(zm_values[None, :], ze_values[:, None], link.gamma, qos.beta, lam, tol)
+    """Effective secure throughput under the calibrated full-CSI policy (solve_full)."""
+    return solve_full(qos, link, law_m, law_e, tol).throughput
 
 
 def build_policy_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                       tol: Tolerances = DEFAULT_TOL) -> PowerPolicy:
-    """Calibrate and package the full-CSI policy for simulation or export."""
-    beta = qos.beta
-    gamma = link.gamma
-    nu, _ = _calibrate_full(link, beta, law_m, law_e, tol)
-    lam = reported_lam(beta, nu)
-    return PowerPolicy(
-        csi_mode="full",
-        lam=lam,
-        beta=beta,
-        threshold=nu,
-        state_power=lambda z_m, z_e: power_grid(z_m, z_e, gamma, beta, lam, tol),
-    )
+    """The calibrated full-CSI policy, for simulation or export (solve_full)."""
+    return solve_full(qos, link, law_m, law_e, tol).policy()

@@ -25,21 +25,22 @@ import math
 
 from ._region import (
     NodePowers,
+    calibrate_policy,
     idle_marginal_gain,
     main_policy_table,
     main_region_expectation,
-    reported_lam,
-    throughput_readout,
+    solution,
 )
 from .model import (
     FadingLaw,
     LinkBudget,
     PowerPolicy,
     QosSpec,
+    Solution,
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, FIRST_RUNG, NumericsError, Tolerances, _brent, calibrate
+from .numerics import DEFAULT_TOL, NumericsError, Tolerances, _brent
 
 
 def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
@@ -110,66 +111,31 @@ def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels=None, n
     )
 
 
-def calibrate_lambda_main(link: LinkBudget, beta: float, law_m: FadingLaw, law_e: FadingLaw,
-                          tol: Tolerances = DEFAULT_TOL) -> float:
-    """Multiplier spending the average-SNR budget with equality (math.inf at zero budget)."""
-    return reported_lam(beta, _calibrate_main(link, beta, law_m, law_e, tol)[0])
+def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
+               tol: Tolerances = DEFAULT_TOL) -> Solution:
+    """Calibrate the main-CSI policy and read out its effective secure throughput.
 
-
-def _calibrate_main(link, beta, law_m, law_e, tol, nodes=None):
-    """(nu, cutoff alpha, residual); nu = alpha = math.inf for a zero budget.
-
-    The mean power on the quadrature's first rung is the coarse evaluator of
-    numerics.calibrate, and the refined mean power polishes its root. Both
-    evaluators share one NodePowers store, nodes or a new one, so the refined
-    stage's first probe, which sits at the coarse root, reads the first rung
-    the coarse stage solved there. The caller may pass nodes on to the
-    readout at the returned nu. The cutoff at the accepted nu is solved once
-    more: its gain is in closed form (idle_marginal_gain), so that costs no
-    quadrature.
+    As full_csi.solve_full. The threshold is the cutoff alpha at the
+    accepted nu, solved once more at no quadrature cost (its gain is in
+    closed form, idle_marginal_gain), and the policy interpolates
+    main_policy_table, which is built only when the policy is asked for.
     """
-    if not beta >= 0:
-        raise ValidationError("beta must be nonnegative")
-    nodes = NodePowers() if nodes is None else nodes
-    u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
-    # positional, so that wrappers of mean_power_main see every argument
-    nu, residual = calibrate(
-        lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t, None, nodes),
-        link.avg_snr, u_hi, tol,
-        lambda nu, t: mean_power_main(nu, beta, link, law_m, law_e, t, FIRST_RUNG, nodes))
-    return nu, alpha_threshold(nu, link, law_e, tol, law_m=law_m), residual
+    beta, gamma = qos.beta, link.gamma
+    nodes = NodePowers()
+    nu, residual = calibrate_policy(mean_power_main, beta, link, law_m, law_e, tol, nodes)
+    alpha = alpha_threshold(nu, link, law_e, tol, law_m=law_m)
+    return solution("main", qos, gamma, nu, alpha, residual,
+                    _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, None, nodes),
+                    lambda: main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol))
 
 
 def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> ThroughputResult:
-    """Effective secure throughput under the calibrated main-CSI policy.
-
-    At theta == 0 this is the maximum mean secrecy rate (throughput_readout).
-    The simulation table is built only by build_policy_main. The readout
-    shares the calibration's NodePowers store, so the rungs the accepted
-    refined probe solved at nu are not solved again.
-    """
-    beta = qos.beta
-    nodes = NodePowers()
-    nu, alpha, residual = _calibrate_main(link, beta, law_m, law_e, tol, nodes)
-    value, quad_error = throughput_readout(
-        beta, link.gamma,
-        _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, None, nodes))
-    return ThroughputResult(
-        throughput_bits_s_hz=value,
-        throughput_bits_s=value * qos.bandwidth_b,
-        lam=reported_lam(beta, nu),
-        power_residual=residual,
-        quad_error=quad_error,
-        theta=qos.theta,
-    )
+    """Effective secure throughput under the calibrated main-CSI policy (solve_main)."""
+    return solve_main(qos, link, law_m, law_e, tol).throughput
 
 
 def build_policy_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                       tol: Tolerances = DEFAULT_TOL) -> PowerPolicy:
-    """Calibrate and package the main-CSI policy (tabulated evaluator)."""
-    beta = qos.beta
-    nu, alpha, _ = _calibrate_main(link, beta, law_m, law_e, tol)
-    state_power = main_policy_table(beta, nu, alpha, link.gamma, law_m, law_e, tol)
-    return PowerPolicy(csi_mode="main", lam=reported_lam(beta, nu), beta=beta, threshold=alpha,
-                       state_power=state_power)
+    """The calibrated main-CSI policy, its evaluator tabulated (solve_main)."""
+    return solve_main(qos, link, law_m, law_e, tol).policy()

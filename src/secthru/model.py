@@ -101,8 +101,9 @@ class QosSpec:
         if not (math.isfinite(self.bandwidth_b) and self.bandwidth_b > 0):
             raise ValidationError("bandwidth_b must be positive and finite")
         expected = self.theta * self.frame_t * self.bandwidth_b / LN2
-        if abs(self.beta - expected) > 1e-12 * max(1.0, expected):
-            raise ValidationError("beta must equal theta * frame_t * bandwidth_b / ln 2")
+        # the solvers rely on beta >= 0, which the 1e-12 slack alone would not give at theta = 0
+        if self.beta < 0.0 or abs(self.beta - expected) > 1e-12 * max(1.0, expected):
+            raise ValidationError("beta must equal theta * frame_t * bandwidth_b / ln 2, >= 0")
 
 
 def make_qos(theta: float, frame_t: float = 2e-3, bandwidth_b: float = 1e5) -> QosSpec:
@@ -173,3 +174,27 @@ class ThroughputResult:
     def __post_init__(self):
         if self.throughput_bits_s_hz < 0 or self.throughput_bits_s < 0:
             raise ValidationError("throughput must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """One calibrated configuration: its multiplier, throughput and policy.
+
+    nu is the normalized multiplier lam/beta (the rate multiplier at beta = 0,
+    math.inf for the all-zero policy of a zero budget) and threshold the
+    policy's zero-power boundary: nu for csi_mode 'full', the cutoff gain
+    alpha for 'main'. throughput was read out in the solve.
+    build_state_power() builds the power map that policy() packages: for main
+    CSI it solves the simulation table, so only a policy() call builds one.
+    """
+
+    csi_mode: str
+    beta: float
+    nu: float
+    threshold: float
+    throughput: ThroughputResult
+    build_state_power: Callable[[], Callable[..., np.ndarray]]
+
+    def policy(self) -> PowerPolicy:
+        return PowerPolicy(csi_mode=self.csi_mode, lam=self.throughput.lam, beta=self.beta,
+                           threshold=self.threshold, state_power=self.build_state_power())

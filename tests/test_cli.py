@@ -1,10 +1,19 @@
-from secthru.cli import main, parse_config_file
+from secthru import NumericsError, full_csi, main_csi
+from secthru.cli import RunConfig, main, parse_config_file
 
 FAST = ["--tol", "1e-6"]
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def counted(solve, seen):
+    """solve, recording the (solver, theta, avg_snr, gamma) of each call in seen."""
+    def wrapper(qos, link, law_m, law_e, tol):
+        seen.append((solve.__name__, qos.theta, link.avg_snr, link.gamma))
+        return solve(qos, link, law_m, law_e, tol)
+    return wrapper
 
 
 def read_rows(path):
@@ -96,6 +105,25 @@ class TestPolicySurface:
         assert header == ["theta", "z_e", "z_m", "mu"]
         assert rows == []
 
+    def test_numeric_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        # the theta = 0.01 solve fails: its rows are dropped, the other
+        # theta's kept, and stderr names the failure under exit code 2
+        solve = RunConfig.solve
+
+        def failing(cfg, mode, theta, snr_db):
+            if theta == 0.01:
+                raise NumericsError("calibration residual above target")
+            return solve(cfg, mode, theta, snr_db)
+
+        monkeypatch.setattr(RunConfig, "solve", failing)
+        out = tmp_path / "surf.csv"
+        assert run_cli(["policy-surface", "--theta", "0,0.01", "--grid", "3,3,5",
+                        *FAST, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numeric error at theta=0.01: calibration residual above target" in err
+        _, rows = read_rows(out)
+        assert len(rows) == 5 * 5 and {row["theta"] for row in rows} == {"0.0"}
+
 
 class TestSolverFailureRows:
     def test_failed_rows_keep_the_run_going(self, tmp_path):
@@ -148,7 +176,10 @@ class TestConfigFile:
 
 
 class TestValidate:
-    def test_quick_gate_passes(self, capsys, tmp_path):
+    def test_quick_gate_passes(self, capsys, tmp_path, monkeypatch):
+        solved = []
+        for module, name in ((full_csi, "solve_full"), (main_csi, "solve_main")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name), solved))
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("theta=0.004,0.01,0.04\nframes=200000\nquad_rel_tol=1e-6\nroot_tol=1e-10\n")
         code = run_cli(["validate", "--config", str(cfg)])
@@ -157,6 +188,8 @@ class TestValidate:
         lines = [ln for ln in output.splitlines() if ln]
         assert all(ln.startswith("PASS") for ln in lines)
         assert any("queue-decay" in ln for ln in lines)
+        # the checks share their rows: each configuration is solved once
+        assert solved and len(solved) == len(set(solved))
 
     def test_tampered_tolerance_fails(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

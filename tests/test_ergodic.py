@@ -6,9 +6,9 @@ import pytest
 from secthru import (
     LinkBudget,
     ValidationError,
-    build_policy_full,
-    build_policy_main,
     make_qos,
+    solve_full,
+    solve_main,
     throughput_full,
     throughput_main,
 )
@@ -70,8 +70,8 @@ class TestErgodicThroughput:
                 <= throughput_full(QOS0, link, law, law, fast_tol).throughput_bits_s_hz + 1e-9)
 
     def test_full_monte_carlo(self, law, link, fast_tol):
-        policy = build_policy_full(QOS0, link, law, law, fast_tol)
-        result = throughput_full(QOS0, link, law, law, fast_tol)
+        sol = solve_full(QOS0, link, law, law, fast_tol)
+        policy, result = sol.policy(), sol.throughput
         rng = np.random.default_rng(21)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -82,8 +82,8 @@ class TestErgodicThroughput:
         assert abs(result.throughput_bits_s_hz - rate.mean()) < 3.0 * se
 
     def test_main_monte_carlo(self, law, link, fast_tol):
-        result = throughput_main(QOS0, link, law, law, fast_tol)
-        policy = build_policy_main(QOS0, link, law, law, fast_tol)
+        sol = solve_main(QOS0, link, law, law, fast_tol)
+        policy, result = sol.policy(), sol.throughput
         rng = np.random.default_rng(22)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -95,8 +95,8 @@ class TestErgodicThroughput:
         assert abs(result.throughput_bits_s_hz - rate.mean()) < 3.0 * se + 2e-4
 
     def test_policies_spend_the_budget(self, law, link, fast_tol):
-        policy = build_policy_full(QOS0, link, law, law, fast_tol)
-        result = throughput_full(QOS0, link, law, law, fast_tol)
+        sol = solve_full(QOS0, link, law, law, fast_tol)
+        policy, result = sol.policy(), sol.throughput
         assert result.power_residual <= fast_tol.power_rel_tol * link.avg_snr
         assert result.lam == policy.lam
         assert policy.beta == 0.0 and policy.threshold == policy.lam

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,17 +10,12 @@ from secthru import (
     Tolerances,
     build_policy_full,
     make_qos,
-    policy_surface_full,
+    solve_full,
     throughput_full,
 )
 from secthru import _region, full_csi
 from secthru.ergodic import ergodic_power_full
-from secthru.full_csi import (
-    calibrate_lambda_full,
-    kkt_lhs_full,
-    mean_power_full,
-    power_grid,
-)
+from secthru.full_csi import kkt_lhs_full, mean_power_full, power_grid
 from secthru._region import NodePowers, throughput_readout, transmit_region_expectation
 from secthru.numerics import FIRST_RUNG, calibrate
 from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term
@@ -135,13 +132,13 @@ class TestMeanPower:
 
 
 class TestCalibration:
-    def test_hits_budget(self, law, link, fast_tol):
-        lam = calibrate_lambda_full(link, 1.0, law, law, fast_tol)
-        mean = mean_power_full(lam, 1.0, link, law, law, fast_tol)
+    def test_hits_budget(self, law, link, fast_tol, qos_beta1):
+        nu = solve_full(qos_beta1, link, law, law, fast_tol).nu
+        mean = mean_power_full(nu, 1.0, link, law, law, fast_tol)
         assert abs(mean - link.avg_snr) <= fast_tol.power_rel_tol * link.avg_snr
 
-    def test_monte_carlo_policy_spends_budget(self, law, link, fast_tol):
-        lam = calibrate_lambda_full(link, 1.0, law, law, fast_tol)
+    def test_monte_carlo_policy_spends_budget(self, law, link, fast_tol, qos_beta1):
+        lam = solve_full(qos_beta1, link, law, law, fast_tol).throughput.lam
         rng = np.random.default_rng(3)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -150,13 +147,13 @@ class TestCalibration:
         se = mu.std() / math.sqrt(n)
         assert abs(mu.mean() - 1.0) < 3.0 * se + 1e-4
 
-    def test_zero_budget_degenerates(self, law):
-        lam = calibrate_lambda_full(LinkBudget(0.0, 1.0), 1.0, law, law)
-        assert math.isinf(lam)
+    def test_zero_budget_degenerates(self, law, qos_beta1):
+        sol = solve_full(qos_beta1, LinkBudget(0.0, 1.0), law, law)
+        assert math.isinf(sol.nu) and math.isinf(sol.throughput.lam)
 
     def test_mean_power_evaluations(self, law, link, monkeypatch):
-        # theta = 0.1 at 0 dB; the calibrator looks mean_power_full up through
-        # its module, so patching the attribute sees every evaluation
+        # theta = 0.1 at 0 dB; the solve looks mean_power_full up through its
+        # module, so patching the attribute sees every evaluation
         calls = []
 
         def counted(nu, *args):
@@ -164,10 +161,46 @@ class TestCalibration:
             return mean_power_full(nu, *args)
 
         monkeypatch.setattr(full_csi, "mean_power_full", counted)
-        beta = make_qos(0.1).beta
-        lam = calibrate_lambda_full(link, beta, law, law, TOL)
-        assert lam in [beta * nu for nu in calls]  # the calibrator works on nu = lam/beta
+        qos = make_qos(0.1)
+        sol = solve_full(qos, link, law, law, TOL)
+        assert sol.nu in calls  # the calibrator works on nu = lam/beta
+        assert sol.throughput.lam == qos.beta * sol.nu
         assert len(calls) <= 12
+        solved = len(calls)  # the readout ran in the solve; the policy adds no evaluation
+        sol.policy().state_power(np.array([1.0, 3.0]), np.array([0.2, 0.5]))
+        assert len(calls) == solved
+
+
+class TestSolve:
+    """solve_full against the public entry points, and the node store's lifetime."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.01])
+    def test_matches_the_public_entry_points(self, law, link, fast_tol, theta):
+        qos = make_qos(theta)
+        sol = solve_full(qos, link, law, law, fast_tol)
+        assert sol.throughput == throughput_full(qos, link, law, law, fast_tol)
+        assert (sol.csi_mode, sol.beta, sol.threshold) == ("full", qos.beta, sol.nu)
+        mine, public = sol.policy(), build_policy_full(qos, link, law, law, fast_tol)
+        assert (mine.csi_mode, mine.lam, mine.beta, mine.threshold) == (
+            public.csi_mode, public.lam, public.beta, public.threshold)
+        z = np.linspace(0.0, 4.0, 21)
+        assert np.array_equal(mine.state_power(z[None, :], z[:, None]),
+                              public.state_power(z[None, :], z[:, None]))
+
+    def test_node_store_dropped_on_return(self, law, link, monkeypatch):
+        stores = []
+
+        class Recorded(NodePowers):
+            def __init__(self):
+                super().__init__()
+                stores.append(weakref.ref(self))
+
+        monkeypatch.setattr(full_csi, "NodePowers", Recorded)
+        sol = solve_full(make_qos(0.1), link, law, law, TOL)
+        gc.collect()
+        assert len(stores) == 1
+        assert stores[0]() is None  # no node grid outlives the solve
+        assert sol.throughput.throughput_bits_s_hz > 0.0  # while the solution lives
 
 
 class TestThroughput:
@@ -208,7 +241,7 @@ def row_link(snr_db):
 
 
 class TestNodeReuse:
-    """One throughput row solves the powers of each (multiplier, node set) once."""
+    """One solve solves the powers of each (multiplier, node set) once."""
 
     @pytest.mark.parametrize("theta, snr_db", ROWS)
     def test_no_node_set_solved_twice(self, law, theta, snr_db, monkeypatch):
@@ -220,18 +253,17 @@ class TestNodeReuse:
 
         monkeypatch.setattr(full_csi, "power_lanes", counted)
         monkeypatch.setattr(_region, "power_lanes", counted)
-        throughput_full(make_qos(theta), row_link(snr_db), law, law, TOL)
+        solve_full(make_qos(theta), row_link(snr_db), law, law, TOL)
         assert solved
         assert len(set(solved)) == len(solved)
 
     @pytest.mark.parametrize("theta, snr_db", ROWS)
     def test_readout_equals_one_without_store(self, law, theta, snr_db):
         qos, link = make_qos(theta), row_link(snr_db)
-        res = throughput_full(qos, link, law, law, TOL)
-        nu, _ = full_csi._calibrate_full(link, qos.beta, law, law, TOL)
+        sol = solve_full(qos, link, law, law, TOL)
         fresh = throughput_readout(qos.beta, link.gamma, full_csi._policy_expectation(
-            nu, qos.beta, link, law, law, TOL))
-        assert (res.throughput_bits_s_hz, res.quad_error) == fresh
+            sol.nu, qos.beta, link, law, law, TOL))
+        assert (sol.throughput.throughput_bits_s_hz, sol.throughput.quad_error) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
         stores, asked = [], []
@@ -246,7 +278,7 @@ class TestNodeReuse:
                 return super().get(nu, panels, solve)
 
         monkeypatch.setattr(full_csi, "NodePowers", Recorded)
-        throughput_full(make_qos(0.1), link, law, law, TOL)
+        solve_full(make_qos(0.1), link, law, law, TOL)
         assert len(stores) == 1
         (store,) = stores
         assert len({nu for nu, _ in asked}) > 1  # the calibration moved nu
@@ -259,18 +291,18 @@ class TestNodeReuse:
 
 class TestPolicySurface:
     def test_zero_set_matches_threshold(self, law, link, fast_tol):
-        qos = make_qos(0.01)
+        sol = solve_full(make_qos(0.01), link, law, law, fast_tol)
         z = np.linspace(0.0, 4.0, 21)
-        surface = policy_surface_full(qos, link, law, law, z, z, fast_tol)
-        lam = calibrate_lambda_full(link, qos.beta, law, law, fast_tol)
+        surface = sol.policy().state_power(z[None, :], z[:, None])
         ze_grid, zm_grid = np.meshgrid(z, z, indexing="ij")
-        silent = zm_grid - ze_grid <= lam / qos.beta
+        silent = zm_grid - ze_grid <= sol.threshold
         assert np.all(surface[silent] == 0.0)
         assert np.all(surface[~silent] > 0.0)
 
-    def test_empty_grid(self, law, link):
-        surface = policy_surface_full(make_qos(0.01), link, law, law, np.array([]), np.array([]))
-        assert surface.shape == (0, 0)
+    def test_empty_grid(self, law, link, fast_tol):
+        policy = solve_full(make_qos(0.01), link, law, law, fast_tol).policy()
+        z = np.array([])
+        assert policy.state_power(z[None, :], z[:, None]).shape == (0, 0)
 
 
 class TestPolicyObject:

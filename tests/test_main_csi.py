@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from secthru import (
     Tolerances,
     build_policy_main,
     make_qos,
+    solve_full,
+    solve_main,
     throughput_full,
     throughput_main,
 )
 from secthru import _region, full_csi, main_csi
 from secthru.checks import main_power_at
-from secthru.full_csi import calibrate_lambda_full, power_grid
-from secthru.main_csi import alpha_threshold, calibrate_lambda_main, mean_power_main
+from secthru.full_csi import power_grid
+from secthru.main_csi import alpha_threshold, mean_power_main
 from secthru._region import (
     NodePowers,
     idle_marginal_gain,
@@ -203,18 +207,70 @@ class TestAlphaThreshold:
 
 
 class TestCalibrationMain:
-    def test_hits_budget(self, law, link, fast_tol):
-        lam = calibrate_lambda_main(link, 1.0, law, law, fast_tol)
-        mean = mean_power_main(lam, 1.0, link, law, law, fast_tol)
+    def test_hits_budget(self, law, link, fast_tol, qos_beta1):
+        nu = solve_main(qos_beta1, link, law, law, fast_tol).nu
+        mean = mean_power_main(nu, 1.0, link, law, law, fast_tol)
         assert abs(mean - link.avg_snr) <= fast_tol.power_rel_tol * link.avg_snr
 
-    def test_differs_from_full_csi(self, law, link, fast_tol):
-        lam_m = calibrate_lambda_main(link, 1.0, law, law, fast_tol)
-        lam_f = calibrate_lambda_full(link, 1.0, law, law, fast_tol)
+    def test_differs_from_full_csi(self, law, link, fast_tol, qos_beta1):
+        lam_m = solve_main(qos_beta1, link, law, law, fast_tol).throughput.lam
+        lam_f = solve_full(qos_beta1, link, law, law, fast_tol).throughput.lam
         assert abs(lam_m - lam_f) / lam_f > 1e-3
 
-    def test_zero_budget(self, law):
-        assert math.isinf(calibrate_lambda_main(LinkBudget(0.0, 1.0), 1.0, law, law))
+    def test_zero_budget(self, law, qos_beta1):
+        sol = solve_main(qos_beta1, LinkBudget(0.0, 1.0), law, law)
+        assert math.isinf(sol.nu) and math.isinf(sol.threshold)
+
+    def test_mean_power_evaluations(self, law, link, monkeypatch):
+        # the solve looks mean_power_main up through its module, so patching
+        # the attribute sees every evaluation
+        calls = []
+
+        def counted(nu, *args):
+            calls.append(nu)
+            return mean_power_main(nu, *args)
+
+        monkeypatch.setattr(main_csi, "mean_power_main", counted)
+        qos = make_qos(0.1)
+        sol = solve_main(qos, link, law, law, TOL)
+        assert sol.nu in calls
+        assert sol.throughput.lam == qos.beta * sol.nu
+        assert len(calls) <= 12
+        solved = len(calls)  # the readout ran in the solve; the table adds no evaluation
+        sol.policy().state_power(np.array([0.5, 2.0]))
+        assert len(calls) == solved
+
+
+class TestSolveMain:
+    """solve_main against the public entry points, and the node store's lifetime."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.01])
+    def test_matches_the_public_entry_points(self, law, link, fast_tol, theta):
+        qos = make_qos(theta)
+        sol = solve_main(qos, link, law, law, fast_tol)
+        assert sol.throughput == throughput_main(qos, link, law, law, fast_tol)
+        assert (sol.csi_mode, sol.beta) == ("main", qos.beta)
+        assert sol.threshold == alpha_threshold(sol.nu, link, law, fast_tol, law_m=law)
+        mine, public = sol.policy(), build_policy_main(qos, link, law, law, fast_tol)
+        assert (mine.csi_mode, mine.lam, mine.beta, mine.threshold) == (
+            public.csi_mode, public.lam, public.beta, public.threshold)
+        z = np.linspace(0.0, 6.0, 61)
+        assert np.array_equal(mine.state_power(z), public.state_power(z))
+
+    def test_node_store_dropped_on_return(self, law, link, fast_tol, monkeypatch):
+        stores = []
+
+        class Recorded(NodePowers):
+            def __init__(self):
+                super().__init__()
+                stores.append(weakref.ref(self))
+
+        monkeypatch.setattr(main_csi, "NodePowers", Recorded)
+        sol = solve_main(make_qos(0.1), link, law, law, fast_tol)
+        gc.collect()
+        assert len(stores) == 1
+        assert stores[0]() is None  # no node grid outlives the solve
+        assert sol.throughput.throughput_bits_s_hz > 0.0  # while the solution lives
 
 
 class TestThroughputMain:
@@ -235,7 +291,7 @@ class TestThroughputMain:
         assert abs(res.throughput_bits_s_hz - erg) <= 1e-3
 
     def test_theta_zero_builds_no_table(self, law, link, fast_tol, monkeypatch):
-        # only the policy path tabulates the theta = 0 power map
+        # only the policy tabulates the theta = 0 power map, when it is asked for
         builds = []
 
         def counted(*args):
@@ -243,9 +299,9 @@ class TestThroughputMain:
             return main_policy_table(*args)
 
         monkeypatch.setattr(main_csi, "main_policy_table", counted)
-        throughput_main(make_qos(0.0), link, law, law, fast_tol)
+        sol = solve_main(make_qos(0.0), link, law, law, fast_tol)
         assert builds == []
-        build_policy_main(make_qos(0.0), link, law, law, fast_tol)
+        sol.policy()
         assert len(builds) == 1
 
 
@@ -257,7 +313,7 @@ def row_link(snr_db):
 
 
 class TestNodeReuse:
-    """One throughput row solves the powers of each (multiplier, node set) once."""
+    """One solve solves the powers of each (multiplier, node set) once."""
 
     @pytest.mark.parametrize("theta, snr_db", ROWS)
     def test_no_node_set_solved_twice(self, law, theta, snr_db, monkeypatch):
@@ -269,18 +325,17 @@ class TestNodeReuse:
 
         monkeypatch.setattr(full_csi, "power_lanes", counted)
         monkeypatch.setattr(_region, "power_lanes", counted)
-        throughput_main(make_qos(theta), row_link(snr_db), law, law, TOL)
+        solve_main(make_qos(theta), row_link(snr_db), law, law, TOL)
         assert solved
         assert len(set(solved)) == len(solved)
 
     @pytest.mark.parametrize("theta, snr_db", ROWS)
     def test_readout_equals_one_without_store(self, law, theta, snr_db):
         qos, link = make_qos(theta), row_link(snr_db)
-        res = throughput_main(qos, link, law, law, TOL)
-        nu, alpha, _ = main_csi._calibrate_main(link, qos.beta, law, law, TOL)
+        sol = solve_main(qos, link, law, law, TOL)
         fresh = throughput_readout(qos.beta, link.gamma, main_csi._policy_expectation(
-            nu, alpha, qos.beta, link, law, law, TOL))
-        assert (res.throughput_bits_s_hz, res.quad_error) == fresh
+            sol.nu, sol.threshold, qos.beta, link, law, law, TOL))
+        assert (sol.throughput.throughput_bits_s_hz, sol.throughput.quad_error) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
         stores, asked = [], []
@@ -295,7 +350,7 @@ class TestNodeReuse:
                 return super().get(nu, panels, solve)
 
         monkeypatch.setattr(main_csi, "NodePowers", Recorded)
-        throughput_main(make_qos(0.1), link, law, law, TOL)
+        solve_main(make_qos(0.1), link, law, law, TOL)
         assert len(stores) == 1
         (store,) = stores
         assert len({nu for nu, _ in asked}) > 1  # the calibration moved nu
@@ -358,8 +413,8 @@ class TestPolicyMain:
         # stress-box corners: alpha = 2.8e-7 and 2.0e-3
         law_m, law_e = FadingLaw(), FadingLaw(mean_gain=mean_e)
         link = LinkBudget(10.0 ** (snr_db / 10.0), gamma)
-        beta = make_qos(theta).beta
-        nu, alpha, _ = main_csi._calibrate_main(link, beta, law_m, law_e, TOL)
+        sol = solve_main(make_qos(theta), link, law_m, law_e, TOL)
+        beta, nu, alpha = sol.beta, sol.nu, sol.threshold
         z, _ = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, TOL)
         z_mid = 0.5 * (z[1:] + z[:-1])
         exact = np.concatenate([

@@ -47,6 +47,8 @@ class TestMakeQos:
     def test_direct_construction_checks_beta(self):
         with pytest.raises(ValidationError):
             QosSpec(theta=0.01, frame_t=2e-3, bandwidth_b=1e5, beta=1.0)
+        with pytest.raises(ValidationError):  # within the 1e-12 slack, but negative
+            QosSpec(theta=0.0, frame_t=2e-3, bandwidth_b=1e5, beta=-1e-13)
 
 
 class TestFadingLaw:

@@ -8,11 +8,10 @@ from secthru import (
     TailHistogram,
     Tolerances,
     ValidationError,
-    build_policy_full,
     estimate_decay,
     make_qos,
     simulate_queue,
-    throughput_full,
+    solve_full,
 )
 from secthru.queuesim import lindley_queue
 
@@ -23,9 +22,9 @@ def calibrated():
     link = LinkBudget(1.0, 1.0)
     qos = make_qos(0.01)
     tol = Tolerances(quad_rel_tol=1e-6, root_tol=1e-10)
-    policy = build_policy_full(qos, link, law, law, tol)
-    res = throughput_full(qos, link, law, law, tol)
-    arrival = res.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+    sol = solve_full(qos, link, law, law, tol)
+    policy = sol.policy()
+    arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
     return policy, qos, link, law, arrival
 
 

@@ -1,11 +1,11 @@
 """Mean-power evaluations per calibration and lane-kernel work per row, for BENCH_calibration.json.
 
-Each calibration runs numerics.calibrate around full_csi.mean_power_full or
-main_csi.mean_power_main, exactly as the solvers set it up (budget avg_snr,
-upper end ln of the main-channel tail cutoff, and the mean power on the
-quadrature's first rung, numerics.FIRST_RUNG, as the coarse evaluator), with
-wrappers that count the coarse and the refined mean-power evaluations
-separately; "evals" counts both. Two sets of calibrations are counted:
+Each calibration is the one full_csi.solve_full or main_csi.solve_main runs:
+the solve is called with its module's mean_power_full or mean_power_main
+wrapped, and the wrapper tells the coarse evaluations (on the quadrature's
+first rung, panels = numerics.FIRST_RUNG) from the refined ones (panels
+None) by their panels argument; "evals" counts both. Two sets of
+calibrations are counted:
 
 - bench: the 12 calibrations of the sweep-full and sweep-main benchmark
   workloads (their sweep rows and policy surfaces);
@@ -15,10 +15,10 @@ separately; "evals" counts both. Two sets of calibrations are counted:
 Under "lanes" it counts the work of the power-lane kernel for each bench
 row: the calls of _region.power_lanes and their terms (the size of the coef
 argument: one per full-CSI state, inner nodes times gains for main CSI) in
-full_csi.throughput_full or main_csi.throughput_main, split into the
-calibration and the throughput readout. The kernel is wrapped at both of its
-import sites (full_csi for power_grid, _region for main_power) for the
-length of each row only. Counts depend only on the code and the default
+full_csi.solve_full or main_csi.solve_main, split into the calibration and
+the throughput readout (_region.throughput_readout). The kernel is wrapped
+at both of its import sites (full_csi for power_grid, _region for
+main_power) for the length of each row only. Counts depend only on the code and the default
 Tolerances, not on the machine; each row also lists its refined probes as
 [ln(nu), mean power] (the coarse ones under "coarse_probes").
 
@@ -51,7 +51,6 @@ BENCH = (
 )
 ACCEPTANCE = [(mode, t, db, 1.0) for mode in ("full", "main")
               for t in (1e-3, 1e-2, 1e-1) for db in (-10.0, 0.0, 10.0)]
-MEAN_POWER = {"full": full_csi.mean_power_full, "main": main_csi.mean_power_main}
 SOLVER = {"full": full_csi, "main": main_csi}
 
 
@@ -59,30 +58,33 @@ def key(mode, theta, snr_db, gamma):
     return f"{mode}|theta={theta!r}|snr_db={snr_db!r}|gamma={gamma!r}"
 
 
-def count_calibration(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
-    """Calibrate one configuration; returns its record with the evaluation count."""
-    beta = make_qos(theta).beta
-    link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
+def solve(mode, theta, link, tol):
+    """solve_full or solve_main of one configuration, with Exp(1) laws."""
     law = FadingLaw()
+    return getattr(SOLVER[mode], f"solve_{mode}")(make_qos(theta), link, law, law, tol)
+
+
+def count_calibration(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
+    """Solve one configuration; returns its calibration record with the evaluation count."""
+    link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
+    module, name = SOLVER[mode], f"mean_power_{mode}"
+    mean_power = getattr(module, name)
     probes = {None: [], numerics.FIRST_RUNG: []}
 
-    def counted(panels):
-        def mean_power(nu, t):
-            value = MEAN_POWER[mode](nu, beta, link, law, law, t, panels)
-            probes[panels].append((math.log(nu), value))
-            return value
-        return mean_power
+    def counted(nu, *args):
+        value = mean_power(nu, *args)
+        probes[args[5]].append((math.log(nu), value))  # args[5] is panels
+        return value
 
-    u_hi = math.log(law.tail_cutoff(tol.quad_trunc_mass))
-    nu, residual = numerics.calibrate(counted(None), link.avg_snr, u_hi, tol,
-                                      counted(numerics.FIRST_RUNG))
+    with mock.patch.object(module, name, counted):
+        sol = solve(mode, theta, link, tol)
     refined, coarse = probes[None], probes[numerics.FIRST_RUNG]
     return {
         "evals": len(coarse) + len(refined),
         "coarse_evals": len(coarse),
         "refined_evals": len(refined),
-        "nu": nu,
-        "residual_rel": residual / link.avg_snr,
+        "nu": sol.nu,
+        "residual_rel": sol.throughput.power_residual / link.avg_snr,
         "probes": [[round(u, 4), p] for u, p in refined],
         "coarse_probes": [[round(u, 4), p] for u, p in coarse],
     }
@@ -98,15 +100,12 @@ def count_set(configs):
 
 
 def count_lanes(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
-    """power_lanes calls and terms of one throughput row, by stage."""
-    qos = make_qos(theta)
+    """power_lanes calls and terms of one solved row, by stage."""
     link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
-    law = FadingLaw()
-    solver = SOLVER[mode]
     counts = {f"{stage}_{what}": 0 for stage in ("calibration", "readout")
               for what in ("calls", "terms")}
     stage = ["calibration"]
-    lanes, readout = _region.power_lanes, solver.throughput_readout
+    lanes, readout = _region.power_lanes, _region.throughput_readout
 
     def counted_lanes(z_m, coef, *args):
         counts[f"{stage[0]}_calls"] += 1
@@ -119,8 +118,8 @@ def count_lanes(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
 
     with mock.patch.object(full_csi, "power_lanes", counted_lanes), \
             mock.patch.object(_region, "power_lanes", counted_lanes), \
-            mock.patch.object(solver, "throughput_readout", staged_readout):
-        getattr(solver, f"throughput_{mode}")(qos, link, law, law, tol)
+            mock.patch.object(_region, "throughput_readout", staged_readout):
+        solve(mode, theta, link, tol)
     return counts
 
 
