@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import _region, full_csi, main_csi, queuesim
+from . import full_csi, main_csi, queuesim
 from .model import LN2
 from .numerics import NumericsError
 
@@ -105,8 +105,8 @@ def main_power_at(z_m, gamma, beta, lam, law_e, tol):
     """The main-CSI power evaluator at one gain, on the simulation table's inner
     rule (NumericsError where that rule cannot resolve law_e).
     """
-    return float(_region.fixed_rule_power(np.array([z_m]), beta, lam / beta, gamma, law_e, tol,
-                                          "checks.main_power_at")[0])
+    return float(main_csi.fixed_rule_power(np.array([z_m]), beta, lam / beta, gamma, law_e, tol,
+                                           "checks.main_power_at")[0])
 
 
 _MODES = ("full", "main")

@@ -76,7 +76,6 @@ _FLOAT_LIST_KEYS = {"theta", "snr_db"}
 _FLOAT_KEYS = {"gamma", "mean_zm", "mean_ze", "frame_t", "bandwidth",
                "root_tol", "quad_rel_tol", "trunc_mass", "power_rel_tol"}
 _INT_KEYS = {"max_iter", "seed", "frames"}
-_STR_KEYS = {"csi", "out"}
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -135,6 +134,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     if cfg.csi not in ("full", "main", "both"):
         raise ValidationError("csi must be full, main, or both")
+    ze_max, zm_max, steps = cfg.grid
+    if not (math.isfinite(ze_max) and math.isfinite(zm_max) and ze_max >= 0 and zm_max >= 0):
+        raise ValidationError("grid maxima must be finite and nonnegative")
+    if steps < 0:
+        raise ValidationError("grid steps must be nonnegative")
     cfg.tolerances()
     cfg.laws()
     for db in cfg.snr_db:

@@ -16,16 +16,11 @@ throughput is -ln E{r^(-beta)} / (theta*T*B) with the integrand equal to 1
 wherever no power is allocated, or E{log2 r} at theta = 0.
 """
 
+from functools import partial
+
 import numpy as np
 
-from ._region import (
-    NodePowers,
-    calibrate_policy,
-    power_lanes,
-    reported_lam,
-    solution,
-    transmit_region_expectation,
-)
+from ._region import NodePowers, node_powers, power_lanes, quadrature, reported_lam, solve
 from .ergodic import ergodic_power_full
 from .model import (
     FadingLaw,
@@ -36,7 +31,7 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, QuadResult, Tolerances, panel_nodes
 
 
 def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
@@ -74,57 +69,98 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
     return out
 
 
+def transmit_region_expectation(
+    nu: float,
+    beta: float,
+    link: LinkBudget,
+    law_m: FadingLaw,
+    law_e: FadingLaw,
+    tol: Tolerances,
+    integrand,
+    floor: float,
+    include_idle_mass: bool,
+    panels: int | None = None,
+    nodes: NodePowers | None = None,
+) -> QuadResult:
+    """Joint expectation of integrand(mu, z_m, z_e) under the policy with
+    normalized multiplier nu, over its transmit region z_m > gamma*z_e + nu.
+
+    mu is power_grid on the active region. With include_idle_mass the
+    complement contributes 1 per unit probability (the value every throughput
+    integrand takes at zero rate), so the result is a full expectation of a
+    function that equals 1 off the transmit region. panels fixes the panel
+    count per axis (see _region.quadrature); by default both axes refine
+    together. Given nodes (a NodePowers of one solve at these beta, link,
+    laws, root_tol and max_iter), each rung's powers are read from it and
+    solved only on a miss.
+
+    Both variables are substituted to resolve the threshold boundary layers:
+    the power turns on over a distance ~nu above z_m = gamma*z_e + nu and
+    grows like sqrt(distance/nu) beyond it, and the same ~nu scale appears in
+    z_e near 0. Uniform panels in w and v with gamma*z_e = nu*(w^2 - 1) and
+    z_m = gamma*z_e + nu*v^2 stay resolved at any calibrated multiplier.
+    """
+    gamma, lam = link.gamma, reported_lam(beta, nu)
+    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
+    ze_hi = law_e.tail_cutoff(tol.quad_trunc_mass)
+    ze_cap = min(ze_hi, (zm_hi - nu) / gamma)
+    if not ze_cap > 0.0:
+        return QuadResult(1.0 if include_idle_mass else 0.0, 0.0, 0)
+
+    idle_tail = 1.0 - float(law_e.cdf(ze_cap)) if include_idle_mass else 0.0
+    w_max = np.sqrt(1.0 + gamma * ze_cap / nu)
+
+    def at(n: int) -> float:
+        w, we = panel_nodes(1.0, w_max, n)
+        u, wu = panel_nodes(0.0, 1.0, n)
+        ze = nu * (w * w - 1.0) / gamma
+        we = we * (2.0 * nu / gamma) * w  # pull the z_e jacobian into the weights
+        t = gamma * ze + nu
+        v_max = np.sqrt((zm_hi - gamma * ze) / nu)  # z_m(v_max) = zm_hi
+        v = 1.0 + (v_max[:, None] - 1.0) * u[None, :]
+        zm = (gamma * ze)[:, None] + nu * v * v
+        zeg = np.broadcast_to(ze[:, None], zm.shape)
+        mu = node_powers(nodes, nu, n, lambda: power_grid(zm, zeg, gamma, beta, lam, tol))
+        vals = integrand(mu, zm, zeg) * law_m.density(zm)
+        jac = 2.0 * nu * v * (v_max[:, None] - 1.0)
+        inner = (vals * jac) @ wu
+        if include_idle_mass:
+            inner = inner + law_m.cdf(t)
+        return float(we @ (inner * law_e.density(ze))) + idle_tail
+
+    return quadrature(at, tol, floor, panels)
+
+
 def mean_power_full(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL, panels: int | None = None,
                     nodes: NodePowers | None = None) -> float:
     """Expected transmit SNR of the policy with normalized multiplier nu,
     refined to tol, or on a fixed number of panels per axis; nodes is the
-    solve's store of node powers, if any (see _policy_expectation).
+    solve's store of node powers, if any (see transmit_region_expectation).
     """
     if not (nu > 0 and beta >= 0):
         raise ValidationError("nu must be positive and beta nonnegative")
-    expectation = _policy_expectation(nu, beta, link, law_m, law_e, tol, panels, nodes)
-    return expectation(lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), False).value
-
-
-def _policy_expectation(nu, beta, link, law_m, law_e, tol, panels=None, nodes=None):
-    """expectation(integrand, floor, include_idle_mass) under the policy with
-    multiplier nu, over its transmit region z_m > gamma*z_e + nu. Given nodes
-    (a NodePowers of one solve at these beta, link, laws, root_tol and
-    max_iter), each rung's powers are read from it and solved only on a miss.
-    """
-    lam = reported_lam(beta, nu)
-    return lambda integrand, floor, idle: transmit_region_expectation(
-        power_fn=lambda zm, ze: power_grid(zm, ze, link.gamma, beta, lam, tol),
-        integrand=integrand,
-        offset=nu,
-        gamma=link.gamma,
-        law_m=law_m,
-        law_e=law_e,
-        tol=tol,
-        floor=floor,
-        include_idle_mass=idle,
-        panels=panels,
-        nodes=nodes,
-    )
+    return transmit_region_expectation(nu, beta, link, law_m, law_e, tol,
+                                       lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), False,
+                                       panels, nodes).value
 
 
 def solve_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                tol: Tolerances = DEFAULT_TOL) -> Solution:
-    """Calibrate the full-CSI policy and read out its effective secure throughput.
-
-    One calibration (_region.calibrate_policy) and a readout on its
-    NodePowers store (_region.solution). The threshold is nu, and the policy
-    is power_grid at the calibrated multiplier.
+    """Calibrate the full-CSI policy and read out its effective secure throughput
+    (_region.solve). The threshold is nu, and the policy is power_grid at the
+    calibrated multiplier.
     """
     beta, gamma = qos.beta, link.gamma
-    nodes = NodePowers()
-    nu, residual = calibrate_policy(mean_power_full, beta, link, law_m, law_e, tol, nodes)
-    lam = reported_lam(beta, nu)
-    return solution("full", qos, gamma, nu, nu, residual,
-                    _policy_expectation(nu, beta, link, law_m, law_e, tol, None, nodes),
-                    lambda: lambda z_m, z_e: power_grid(z_m, z_e, gamma, beta, lam, tol))
+
+    def policy_at(nu, nodes):
+        lam = reported_lam(beta, nu)
+        return (nu, partial(transmit_region_expectation, nu, beta, link, law_m, law_e, tol,
+                            nodes=nodes),
+                lambda: lambda z_m, z_e: power_grid(z_m, z_e, gamma, beta, lam, tol))
+
+    return solve("full", mean_power_full, policy_at, qos, link, law_m, law_e, tol)
 
 
 def throughput_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

@@ -9,9 +9,10 @@ marginal gain over the eavesdropper law on z_e < z_m/gamma:
 with r(mu) = (1 + mu*z_m)/(1 + gamma*mu*z_e). The left side decreases strictly
 in mu and increases strictly in z_m at mu = 0, so the policy transmits exactly
 above a cutoff gain alpha and each active z_m has a unique root. The power
-map has one evaluator, _region.main_power: the lane kernel on a Gauss-Legendre
-rule for the inner integral. The throughput and mean-power quadratures call it
-at their own nodes, and the simulation policy interpolates a table of it.
+map has one evaluator, main_power: the lane kernel on a Gauss-Legendre rule
+for the inner integral. The throughput and mean-power quadratures
+(main_region_expectation) call it at their own nodes, and the simulation
+policy interpolates a table of it (main_policy_table).
 
 Divided by beta, the condition holds for every beta >= 0 with the normalized
 multiplier nu = lam/beta: at beta = 0 (theta = 0, no QoS constraint) it is the
@@ -22,15 +23,11 @@ budget with equality.
 """
 
 import math
+from functools import partial
 
-from ._region import (
-    NodePowers,
-    calibrate_policy,
-    idle_marginal_gain,
-    main_policy_table,
-    main_region_expectation,
-    solution,
-)
+import numpy as np
+
+from ._region import BLOCK_TERMS, NodePowers, node_powers, power_lanes, quadrature, solve
 from .model import (
     FadingLaw,
     LinkBudget,
@@ -40,12 +37,11 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, NumericsError, Tolerances, _brent
+from .numerics import DEFAULT_TOL, NumericsError, QuadResult, Tolerances, _brent, panel_nodes
 
 
-def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
-                    tol: Tolerances = DEFAULT_TOL,
-                    law_m: FadingLaw | None = None) -> float:
+def alpha_threshold(nu: float, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
+                    tol: Tolerances = DEFAULT_TOL) -> float:
     """Cutoff gain below which the main-CSI policy with multiplier nu is silent.
 
     The root of the zero-power marginal gain against nu, for every beta >= 0.
@@ -55,16 +51,16 @@ def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
     Each gain is evaluated once: the monotonicity probes at z_hi/4, z_hi/2
     and z_hi are not repeated, and Brent starts from the value at z_hi; a
     gain that does not increase over the probes raises NumericsError.
-    Returns math.inf when nu is beyond any gain achievable on the truncated
-    support (nu = math.inf included).
+    The search runs up to the truncation point z_hi of law_m. Returns
+    math.inf when nu is beyond any gain achievable on that truncated support
+    (nu = math.inf included).
     """
     if nu < 0:
         raise ValidationError("nu must be nonnegative")
     gamma = link.gamma
-    search_law = law_m if law_m is not None else law_e
-    z_hi = search_law.tail_cutoff(tol.quad_trunc_mass)
+    z_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
 
-    gain0 = lambda z: idle_marginal_gain(z, gamma, law_e, tol)
+    gain0 = lambda z: idle_marginal_gain(z, gamma, law_e)
     # the zero-power gain must be increasing in z_m for the root to be a cutoff
     probes = gain0(z_hi * 0.25), gain0(z_hi * 0.5), gain0(z_hi)
     if not (probes[0] < probes[1] < probes[2]):
@@ -75,58 +71,234 @@ def alpha_threshold(nu: float, link: LinkBudget, law_e: FadingLaw,
     return root
 
 
+def idle_marginal_gain(z_m, gamma: float, law_e: FadingLaw):
+    """Integral of (z_m - gamma*t) over the eavesdropper law for t < z_m/gamma,
+    at a gain or an array of gains (0 where z_m <= 0).
+
+    This is the zero-power marginal gain of the main-CSI problem divided by
+    beta, for every beta >= 0; it is strictly increasing in z_m, which the
+    cutoff solver (alpha_threshold) relies on. Integrated by parts it is
+    gamma * Int_0^{z_m/gamma} P(z_e <= t) dt, read in closed form from
+    law_e.integrated_cdf: the whole region z_e < z_m/gamma that the inner
+    rule of main_region_expectation integrates, without truncation and
+    without quadrature.
+    """
+    return gamma * law_e.integrated_cdf(np.asarray(z_m, dtype=float) / gamma)
+
+
+# the main-CSI simulation table: inner eavesdropper panels per node, nodes
+# before refinement, the interpolation bound relative to max(1, mu) and the
+# refinement rounds before it gives up
+TABLE_INNER_PANELS = 64
+_TABLE_START_POINTS = 513
+_TABLE_REL_TOL = 1e-4
+_TABLE_ROUNDS = 10
+# the largest relative miss of the fixed inner rule's zero-power gain against
+# idle_marginal_gain; inside the realistic range the rule meets it to ~1e-13
+_INNER_RULE_REL_TOL = 1e-8
+
+
+def main_power(zm, panels, beta, nu, gamma, law_e, tol):
+    """Main-CSI power at gains zm > 0, on an inner rule of the given panel count.
+
+    Each gain solves the lane equation of power_lanes with terms
+    (z_m - gamma*z_e) p_E(z_e) over z_e < z_m/gamma, against the normalized
+    multiplier nu. The inner rule is Gauss-Legendre in u with
+    z_e = (z_m/gamma)*u^2, which resolves the layer of width ~1/mu near
+    z_e = 0 that the integrands develop once the power is large. Returns
+    (mu, ze, wpe, wu): the powers, the inner nodes under each gain, their
+    density-times-jacobian weights, and the u weights, so that
+    (f(z_e) * wpe) @ wu integrates f against p_E over each gain's region.
+    """
+    u, wu = panel_nodes(0.0, 1.0, panels)
+    span = zm / gamma
+    ze = (u * u)[None, :] * span[:, None]
+    wpe = law_e.density(ze) * span[:, None] * 2.0 * u[None, :]
+    coef = wpe * wu * (zm[:, None] - gamma * ze)
+    return power_lanes(zm, coef, u * u, beta, nu, tol), ze, wpe, wu
+
+
+def fixed_rule_power(zm, beta, nu, gamma, law_e, tol, layer: str):
+    """main_power on the fixed TABLE_INNER_PANELS-panel inner rule, which the
+    simulation table and the release checks use, checked at every gain.
+
+    A fixed rule cannot resolve an eavesdropper law far narrower than
+    z_m/gamma: at eavesdropper mean 1e-9 and z_m = 2 its nodes miss nearly
+    all of the density and the power would silently come out 0. So the rule's
+    zero-power gain, ((z_m - gamma*z_e) * wpe) @ wu, is compared with the
+    closed form idle_marginal_gain, and a relative miss above 1e-8 at any
+    gain raises NumericsError naming layer, with the powers as best.
+    """
+    mu, ze, wpe, wu = main_power(zm, TABLE_INNER_PANELS, beta, nu, gamma, law_e, tol)
+    rule = ((zm[:, None] - gamma * ze) * wpe) @ wu
+    exact = idle_marginal_gain(zm, gamma, law_e)
+    miss = np.abs(rule - exact) > _INNER_RULE_REL_TOL * exact
+    if miss.any():
+        k = int(np.argmax(miss))
+        raise NumericsError(
+            f"{layer}: the {TABLE_INNER_PANELS}-panel inner rule's zero-power gain at "
+            f"z_m = {zm[k]:g} is {rule[k]:.6g} against {exact[k]:.6g} in closed form "
+            f"({int(miss.sum())} of {zm.size} gains miss by more than "
+            f"{_INNER_RULE_REL_TOL:g} relative)", best=mu)
+    return mu
+
+
+def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
+    """Nodes (z, mu) of the main-CSI power map whose linear interpolation is
+    within 1e-4*max(1, mu) at every checked midpoint.
+
+    The power is 0 up to the cutoff alpha and turns on steeply just above it,
+    so the 513 starting nodes are alpha and alpha plus offsets placed
+    geometrically from 1e-6*alpha to the truncation point of the main-channel
+    law. Each round solves the power (fixed_rule_power, which raises
+    NumericsError where its inner rule cannot resolve the eavesdropper law)
+    at the midpoint of every interval under check and keeps it as a node;
+    the halves of an interval whose interpolated midpoint missed the bound
+    are checked in the next round. After _TABLE_ROUNDS rounds with a miss
+    left, NumericsError carries the nodes so far. Requires alpha < the
+    truncation point.
+    """
+    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
+    anchor = max(alpha, zm_hi * 1e-14)
+    # the inner grid is built one kernel block at a time, never for the whole table
+    step = max(1, BLOCK_TERMS // panel_nodes(0.0, 1.0, TABLE_INNER_PANELS)[0].size)
+
+    def solve(z):
+        return np.concatenate([fixed_rule_power(zc, beta, nu, gamma, law_e, tol,
+                                                "main_policy_table")
+                               for zc in np.split(z, range(step, z.size, step))])
+
+    offsets = np.geomspace(1e-6 * anchor, zm_hi - alpha, _TABLE_START_POINTS - 1)
+    z = alpha + np.concatenate([[0.0], offsets])
+    mu = solve(z)
+    check = np.arange(z.size - 1)  # intervals [z[k], z[k+1]] to check
+    for _ in range(_TABLE_ROUNDS):
+        z_mid = 0.5 * (z[check] + z[check + 1])
+        mu_mid = solve(z_mid)
+        linear = 0.5 * (mu[check] + mu[check + 1])
+        miss = np.abs(mu_mid - linear) > _TABLE_REL_TOL * np.maximum(1.0, mu_mid)
+        z, mu = np.insert(z, check + 1, z_mid), np.insert(mu, check + 1, mu_mid)
+        if not miss.any():
+            return z, mu
+        # the j-th checked interval now starts at check[j] + j; check both its halves
+        lower = (check + np.arange(check.size))[miss]
+        check = np.column_stack([lower, lower + 1]).ravel()
+    raise NumericsError(f"main_policy_table: {int(miss.sum())} intervals miss the "
+                        f"interpolation bound after {_TABLE_ROUNDS} rounds", best=(z, mu))
+
+
+def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
+    """Interpolating evaluator of the main-CSI power map, for queue simulation.
+
+    Queue simulation evaluates the policy on millions of gains; re-solving the
+    inner integral per draw is wasteful, so the power is solved at the nodes
+    of main_table_nodes, whose midpoint check bounds the interpolation error,
+    and interpolated linearly between them. At and below alpha the policy is
+    exactly 0; above the last node it is held at the last node's power.
+    """
+    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
+    if not (alpha < zm_hi):
+        return lambda z_m: np.zeros(np.shape(z_m))
+    grid, mu_grid = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol)
+
+    def state_power(z_m):
+        z_m = np.asarray(z_m, dtype=float)
+        mu = np.interp(z_m, grid, mu_grid)
+        return np.where(z_m <= alpha, 0.0, mu)
+
+    return state_power
+
+
+def main_region_expectation(
+    nu: float,
+    alpha: float,
+    beta: float,
+    link: LinkBudget,
+    law_m: FadingLaw,
+    law_e: FadingLaw,
+    tol: Tolerances,
+    integrand,
+    floor: float,
+    include_idle_mass: bool,
+    panels: int | None = None,
+    nodes: NodePowers | None = None,
+) -> QuadResult:
+    """Expectation over z_m > alpha with a per-z_m power solve and inner z_e integral.
+
+    Each z_m node takes its power from main_power on an inner rule with as
+    many panels as the outer one, against the normalized multiplier nu
+    (lam/beta, or the theta = 0 multiplier at beta = 0).
+    integrand(mu, z_m, z_e) is then integrated on the same inner rule;
+    integrand=None integrates the power itself (no inner integral).
+    include_idle_mass adds the probability mass where the service is zero
+    (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1. panels
+    fixes the outer (and so the inner) panel count (see _region.quadrature);
+    by default both refine together. Given nodes, each rung's main_power
+    result (powers and inner rule) comes from that store under nu, and is
+    solved only on a miss.
+
+    Both variables are substituted to keep the threshold layers resolved at
+    any calibration: the power turns on over a distance ~alpha above the
+    cutoff, so z_m = alpha*w^2 with uniform panels in w >= 1; main_power's
+    inner rule in u, z_e = (z_m/gamma)*u^2, handles the layer near z_e = 0.
+    """
+    gamma = link.gamma
+    zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
+    if not (alpha < zm_hi):
+        return QuadResult(1.0 if include_idle_mass else 0.0, 0.0, 0)
+    base = float(law_m.cdf(alpha)) + (1.0 - float(law_m.cdf(zm_hi))) if include_idle_mass else 0.0
+    anchor = max(alpha, zm_hi * 1e-14)
+    w_max = math.sqrt(zm_hi / anchor)
+
+    def at(n: int) -> float:
+        w, wm = panel_nodes(1.0, w_max, n)
+        zm = anchor * w * w
+        wm = wm * 2.0 * anchor * w  # z_m jacobian folded into the weights
+        mu, ze, wpe, wu = node_powers(
+            nodes, nu, n, lambda: main_power(zm, n, beta, nu, gamma, law_e, tol))
+        if integrand is None:
+            vals = mu
+        else:
+            vals = (integrand(mu[:, None], zm[:, None], ze) * wpe) @ wu
+            if include_idle_mass:
+                vals = vals + (1.0 - law_e.cdf(zm / gamma))
+        return float(wm @ (vals * law_m.density(zm))) + base
+
+    return quadrature(at, tol, floor, panels)
+
+
 def mean_power_main(nu: float, beta: float, link: LinkBudget,
                     law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL, panels: int | None = None,
                     nodes: NodePowers | None = None) -> float:
     """Expected transmit SNR of the main-CSI policy with normalized multiplier
     nu, refined to tol, or on a fixed number of outer and inner panels; nodes
-    is the solve's store of node powers, if any (see _policy_expectation).
+    is the solve's store of node powers, if any (see main_region_expectation).
     """
-    alpha = alpha_threshold(nu, link, law_e, tol, law_m=law_m)
-    expectation = _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels, nodes)
-    return expectation(None, max(link.avg_snr, 1e-6), False).value
-
-
-def _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, panels=None, nodes=None):
-    """expectation(integrand, floor, include_idle_mass) under the policy with
-    multiplier nu and cutoff alpha (integrand None: the power itself). Given
-    nodes (a NodePowers of one solve at these beta, link, laws, root_tol and
-    max_iter), each rung's main_power result is read from it and solved only
-    on a miss.
-    """
-    return lambda integrand, floor, idle: main_region_expectation(
-        beta=beta,
-        integrand=integrand,
-        nu=nu,
-        gamma=link.gamma,
-        law_m=law_m,
-        law_e=law_e,
-        tol=tol,
-        alpha=alpha,
-        floor=floor,
-        include_idle_mass=idle,
-        panels=panels,
-        nodes=nodes,
-    )
+    if not (nu > 0 and beta >= 0):
+        raise ValidationError("nu must be positive and beta nonnegative")
+    alpha = alpha_threshold(nu, link, law_m, law_e, tol)
+    return main_region_expectation(nu, alpha, beta, link, law_m, law_e, tol, None,
+                                   max(link.avg_snr, 1e-6), False, panels, nodes).value
 
 
 def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                tol: Tolerances = DEFAULT_TOL) -> Solution:
-    """Calibrate the main-CSI policy and read out its effective secure throughput.
-
-    As full_csi.solve_full. The threshold is the cutoff alpha at the
-    accepted nu, solved once more at no quadrature cost (its gain is in
-    closed form, idle_marginal_gain), and the policy interpolates
-    main_policy_table, which is built only when the policy is asked for.
+    """Calibrate the main-CSI policy and read out its effective secure throughput
+    (_region.solve). The threshold is the cutoff alpha at the accepted nu,
+    solved once more at no quadrature cost (its gain is in closed form,
+    idle_marginal_gain), and the policy interpolates main_policy_table, which
+    is built only when the policy is asked for.
     """
     beta, gamma = qos.beta, link.gamma
-    nodes = NodePowers()
-    nu, residual = calibrate_policy(mean_power_main, beta, link, law_m, law_e, tol, nodes)
-    alpha = alpha_threshold(nu, link, law_e, tol, law_m=law_m)
-    return solution("main", qos, gamma, nu, alpha, residual,
-                    _policy_expectation(nu, alpha, beta, link, law_m, law_e, tol, None, nodes),
-                    lambda: main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol))
+
+    def policy_at(nu, nodes):
+        alpha = alpha_threshold(nu, link, law_m, law_e, tol)
+        return (alpha, partial(main_region_expectation, nu, alpha, beta, link, law_m, law_e,
+                               tol, nodes=nodes),
+                lambda: main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol))
+
+    return solve("main", mean_power_main, policy_at, qos, link, law_m, law_e, tol)
 
 
 def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

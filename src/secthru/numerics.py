@@ -86,9 +86,9 @@ def _gauss_legendre(order: int):
     return x, w
 
 
-def panel_nodes(lo: float, hi: float, n_panels: int, order: int = _GL_ORDER):
+def panel_nodes(lo: float, hi: float, n_panels: int):
     """Composite Gauss-Legendre nodes and weights on [lo, hi], ascending."""
-    x, w = _gauss_legendre(order)
+    x, w = _gauss_legendre(_GL_ORDER)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])

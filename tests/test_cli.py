@@ -1,3 +1,5 @@
+import pytest
+
 from secthru import NumericsError, full_csi, main_csi
 from secthru.cli import RunConfig, main, parse_config_file
 
@@ -104,6 +106,12 @@ class TestPolicySurface:
         header, rows = read_rows(out)
         assert header == ["theta", "z_e", "z_m", "mu"]
         assert rows == []
+
+    @pytest.mark.parametrize("grid", ["4,4,-1", "4,nan,3", "-4,4,3"])
+    def test_invalid_grid_rejected(self, grid, capsys):
+        # a negative step count, a non-finite or a negative maximum
+        assert run_cli(["policy-surface", "--theta", "0.01", f"--grid={grid}", *FAST]) == 1
+        assert capsys.readouterr().err.startswith("error: grid")
 
     def test_numeric_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         # the theta = 0.01 solve fails: its rows are dropped, the other

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from secthru import (
     throughput_full,
 )
 from secthru import _region, full_csi
-from secthru.ergodic import ergodic_power_full
-from secthru.full_csi import kkt_lhs_full, mean_power_full, power_grid
-from secthru._region import NodePowers, throughput_readout, transmit_region_expectation
+from secthru.full_csi import (
+    kkt_lhs_full,
+    mean_power_full,
+    power_grid,
+    transmit_region_expectation,
+)
+from secthru._region import NodePowers, throughput_readout
 from secthru.numerics import FIRST_RUNG, calibrate
 from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term
 
@@ -25,14 +30,12 @@ TOL = Tolerances()
 
 def closed_form_mean_rate(link, law, tol):
     """Mean secrecy rate (bits/s/Hz) of the theta = 0 policy assembled directly:
-    the closed-form power calibrated on its nats multiplier, coarse stage on
-    the first quadrature rung, then E{log2 r}.
+    the closed-form power (power_grid at beta = 0) calibrated on its nats
+    multiplier, coarse stage on the first quadrature rung, then E{log2 r}.
     """
     def expect(lam, integrand, floor, t, panels=None):
-        return transmit_region_expectation(
-            power_fn=lambda zm, ze: ergodic_power_full(zm, ze, link.gamma, lam),
-            integrand=integrand, offset=lam, gamma=link.gamma, law_m=law, law_e=law,
-            tol=t, floor=floor, include_idle_mass=False, panels=panels)
+        return transmit_region_expectation(lam, 0.0, link, law, law, t, integrand, floor,
+                                           False, panels)
 
     def mean_power(panels):
         return lambda lam, t: expect(lam, lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), t,
@@ -195,7 +198,7 @@ class TestSolve:
                 super().__init__()
                 stores.append(weakref.ref(self))
 
-        monkeypatch.setattr(full_csi, "NodePowers", Recorded)
+        monkeypatch.setattr(_region, "NodePowers", Recorded)
         sol = solve_full(make_qos(0.1), link, law, law, TOL)
         gc.collect()
         assert len(stores) == 1
@@ -252,7 +255,6 @@ class TestNodeReuse:
             return lanes(z_m, coef, *args)
 
         monkeypatch.setattr(full_csi, "power_lanes", counted)
-        monkeypatch.setattr(_region, "power_lanes", counted)
         solve_full(make_qos(theta), row_link(snr_db), law, law, TOL)
         assert solved
         assert len(set(solved)) == len(solved)
@@ -261,8 +263,8 @@ class TestNodeReuse:
     def test_readout_equals_one_without_store(self, law, theta, snr_db):
         qos, link = make_qos(theta), row_link(snr_db)
         sol = solve_full(qos, link, law, law, TOL)
-        fresh = throughput_readout(qos.beta, link.gamma, full_csi._policy_expectation(
-            sol.nu, qos.beta, link, law, law, TOL))
+        fresh = throughput_readout(qos.beta, link.gamma, partial(
+            transmit_region_expectation, sol.nu, qos.beta, link, law, law, TOL))
         assert (sol.throughput.throughput_bits_s_hz, sol.throughput.quad_error) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
@@ -277,7 +279,7 @@ class TestNodeReuse:
                 asked.append((nu, panels))
                 return super().get(nu, panels, solve)
 
-        monkeypatch.setattr(full_csi, "NodePowers", Recorded)
+        monkeypatch.setattr(_region, "NodePowers", Recorded)
         solve_full(make_qos(0.1), link, law, law, TOL)
         assert len(stores) == 1
         (store,) = stores

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,17 +18,18 @@ from secthru import (
     throughput_full,
     throughput_main,
 )
-from secthru import _region, full_csi, main_csi
+from secthru import _region, main_csi
 from secthru.checks import main_power_at
 from secthru.full_csi import power_grid
-from secthru.main_csi import alpha_threshold, mean_power_main
-from secthru._region import (
-    NodePowers,
+from secthru.main_csi import (
+    alpha_threshold,
     idle_marginal_gain,
     main_policy_table,
+    main_region_expectation,
     main_table_nodes,
-    throughput_readout,
+    mean_power_main,
 )
+from secthru._region import NodePowers, throughput_readout
 from oracles import brute_power_main, simpson, simpson_density, stationarity_lhs_main
 
 TOL = Tolerances()
@@ -67,12 +69,12 @@ class TestKktLhsMain:
 
 
 class TestPowerMain:
-    """The main-CSI power evaluator, _region.main_power, at one gain on the table's
+    """The main-CSI power evaluator, main_csi.main_power, at one gain on the table's
     inner rule (checks.main_power_at).
     """
 
     def test_silent_below_threshold(self, law, link):
-        alpha = alpha_threshold(0.1, link, law)
+        alpha = alpha_threshold(0.1, link, law, law)
         assert main_power_at(alpha * (1.0 - 1e-6), 1.0, 2.0, 0.2, law, TOL) == 0.0
         assert main_power_at(alpha * (1.0 + 1e-3), 1.0, 2.0, 0.2, law, TOL) > 0.0
 
@@ -82,7 +84,7 @@ class TestPowerMain:
         # form; the inner rule resolves a law of mean 1e-9 at 2^14 panels
         law_e = FadingLaw(mean_gain=1e-9)
         z_m, lam = 2.0, 0.3
-        mu = float(_region.main_power(np.array([z_m]), 2 ** 14, 1.0, lam, 1.0, law_e, TOL)[0][0])
+        mu = float(main_csi.main_power(np.array([z_m]), 2 ** 14, 1.0, lam, 1.0, law_e, TOL)[0][0])
         expected = (math.sqrt(z_m / lam) - 1.0) / z_m
         assert mu == pytest.approx(expected, rel=1e-5)
         full = float(power_grid([z_m], [0.0], 1.0, 1.0, lam, TOL)[0])
@@ -95,7 +97,7 @@ class TestPowerMain:
         law_e = FadingLaw(mean_gain=1e-9)
         with pytest.raises(NumericsError, match="checks.main_power_at"):
             main_power_at(2.0, 1.0, 1.0, 0.3, law_e, TOL)
-        alpha = alpha_threshold(0.3, link, law_e, TOL, law_m=law)
+        alpha = alpha_threshold(0.3, link, law, law_e, TOL)
         with pytest.raises(NumericsError, match="main_policy_table"):
             main_policy_table(1.0, 0.3, alpha, 1.0, law, law_e, TOL)
 
@@ -118,7 +120,7 @@ class TestPowerMain:
         assert worst < 1e-8
 
     def test_nondecreasing_near_threshold(self, law, link):
-        alpha = alpha_threshold(0.25 / 1.5, link, law)
+        alpha = alpha_threshold(0.25 / 1.5, link, law, law)
         zs = alpha * (1.0 + np.array([1e-4, 1e-3, 1e-2, 5e-2, 1e-1]))
         mus = [main_power_at(z, 1.0, 1.5, 0.25, law, TOL) for z in zs]
         assert all(b >= a for a, b in zip(mus, mus[1:]))
@@ -126,11 +128,11 @@ class TestPowerMain:
 
 class TestAlphaThreshold:
     def test_zero_multiplier(self, law, link):
-        assert alpha_threshold(0.0, link, law) == 0.0
+        assert alpha_threshold(0.0, link, law, law) == 0.0
 
     def test_cdf_area_form_gamma1(self, law, link):
         # nu = lam/beta = 0.1: alpha solves a - 1 + e^-a = 0.1
-        alpha = alpha_threshold(0.1, link, law)
+        alpha = alpha_threshold(0.1, link, law, law)
         f = lambda a: a - 1.0 + math.exp(-a) - 0.1
         lo, hi = 0.0, 2.0
         for _ in range(100):
@@ -144,7 +146,7 @@ class TestAlphaThreshold:
     def test_forms_agree_at_gamma1(self, law, link):
         # the zero-power-gain root equals the integration-by-parts form
         # Int_0^alpha P(z_E <= t) dt = nu
-        alpha = alpha_threshold(0.3 / 1.7, link, law)
+        alpha = alpha_threshold(0.3 / 1.7, link, law, law)
 
         def cdf_area(a, n=2001):
             return simpson(law.cdf(np.linspace(0.0, a, n)), a / (n - 1))
@@ -160,12 +162,12 @@ class TestAlphaThreshold:
 
     def test_general_gamma(self, law):
         link = LinkBudget(1.0, gamma=2.0)
-        alpha = alpha_threshold(0.1, link, law)
+        alpha = alpha_threshold(0.1, link, law, law)
         assert stationarity_lhs_main(alpha, 0.0, 2.0, 2.0, law) == pytest.approx(0.2, abs=1e-9)
 
     def test_unreachable_multiplier(self, law, link):
-        assert math.isinf(alpha_threshold(1e9, link, law))
-        assert math.isinf(alpha_threshold(math.inf, link, law))
+        assert math.isinf(alpha_threshold(1e9, link, law, law))
+        assert math.isinf(alpha_threshold(math.inf, link, law, law))
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
     @pytest.mark.parametrize("mean_e", [0.1, 1.0, 10.0])
@@ -178,7 +180,7 @@ class TestAlphaThreshold:
         for z in np.geomspace(1e-10, law.tail_cutoff(TOL.quad_trunc_mass), 41):
             # the stationarity left side at zero power and beta = 1 is the gain
             ref = stationarity_lhs_main(z, 0.0, gamma, 1.0, law_e)
-            worst = max(worst, abs(idle_marginal_gain(z, gamma, law_e, TOL) - ref) / ref)
+            worst = max(worst, abs(idle_marginal_gain(z, gamma, law_e) - ref) / ref)
             x = z / (gamma * mean_e)
             if x <= 1e-6:
                 plain = z - gamma * mean_e * -math.expm1(-x)
@@ -200,7 +202,7 @@ class TestAlphaThreshold:
         for gamma in (1.0, 2.0):
             for nu in (1e-3, 1e-2, 0.1, 0.7):
                 calls.clear()
-                alpha = alpha_threshold(nu, LinkBudget(1.0, gamma), law, TOL)
+                alpha = alpha_threshold(nu, LinkBudget(1.0, gamma), law, law, TOL)
                 assert 0.0 < alpha < z_hi
                 assert len(calls) == len(set(calls)), f"gamma={gamma} nu={nu}: {calls}"
                 assert calls.count(z_hi) == 1
@@ -250,7 +252,7 @@ class TestSolveMain:
         sol = solve_main(qos, link, law, law, fast_tol)
         assert sol.throughput == throughput_main(qos, link, law, law, fast_tol)
         assert (sol.csi_mode, sol.beta) == ("main", qos.beta)
-        assert sol.threshold == alpha_threshold(sol.nu, link, law, fast_tol, law_m=law)
+        assert sol.threshold == alpha_threshold(sol.nu, link, law, law, fast_tol)
         mine, public = sol.policy(), build_policy_main(qos, link, law, law, fast_tol)
         assert (mine.csi_mode, mine.lam, mine.beta, mine.threshold) == (
             public.csi_mode, public.lam, public.beta, public.threshold)
@@ -265,7 +267,7 @@ class TestSolveMain:
                 super().__init__()
                 stores.append(weakref.ref(self))
 
-        monkeypatch.setattr(main_csi, "NodePowers", Recorded)
+        monkeypatch.setattr(_region, "NodePowers", Recorded)
         sol = solve_main(make_qos(0.1), link, law, law, fast_tol)
         gc.collect()
         assert len(stores) == 1
@@ -323,8 +325,7 @@ class TestNodeReuse:
             solved.append((args[2], z_m.size))  # (nu, gains)
             return lanes(z_m, coef, *args)
 
-        monkeypatch.setattr(full_csi, "power_lanes", counted)
-        monkeypatch.setattr(_region, "power_lanes", counted)
+        monkeypatch.setattr(main_csi, "power_lanes", counted)
         solve_main(make_qos(theta), row_link(snr_db), law, law, TOL)
         assert solved
         assert len(set(solved)) == len(solved)
@@ -333,8 +334,8 @@ class TestNodeReuse:
     def test_readout_equals_one_without_store(self, law, theta, snr_db):
         qos, link = make_qos(theta), row_link(snr_db)
         sol = solve_main(qos, link, law, law, TOL)
-        fresh = throughput_readout(qos.beta, link.gamma, main_csi._policy_expectation(
-            sol.nu, sol.threshold, qos.beta, link, law, law, TOL))
+        fresh = throughput_readout(qos.beta, link.gamma, partial(
+            main_region_expectation, sol.nu, sol.threshold, qos.beta, link, law, law, TOL))
         assert (sol.throughput.throughput_bits_s_hz, sol.throughput.quad_error) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
@@ -349,7 +350,7 @@ class TestNodeReuse:
                 asked.append((nu, panels))
                 return super().get(nu, panels, solve)
 
-        monkeypatch.setattr(main_csi, "NodePowers", Recorded)
+        monkeypatch.setattr(_region, "NodePowers", Recorded)
         solve_main(make_qos(0.1), link, law, law, TOL)
         assert len(stores) == 1
         (store,) = stores
@@ -418,15 +419,15 @@ class TestPolicyMain:
         z, _ = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, TOL)
         z_mid = 0.5 * (z[1:] + z[:-1])
         exact = np.concatenate([
-            _region.main_power(zc, _region.TABLE_INNER_PANELS, beta, nu, gamma, law_e, TOL)[0]
+            main_csi.main_power(zc, main_csi.TABLE_INNER_PANELS, beta, nu, gamma, law_e, TOL)[0]
             for zc in np.array_split(z_mid, z_mid.size // 16)])
         interp = main_policy_table(beta, nu, alpha, gamma, law_m, law_e, TOL)(z_mid)
         assert np.all(np.abs(interp - exact) <= 1e-4 * np.maximum(1.0, exact))
 
     def test_table_raises_when_rounds_run_out(self, main_policy, monkeypatch):
         policy, law, link, tol = main_policy
-        monkeypatch.setattr(_region, "_TABLE_REL_TOL", 1e-15)
-        monkeypatch.setattr(_region, "_TABLE_ROUNDS", 2)
+        monkeypatch.setattr(main_csi, "_TABLE_REL_TOL", 1e-15)
+        monkeypatch.setattr(main_csi, "_TABLE_ROUNDS", 2)
         nu = policy.lam / policy.beta
         with pytest.raises(NumericsError, match="main_policy_table") as err:
             main_policy_table(policy.beta, nu, policy.threshold, link.gamma, law, law, tol)

@@ -1,9 +1,23 @@
-"""The per-state power kernel against an independent scalar bisection."""
+"""The machinery both CSI modes share: the per-state power kernel against an
+independent scalar bisection, the node store, the mean-power domain, and the
+module attributes that solves reach through their modules' globals.
+"""
+
+import importlib
 
 import numpy as np
 import pytest
 
-from secthru import NumericsError, Tolerances
+from secthru import (
+    FadingLaw,
+    LinkBudget,
+    NumericsError,
+    Tolerances,
+    ValidationError,
+    full_csi,
+    main_csi,
+    make_qos,
+)
 from secthru._region import NodePowers, power_lanes
 from secthru.full_csi import power_grid
 from oracles import bisect_lane_power
@@ -138,3 +152,45 @@ def test_node_store_solves_each_rung_once_and_drops_old_multipliers():
         assert np.array_equal(nodes.get(nu, panels, solver(nu, panels)), np.full(panels, nu))
     assert solves == [(0.5, 8), (0.5, 16), (0.25, 8), (0.5, 8)]
     assert nodes.nu == 0.5 and list(nodes.grids) == [8]  # 0.5's first 16-panel rung was dropped
+
+
+@pytest.mark.parametrize("mean_power", [full_csi.mean_power_full, main_csi.mean_power_main])
+@pytest.mark.parametrize("nu, beta", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0)])
+def test_mean_power_rejects_nu_and_beta_out_of_domain(mean_power, nu, beta):
+    law = FadingLaw()
+    with pytest.raises(ValidationError, match="nu must be positive and beta nonnegative"):
+        mean_power(nu, beta, LinkBudget(1.0, 1.0), law, law)
+
+
+# the module attributes that bench/tracer.py wraps, by CSI mode: the first three
+# are reached inside a solve, the last two are its public entry points
+TRACED = {
+    "full": ("mean_power_full", "power_grid", "transmit_region_expectation",
+             "throughput_full", "build_policy_full"),
+    "main": ("mean_power_main", "alpha_threshold", "main_region_expectation",
+             "throughput_main", "build_policy_main"),
+}
+
+
+@pytest.mark.parametrize("mode", ["full", "main"])
+def test_traced_attributes_are_reached_through_their_modules(mode, fast_tol, monkeypatch):
+    # a solve that called one of these directly instead of through its module's
+    # global would leave the benchmark's per-layer metrics reading 0, silently
+    for name in ("secthru._region", "secthru.ergodic"):  # the tracer imports both
+        importlib.import_module(name)
+    module = {"full": full_csi, "main": main_csi}[mode]
+    calls = dict.fromkeys(TRACED[mode], 0)
+    for name in TRACED[mode]:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    law, link, qos = FadingLaw(), LinkBudget(1.0, 1.0), make_qos(0.01)
+    getattr(module, f"solve_{mode}")(qos, link, law, law, fast_tol)
+    mean_power, *inner = TRACED[mode][:3]
+    assert calls[mean_power] > 0 and all(calls[name] > 0 for name in inner), calls
+    for entry in TRACED[mode][3:]:
+        before = calls[mean_power]
+        getattr(module, entry)(qos, link, law, law, fast_tol)
+        assert calls[entry] == 1 and calls[mean_power] > before, calls
