@@ -56,21 +56,29 @@ def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
             res.error / (max(res.value, 1e-12) * beta * LN2))
 
 
+# panels per axis of the coarse evaluators numerics.calibrate solves on,
+# cheapest first: the cold walk on 2 panels, then the first refinement rung
+CALIBRATION_RUNGS = (2, FIRST_RUNG)
+
+
 def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solution:
     """Calibrate a CSI mode's policy and read out its throughput at the beta
     of a QosSpec.
 
     The multiplier nu spends link.avg_snr with equality (nu = math.inf for a
     zero budget). mean_power(nu, beta, link, law_m, law_e, tol, panels, nodes)
-    is the mode's mean power: on the quadrature's first rung the coarse
-    evaluator of numerics.calibrate, refined the one that polishes the coarse
-    root. policy_at(nu, nodes) returns the policy at the calibrated nu as
-    (threshold, expectation, build_state_power): its zero-power boundary, its
-    region expectation expectation(integrand, floor, include_idle_mass) (see
-    throughput_readout), and the builder of its state power map.
+    is the mode's mean power: on each rung of CALIBRATION_RUNGS a coarse
+    evaluator of numerics.calibrate's ladder, refined the one that polishes
+    the last coarse root. The cold bracket walk thus runs on the 2-panel rule,
+    with 1/16 of the first rung's nodes; the 8-panel stage starts at its root
+    and takes 1-3 evaluations, and the refined stage one. policy_at(nu, nodes)
+    returns the policy at the calibrated nu as (threshold, expectation,
+    build_state_power): its zero-power boundary, its region expectation
+    expectation(integrand, floor, include_idle_mass) (see throughput_readout),
+    and the builder of its state power map.
 
     Every evaluation shares one NodePowers store, so the refined stage's first
-    probe, at the coarse root, reads the first rung the coarse stage solved
+    probe, at the 8-panel root, reads the first rung the 8-panel stage solved
     there, and the readout at the returned nu reads the rungs of the accepted
     probe. The store is dropped on return, and build_state_power must not
     hold it: no node grid outlives the solve.
@@ -80,10 +88,11 @@ def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solu
     # at nu = zm_hi the threshold is beyond the truncated support: zero power
     u_hi = math.log(law_m.tail_cutoff(tol.quad_trunc_mass))
     # positional, so that wrappers of mean_power see every argument
-    nu, residual = calibrate(
-        lambda nu, t: mean_power(nu, beta, link, law_m, law_e, t, None, nodes),
-        link.avg_snr, u_hi, tol,
-        lambda nu, t: mean_power(nu, beta, link, law_m, law_e, t, FIRST_RUNG, nodes))
+    def at_panels(panels):
+        return lambda nu, t: mean_power(nu, beta, link, law_m, law_e, t, panels, nodes)
+
+    nu, residual = calibrate(at_panels(None), link.avg_snr, u_hi, tol,
+                             [at_panels(n) for n in CALIBRATION_RUNGS])
     threshold, expectation, build_state_power = policy_at(nu, nodes)
     value, quad_error = throughput_readout(beta, link.gamma, expectation)
     throughput = ThroughputResult(

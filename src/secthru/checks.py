@@ -10,9 +10,9 @@ from _solved, which solves each (mode, theta, snr_db) of a configuration
 once however many checks read it.
 
 The oracles below are independent references: numpy only, none of the
-package's quadrature or root finding (brute-force grid minimization of the
-per-state objectives, fixed-grid Simpson and Gauss-Legendre rules, and closed
-forms).
+package's quadrature or root finding (brute-force grid and golden-section
+minimization of the per-state objectives, fixed-grid Simpson and
+Gauss-Legendre rules, and closed forms).
 """
 
 import itertools
@@ -56,9 +56,9 @@ def reduced_objective_main(mu_grid, z_m, gamma, beta, lam, law, n_inner=2001):
     return inner + lam * mu_grid
 
 
-def brute_power_main(z_m, gamma, beta, lam, law, span=50.0):
-    """Grid minimizer of the reduced main-CSI Lagrangian on [0, span], refined
-    to 2e-8 * span (1e-6 at the default span).
+def grid_power_main(z_m, gamma, beta, lam, law, span=50.0):
+    """Grid minimizer of the reduced main-CSI Lagrangian on [0, span]: a
+    5001-point scan refined twice by 301-point grids, to 2e-8 * span.
     """
     scale = span / 50.0
     grid = np.arange(0.0, span + 1e-2 * scale, 1e-2 * scale)
@@ -70,6 +70,43 @@ def brute_power_main(z_m, gamma, beta, lam, law, span=50.0):
         j = int(np.argmin(reduced_objective_main(fine, z_m, gamma, beta, lam, law)))
         mid = float(fine[j])
     return mid
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def brute_power_main(z_m, gamma, beta, lam, law, span=50.0):
+    """Golden-section minimizer of the reduced main-CSI Lagrangian on [0, span],
+    to a bracket of 2e-8 * span (1e-6 at the default span).
+
+    The objective is convex in mu: ln(1+mu z_m) - ln(1+gamma mu z_e) is
+    increasing and concave wherever z_e < z_m/gamma, so each exp(-beta h)
+    is convex, and lam*mu is linear. So where it does not fall from mu = 0
+    over the resolution, its minimizer is 0 to that resolution; where it
+    still falls at mu = span, the end values do not enclose a minimum, and
+    the search falls back to grid_power_main.
+    """
+    def f(mu):
+        return float(reduced_objective_main(np.array([mu]), z_m, gamma, beta, lam, law)[0])
+
+    res = 2e-8 * span
+    if f(res) >= f(0.0):
+        return 0.0
+    if f(span) <= f(span - res):
+        return grid_power_main(z_m, gamma, beta, lam, law, span)
+    a, b = 0.0, span
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > res:
+        if fc <= fd:  # the minimizer lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:  # in [c, b]
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return c if fc <= fd else d
 
 
 def stationarity_lhs_main(z_m, mu, gamma, beta, law, panels=64):

@@ -10,7 +10,7 @@ bit-reproducible for fixed tolerances.
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +70,7 @@ DEFAULT_TOL = Tolerances()
 
 _GL_ORDER = 16
 _MAX_PANELS = 4096
-# refine_panels' first rung; the solvers evaluate calibrate's coarse mean power there
+# refine_panels' first rung; the last rung of the solvers' calibration ladder
 FIRST_RUNG = 8
 
 
@@ -196,8 +196,8 @@ def _brent(f, x_pre, f_pre, x_cur, f_cur, tol, f_tol):
 # |ln(P/B)| <= f_tol bounds |P/B - 1| by expm1(f_tol); the shrink keeps that
 # within power_rel_tol through the roundings of the log and the ratio
 _CALIBRATION_SHRINK = 1.0 - 1e-6
-# the coarse stage's share of f_tol: its root then sits well inside the
-# refined stage's acceptance band, so one refined evaluation usually accepts it
+# a coarse stage's share of f_tol: its root then sits well inside the next
+# stage's acceptance band, so one evaluation there usually accepts it
 _COARSE_F_TOL_SHARE = 0.125
 # the walk stops before exp(u) underflows
 _U_MIN = math.log(1e-300)
@@ -250,7 +250,7 @@ def calibrate(
     budget: float,
     u_hi: float,
     tol: Tolerances = DEFAULT_TOL,
-    coarse_power: Optional[Callable[[float, Tolerances], float]] = None,
+    coarse_powers: Sequence[Callable[[float, Tolerances], float]] = (),
 ):
     """Multiplier lam at which a decreasing mean power spends the budget.
 
@@ -263,29 +263,32 @@ def calibrate(
     so that |mean_power - budget| <= power_rel_tol * budget at the returned
     lam.
 
-    With one evaluator there is one stage. Its walk starts at u_hi - 4 with
-    unit slope, and lengthens each step by a quarter, to at least 0.5, so
-    that it crosses the root. coarse_power(lam, tol) is a cheap
-    approximation of mean_power, such as the mean power on the first rung of
-    its quadrature: a first stage solves it the same way to f_tol/8. The
-    stage on mean_power then starts at that root and accepts its first probe
-    when that lies within f_tol. Otherwise its walk aims at the root: it
-    steps along the secant of the coarse bracket, neither lengthened nor
-    clamped from below. If the coarse stage raises NumericsError, the stage
-    on mean_power starts as it does with one evaluator.
+    coarse_powers is a ladder of cheap approximations of mean_power, cheapest
+    first, such as the mean power on coarse rungs of its quadrature. Each
+    coarse evaluator gets a stage solved to f_tol/8, and mean_power a last
+    stage to f_tol. The first stage walks cold: it starts at u_hi - 4 with
+    unit slope and lengthens each step by a quarter, to at least 0.5, so that
+    it crosses the root. Each later stage starts at the root of the last
+    stage that succeeded and accepts its first probe when that lies within
+    its tolerance; otherwise its walk aims at the root: it steps along the
+    secant of the previous stage's bracket, neither lengthened nor clamped
+    from below. A coarse stage that raises NumericsError is skipped, so the
+    next stage starts where the last successful one ended, or cold if none
+    did.
 
     No u is evaluated twice by one evaluator, and the residual
     |mean_power - budget| is the one already evaluated at the returned lam.
-    The mean power only needs to sit ~50x below that target, so both
-    evaluators are called with quad_rel_tol relaxed to 0.02 * power_rel_tol.
+    The mean power only needs to sit ~50x below that target, so every
+    evaluator is called with quad_rel_tol relaxed to 0.02 * power_rel_tol.
     On the benchmark and acceptance configurations one evaluator takes 4-6
-    evaluations per calibration; with a first-rung coarse_power the coarse
-    stage takes 5-7 and mean_power is evaluated once. Where the first rung
-    misses the refined mean power by more than f_tol, as on some rows of
-    the realistic range, it is evaluated 2-3 times. Returns
-    (lam, residual), or (math.inf, 0.0) for a zero budget; raises
-    NumericsError on a NaN mean power, when the walk finds no bracket, or
-    when the residual misses its target.
+    evaluations per calibration. With the solvers' ladder (the 2- and
+    8-panel rungs) the cold walk takes 5-7 evaluations on 2 panels, the
+    8-panel stage 1-3, and mean_power is evaluated once; where the 8-panel
+    rung misses the refined mean power by more than f_tol, as on some rows
+    of the realistic range, twice. Returns (lam, residual), or
+    (math.inf, 0.0) for a zero budget; raises NumericsError on a NaN mean
+    power, when the walk finds no bracket, or when the residual misses its
+    target.
     """
     if budget == 0.0:
         return math.inf, 0.0
@@ -293,8 +296,9 @@ def calibrate(
     tol_cal = replace(tol, quad_rel_tol=max(tol.quad_rel_tol, 0.02 * tol.power_rel_tol))
     f_tol = _CALIBRATION_SHRINK * math.log1p(tol.power_rel_tol)
 
-    def solve(power, u, slope, overshoot, min_step, stage_tol):
-        """One stage: (root, spent power by u, slope of the walk's bracket)."""
+    def solve(power, start, stage_tol):
+        """One stage from start, (u, slope) or None for a cold walk:
+        (root, spent power by u, slope of the walk's bracket)."""
         spent = {}
 
         def log_ratio(u: float) -> float:
@@ -304,21 +308,24 @@ def calibrate(
             spent[u] = value
             return math.log(value / budget) if value > 0.0 else -math.inf
 
+        if start is None:
+            u, slope, overshoot, min_step = u_hi - 4.0, -1.0, 1.25, 0.5
+        else:
+            (u, slope), overshoot, min_step = start, 1.0, 0.0
         above, below = _walk(log_ratio, u, u_hi, stage_tol, slope, overshoot, min_step)
         if above is below:
             return above[0], spent, slope
         u, _ = _brent(log_ratio, *above, *below, tol, stage_tol)
         return u, spent, (above[1] - below[1]) / (above[0] - below[0])
 
-    start, slope, overshoot, min_step = u_hi - 4.0, -1.0, 1.25, 0.5
-    if coarse_power is not None:
+    start = None
+    for power in coarse_powers:
         try:
-            start, _, slope = solve(coarse_power, start, slope, overshoot, min_step,
-                                    _COARSE_F_TOL_SHARE * f_tol)
-            overshoot, min_step = 1.0, 0.0
+            u, _, slope = solve(power, start, _COARSE_F_TOL_SHARE * f_tol)
+            start = u, slope
         except NumericsError:
             pass
-    u, spent, _ = solve(mean_power, start, slope, overshoot, min_step, f_tol)
+    u, spent, _ = solve(mean_power, start, f_tol)
     residual = abs(spent[u] - budget)
     if residual > target:
         raise NumericsError(f"calibration residual {residual:.3e} above target {target:.3e}",

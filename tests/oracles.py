@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the solvers.
 
 Everything here deliberately avoids the package's quadrature and root-finding
-paths: brute-force grid minimization of the per-state objectives, composite
-Simpson quadrature on fixed grids, and closed forms where they exist. The
-oracles that the release checks share live in secthru.checks and are
-imported from there.
+paths: brute-force grid and golden-section minimization of the per-state
+objectives, composite Simpson quadrature on fixed grids, and closed forms
+where they exist. The oracles that the release checks share live in
+secthru.checks and are imported from there.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from secthru.checks import (
     brute_power_full,
     brute_power_main,
     closed_form_power_beta1,
+    grid_power_main,
     secrecy_mgf_term,
     stationarity_lhs_main,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "brute_power_full",
     "brute_power_main",
     "closed_form_power_beta1",
+    "grid_power_main",
     "secrecy_mgf_term",
     "simpson",
     "simpson_density",

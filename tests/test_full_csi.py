@@ -21,8 +21,8 @@ from secthru.full_csi import (
     power_grid,
     transmit_region_expectation,
 )
-from secthru._region import NodePowers, throughput_readout
-from secthru.numerics import FIRST_RUNG, calibrate
+from secthru._region import CALIBRATION_RUNGS, NodePowers, throughput_readout
+from secthru.numerics import calibrate
 from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term
 
 TOL = Tolerances()
@@ -31,7 +31,7 @@ TOL = Tolerances()
 def closed_form_mean_rate(link, law, tol):
     """Mean secrecy rate (bits/s/Hz) of the theta = 0 policy assembled directly:
     the closed-form power (power_grid at beta = 0) calibrated on its nats
-    multiplier, coarse stage on the first quadrature rung, then E{log2 r}.
+    multiplier, coarse stages on the rungs of the solver's ladder, then E{log2 r}.
     """
     def expect(lam, integrand, floor, t, panels=None):
         return transmit_region_expectation(lam, 0.0, link, law, law, t, integrand, floor,
@@ -43,7 +43,7 @@ def closed_form_mean_rate(link, law, tol):
 
     lam, _ = calibrate(mean_power(None), link.avg_snr,
                        math.log(law.tail_cutoff(tol.quad_trunc_mass)), tol,
-                       mean_power(FIRST_RUNG))
+                       [mean_power(n) for n in CALIBRATION_RUNGS])
     rate = expect(lam, lambda mu, zm, ze: (np.log1p(mu * zm) - np.log1p(link.gamma * mu * ze))
                   / math.log(2.0), 0.01, tol)
     return max(0.0, rate.value)

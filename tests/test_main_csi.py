@@ -30,7 +30,13 @@ from secthru.main_csi import (
     mean_power_main,
 )
 from secthru._region import NodePowers, throughput_readout
-from oracles import brute_power_main, simpson, simpson_density, stationarity_lhs_main
+from oracles import (
+    brute_power_main,
+    grid_power_main,
+    simpson,
+    simpson_density,
+    stationarity_lhs_main,
+)
 
 TOL = Tolerances()
 
@@ -105,6 +111,19 @@ class TestPowerMain:
         mu = main_power_at(2.0, 1.0, 1.0, 0.3, law, TOL)
         oracle = brute_power_main(2.0, 1.0, 1.0, 0.3, law)
         assert mu == pytest.approx(oracle, abs=1e-3)
+
+    @pytest.mark.parametrize("z_m, gamma, beta, lam, span", [
+        (2.0, 1.0, 1.0, 0.3, 50.0),  # interior minimum
+        (4.0, 0.5, 5.0, 0.05, 50.0),
+        (0.5, 1.0, 1.0, 0.8, 50.0),  # below the cutoff: zero power
+        (2.0, 1.0, 1.0, 0.3, 0.4),  # minimizer 0.47 beyond span: the grid scan
+    ])
+    def test_golden_section_matches_the_grid_scan(self, law, z_m, gamma, beta, lam, span):
+        golden = brute_power_main(z_m, gamma, beta, lam, law, span=span)
+        grid = grid_power_main(z_m, gamma, beta, lam, law, span=span)
+        assert abs(golden - grid) <= 2e-8 * span  # the grid's last step
+        if span < 0.47:
+            assert golden == grid
 
     def test_kkt_residual(self, law):
         rng = np.random.default_rng(31)

@@ -7,7 +7,7 @@ import pytest
 
 from secthru import BracketError, NumericsError, QuadratureError, Tolerances
 from secthru.full_csi import kkt_lhs_full
-from secthru.numerics import _brent, calibrate, panel_nodes, refine_panels
+from secthru.numerics import FIRST_RUNG, _brent, calibrate, panel_nodes, refine_panels
 
 TOL = Tolerances()
 
@@ -103,8 +103,10 @@ class TestCalibrate:
     U_HI = math.log(-math.log(1e-12))
 
     @staticmethod
-    def _calibrate_counted(power, budget, u_hi, coarse=None):
-        """lam and the multipliers mean_power saw; coarse(lam) is the coarse evaluator."""
+    def _calibrate_counted(power, budget, u_hi, ladder=()):
+        """lam and the multipliers mean_power saw; ladder holds the coarse
+        evaluators coarse(lam), cheapest first.
+        """
         seen = []
 
         def mean_power(lam, tol):
@@ -112,7 +114,7 @@ class TestCalibrate:
             return power(lam)
 
         lam, residual = calibrate(mean_power, budget, u_hi, TOL,
-                                  None if coarse is None else lambda lam, tol: coarse(lam))
+                                  [lambda lam, tol, c=c: c(lam) for c in ladder])
         assert residual <= TOL.power_rel_tol * budget
         assert residual == abs(power(lam) - budget)
         assert len(set(seen)) == len(seen)
@@ -159,7 +161,16 @@ class TestCalibrate:
         # quadrature rung is (2e-7 on the benchmark configurations)
         power, budget, _ = self.SHAPES[shape]
         _, seen = self._calibrate_counted(power, budget, self.U_HI,
-                                          coarse=lambda lam: power(lam) * (1.0 + eps))
+                                          ladder=[lambda lam: power(lam) * (1.0 + eps)])
+        assert len(seen) <= 2
+
+    @pytest.mark.parametrize("eps", [-1e-6, 1e-9, 1e-7, 1e-6, 5e-6])
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_close_two_rung_ladder_costs_at_most_two_evaluations(self, shape, eps):
+        # two coarse evaluators within eps of the mean power, one on each side
+        power, budget, _ = self.SHAPES[shape]
+        ladder = [lambda lam: power(lam) * (1.0 - eps), lambda lam: power(lam) * (1.0 + eps)]
+        _, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=ladder)
         assert len(seen) <= 2
 
     @pytest.mark.parametrize("kind", ["nan", "raises", "10x", "0.1x"])
@@ -174,23 +185,78 @@ class TestCalibrate:
 
         coarse = {"nan": lambda lam: math.nan, "raises": raises,
                   "10x": lambda lam: 10.0 * power(lam), "0.1x": lambda lam: 0.1 * power(lam)}
-        lam, seen = self._calibrate_counted(power, budget, self.U_HI, coarse=coarse[kind])
+        lam, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=[coarse[kind]])
         if u_root is not None:
             assert math.log(lam) == pytest.approx(u_root, abs=30.0 * TOL.power_rel_tol)
         assert len(seen) <= 7  # no more than a cold start takes
 
-    def test_every_bench_calibration_takes_at_most_two_refined_evaluations(self):
-        # the 12 calibrations of the sweep benchmark workloads, counted by the
-        # tool that writes BENCH_calibration.json
+    @pytest.mark.parametrize("kind", ["nan", "raises"])
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_failed_first_rung_hands_the_cold_walk_to_the_second(self, shape, kind):
+        # the first rung is skipped and the second walks cold; the refined
+        # stage then starts at the second rung's root (a lone failed rung is
+        # test_bad_coarse_power_still_converges)
+        power, budget, u_root = self.SHAPES[shape]
+
+        def raises(lam):
+            raise QuadratureError("not converged")
+
+        ladder = [{"nan": lambda lam: math.nan, "raises": raises}[kind],
+                  lambda lam: power(lam) * (1.0 + 1e-7)]
+        lam, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=ladder)
+        if u_root is not None:
+            assert math.log(lam) == pytest.approx(u_root, abs=30.0 * TOL.power_rel_tol)
+        assert len(seen) <= 2
+
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_failed_second_stage_starts_the_refined_stage_at_the_first_root(self, shape):
+        # the refined stage sees exactly what it sees after the first rung
+        # alone: it starts at that rung's root with that rung's slope
+        power, budget, _ = self.SHAPES[shape]
+        first_seen, failures = [], []
+
+        def first(lam):
+            first_seen.append(lam)
+            return power(lam) * (1.0 + 1e-3)
+
+        def second(lam):
+            failures.append(lam)
+            raise QuadratureError("not converged")
+
+        _, alone = self._calibrate_counted(power, budget, self.U_HI, ladder=[first])
+        first_alone = list(first_seen)
+        first_seen.clear()
+        _, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=[first, second])
+        assert len(failures) == 1
+        assert first_seen == first_alone
+        assert failures[0] in first_seen  # the second stage started at the first root
+        assert seen == alone
+        assert seen[0] == failures[0]
+
+    @pytest.fixture(scope="class")
+    def bench_counts(self):
+        """The 12 calibrations of the sweep benchmark workloads, counted by the
+        tool that writes BENCH_calibration.json.
+        """
         path = Path(__file__).resolve().parents[1] / "tools" / "calibration_counts.py"
         spec = importlib.util.spec_from_file_location("calibration_counts", path)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
         assert len(tool.BENCH) == 12
-        for config in tool.BENCH:
-            row = tool.count_calibration(*config)
+        return [(config, tool.count_calibration(*config)) for config in tool.BENCH]
+
+    def test_every_bench_calibration_takes_at_most_two_refined_evaluations(self, bench_counts):
+        for config, row in bench_counts:
             assert row["refined_evals"] <= 2, config
             assert row["residual_rel"] <= TOL.power_rel_tol
+
+    def test_every_bench_calibration_takes_one_refined_and_at_most_two_first_rung_evaluations(
+            self, bench_counts):
+        # the cold walk runs on the cheaper rungs of the ladder: the first
+        # rung only finishes from their root (5-7 evaluations without them)
+        for config, row in bench_counts:
+            assert row["rung_evals"]["refined"] == 1, config
+            assert row["rung_evals"].get(str(FIRST_RUNG), 0) <= 2, config
 
     def test_nan_in_the_walk(self):
         with pytest.raises(NumericsError, match="NaN"):

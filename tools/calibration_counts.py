@@ -2,10 +2,14 @@
 
 Each calibration is the one full_csi.solve_full or main_csi.solve_main runs:
 the solve is called with its module's mean_power_full or mean_power_main
-wrapped, and the wrapper tells the coarse evaluations (on the quadrature's
-first rung, panels = numerics.FIRST_RUNG) from the refined ones (panels
-None) by their panels argument; "evals" counts both. Two sets of
-calibrations are counted:
+wrapped, and the wrapper keys each evaluation by its panels argument: a
+coarse evaluation on one rung of the calibration ladder
+(_region.CALIBRATION_RUNGS), keyed by its panels per axis, or a refined one
+(panels None), keyed "refined". Per calibration it records the evaluations
+on each rung ("rung_evals"); "coarse_evals" sums the coarse rungs and
+"evals" all of them. For each set it totals those counts and takes their
+maxima, per rung too ("total_2_evals", "max_refined_evals", ...). Two sets
+of calibrations are counted:
 
 - bench: the 12 calibrations of the sweep-full and sweep-main benchmark
   workloads (their sweep rows and policy surfaces);
@@ -23,8 +27,7 @@ one at theta = 0, whose power is closed-form (ergodic.ergodic_power_full),
 must count calibration terms: a row that counts none raises, since the
 kernel then has a call site the wrap misses. Counts depend only on the code
 and the default Tolerances, not on the machine; each row also lists its
-refined probes as [ln(nu), mean power] (the coarse ones under
-"coarse_probes").
+probes on each rung as [ln(nu), mean power] under "probes".
 
 Run from the root of a checkout:
 
@@ -38,6 +41,7 @@ import argparse
 import json
 import math
 import platform
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -62,44 +66,66 @@ def key(mode, theta, snr_db, gamma):
     return f"{mode}|theta={theta!r}|snr_db={snr_db!r}|gamma={gamma!r}"
 
 
-def solve(mode, theta, link, tol):
-    """solve_full or solve_main of one configuration, with Exp(1) laws."""
-    law = FadingLaw()
-    return getattr(SOLVER[mode], f"solve_{mode}")(make_qos(theta), link, law, law, tol)
+def solve(mode, theta, link, tol, law_e=FadingLaw()):
+    """solve_full or solve_main of one configuration, with an Exp(1) main law."""
+    return getattr(SOLVER[mode], f"solve_{mode}")(make_qos(theta), link, FadingLaw(), law_e, tol)
 
 
-def count_calibration(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
-    """Solve one configuration; returns its calibration record with the evaluation count."""
-    link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
+def rung_order(rungs):
+    """Rung names ascending in panels, "refined" last."""
+    return sorted(rungs, key=lambda r: math.inf if r == "refined" else int(r))
+
+
+@contextmanager
+def counted_mean_power(mode):
+    """Wrap the mode's mean power for the block; yields the dict it fills,
+    rung name -> [(ln(nu), mean power)] of each evaluation, in order.
+    """
     module, name = SOLVER[mode], f"mean_power_{mode}"
     mean_power = getattr(module, name)
-    probes = {None: [], numerics.FIRST_RUNG: []}
+    probes = {"refined": []}
 
     def counted(nu, *args):
         value = mean_power(nu, *args)
-        probes[args[5]].append((math.log(nu), value))  # args[5] is panels
+        rung = "refined" if args[5] is None else str(args[5])  # args[5] is panels
+        probes.setdefault(rung, []).append((math.log(nu), value))
         return value
 
     with mock.patch.object(module, name, counted):
+        yield probes
+
+
+def rung_evals(probes):
+    """Evaluations per rung of the probes counted_mean_power filled."""
+    return {rung: len(probes[rung]) for rung in rung_order(probes)}
+
+
+def count_calibration(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
+    """Solve one configuration; returns its calibration record with the evaluation counts."""
+    link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
+    with counted_mean_power(mode) as probes:
         sol = solve(mode, theta, link, tol)
-    refined, coarse = probes[None], probes[numerics.FIRST_RUNG]
+    evals = rung_evals(probes)
     return {
-        "evals": len(coarse) + len(refined),
-        "coarse_evals": len(coarse),
-        "refined_evals": len(refined),
+        "evals": sum(evals.values()),
+        "coarse_evals": sum(evals.values()) - evals["refined"],
+        "refined_evals": evals["refined"],
+        "rung_evals": evals,
         "nu": sol.nu,
         "residual_rel": sol.throughput.power_residual / link.avg_snr,
-        "probes": [[round(u, 4), p] for u, p in refined],
-        "coarse_probes": [[round(u, 4), p] for u, p in coarse],
+        "probes": {rung: [[round(u, 4), p] for u, p in probes[rung]] for rung in evals},
     }
 
 
 def count_set(configs):
     rows = {key(*c): count_calibration(*c) for c in configs}
     out = {}
-    for name in ("evals", "coarse_evals", "refined_evals"):
+    for name in ("evals", "coarse_evals"):  # refined_evals is a rung's below
         counts = [r[name] for r in rows.values()]
         out[f"total_{name}"], out[f"max_{name}"] = sum(counts), max(counts)
+    for rung in rung_order({rung for r in rows.values() for rung in r["rung_evals"]}):
+        counts = [r["rung_evals"].get(rung, 0) for r in rows.values()]
+        out[f"total_{rung}_evals"], out[f"max_{rung}_evals"] = sum(counts), max(counts)
     return {**out, "rows": rows}
 
 
@@ -156,9 +182,10 @@ def main(argv=None):
     out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     for name in ("bench", "acceptance"):
         counts = record[name]
-        print(f"{args.label} {name}: {counts['total_coarse_evals']} coarse and "
-              f"{counts['total_refined_evals']} refined evaluations, at most "
-              f"{counts['max_coarse_evals']} and {counts['max_refined_evals']} per calibration")
+        rungs = rung_order({rung for r in counts["rows"].values() for rung in r["rung_evals"]})
+        print(f"{args.label} {name}, evaluations per rung (total, at most per calibration): "
+              + ", ".join(f"{rung} {counts[f'total_{rung}_evals']} ({counts[f'max_{rung}_evals']})"
+                          for rung in rungs))
     lanes = record["lanes"]
     for stage in ("calibration", "readout"):
         print(f"{args.label} bench lanes, {stage}: {lanes[f'total_{stage}_calls']} "
