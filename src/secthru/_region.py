@@ -39,21 +39,22 @@ def reported_lam(beta: float, nu: float) -> float:
 def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
     """Throughput in bits/s/Hz and its quadrature error under a calibrated policy.
 
-    expectation(integrand, floor, include_idle_mass) -> QuadResult is the CSI
-    mode's region expectation of integrand(mu, z_m, z_e). At beta = 0 the
-    throughput is the mean secrecy rate E{ln r}/ln 2, whose integrand is 0
-    off the transmit region; for beta > 0 it is -ln E{r^-beta}/(beta ln 2),
-    whose integrand is 1 there, so the idle mass enters.
+    expectation(integrand, floor) -> QuadResult is the CSI mode's integral of
+    integrand(mu, z_m, z_e) against the state law over its transmit region R.
+    At beta = 0 the throughput is the mean secrecy rate E{ln r}/ln 2, whose
+    integrand is 0 off R. For beta > 0 it is -ln E{r^-beta}/(beta ln 2), and
+    r^-beta is 1 off R, so E{r^-beta} = 1 - I with I = E{(1 - r^-beta) 1_R}:
+    every silent state drops out of the integral.
     """
     def log_ratio(mu, zm, ze):
         return np.log1p(mu * zm) - np.log1p(gamma * mu * ze)
 
     if beta == 0.0:
-        res = expectation(lambda mu, zm, ze: log_ratio(mu, zm, ze) / LN2, 0.01, False)
+        res = expectation(lambda mu, zm, ze: log_ratio(mu, zm, ze) / LN2, 0.01)
         return max(0.0, res.value), res.error
-    res = expectation(lambda mu, zm, ze: np.exp(-beta * log_ratio(mu, zm, ze)), 1.0, True)
-    return (max(0.0, -math.log(res.value) / (beta * LN2)),
-            res.error / (max(res.value, 1e-12) * beta * LN2))
+    res = expectation(lambda mu, zm, ze: -np.expm1(-beta * log_ratio(mu, zm, ze)), 1.0)
+    return (max(0.0, -math.log1p(-res.value) / (beta * LN2)),
+            res.error / ((1.0 - res.value) * beta * LN2))
 
 
 # panels per axis of the coarse evaluators numerics.calibrate solves on,
@@ -73,9 +74,9 @@ def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solu
     with 1/16 of the first rung's nodes; the 8-panel stage starts at its root
     and takes 1-3 evaluations, and the refined stage one. policy_at(nu, nodes)
     returns the policy at the calibrated nu as (threshold, expectation,
-    build_state_power): its zero-power boundary, its region expectation
-    expectation(integrand, floor, include_idle_mass) (see throughput_readout),
-    and the builder of its state power map.
+    build_state_power): its zero-power boundary, its transmit-region integral
+    expectation(integrand, floor) (see throughput_readout), and the builder of
+    its state power map.
 
     Every evaluation shares one NodePowers store, so the refined stage's first
     probe, at the 8-panel root, reads the first rung the 8-panel stage solved
@@ -234,5 +235,5 @@ def quadrature(at: Callable[[int], float], tol: Tolerances, floor: float,
     rung costs about a fifth of a refinement that stops at the second.
     """
     if panels is None:
-        return refine_panels(at, tol, floor=floor, max_panels=256)
+        return refine_panels(at, tol, floor=floor)
     return QuadResult(at(panels), math.inf, panels)

@@ -107,15 +107,19 @@ def parse_config_file(path: str) -> dict:
             if key not in known:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
             if key in _FLOAT_LIST_KEYS:
-                out[key] = _parse_float_list(value)
+                parse = _parse_float_list
             elif key == "grid":
-                out[key] = _parse_grid(value)
+                parse = _parse_grid
             elif key in _FLOAT_KEYS:
-                out[key] = float(value)
+                parse = float
             elif key in _INT_KEYS:
-                out[key] = int(value)
+                parse = int
             else:
-                out[key] = value
+                parse = str
+            try:
+                out[key] = parse(value)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return out
 
 
@@ -139,6 +143,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError("grid maxima must be finite and nonnegative")
     if steps < 0:
         raise ValidationError("grid steps must be nonnegative")
+    if cfg.seed < 0:
+        raise ValidationError("seed must be nonnegative")
+    if cfg.frames < 1:
+        raise ValidationError("frames must be >= 1")
     cfg.tolerances()
     cfg.laws()
     for db in cfg.snr_db:

@@ -12,8 +12,8 @@ multiplier nu = lam/beta; at beta = 0 (theta = 0, no QoS constraint) it is the
 first-order condition of the mean secrecy rate, nu is the rate multiplier in
 nats and the power is closed-form (ergodic.ergodic_power_full). nu is
 calibrated so the policy spends the average-SNR budget with equality, and the
-throughput is -ln E{r^(-beta)} / (theta*T*B) with the integrand equal to 1
-wherever no power is allocated, or E{log2 r} at theta = 0.
+throughput is -ln E{r^(-beta)} / (theta*T*B), where r = 1 wherever no power
+is allocated, or E{log2 r} at theta = 0.
 """
 
 from functools import partial
@@ -78,18 +78,15 @@ def transmit_region_expectation(
     tol: Tolerances,
     integrand,
     floor: float,
-    include_idle_mass: bool,
     panels: int | None = None,
     nodes: NodePowers | None = None,
 ) -> QuadResult:
-    """Joint expectation of integrand(mu, z_m, z_e) under the policy with
-    normalized multiplier nu, over its transmit region z_m > gamma*z_e + nu.
+    """Integral of integrand(mu, z_m, z_e) against the state law under the
+    policy with normalized multiplier nu, over its transmit region
+    z_m > gamma*z_e + nu.
 
-    mu is power_grid on the active region. With include_idle_mass the
-    complement contributes 1 per unit probability (the value every throughput
-    integrand takes at zero rate), so the result is a full expectation of a
-    function that equals 1 off the transmit region. panels fixes the panel
-    count per axis (see _region.quadrature); by default both axes refine
+    mu is power_grid on the active region. panels fixes the panel count per
+    axis (see _region.quadrature); by default both axes refine
     together. Given nodes (a NodePowers of one solve at these beta, link,
     laws, root_tol and max_iter), each rung's powers are read from it and
     solved only on a miss.
@@ -105,9 +102,8 @@ def transmit_region_expectation(
     ze_hi = law_e.tail_cutoff(tol.quad_trunc_mass)
     ze_cap = min(ze_hi, (zm_hi - nu) / gamma)
     if not ze_cap > 0.0:
-        return QuadResult(1.0 if include_idle_mass else 0.0, 0.0, 0)
+        return QuadResult(0.0, 0.0, 0)
 
-    idle_tail = 1.0 - float(law_e.cdf(ze_cap)) if include_idle_mass else 0.0
     w_max = np.sqrt(1.0 + gamma * ze_cap / nu)
 
     def at(n: int) -> float:
@@ -115,7 +111,6 @@ def transmit_region_expectation(
         u, wu = panel_nodes(0.0, 1.0, n)
         ze = nu * (w * w - 1.0) / gamma
         we = we * (2.0 * nu / gamma) * w  # pull the z_e jacobian into the weights
-        t = gamma * ze + nu
         v_max = np.sqrt((zm_hi - gamma * ze) / nu)  # z_m(v_max) = zm_hi
         v = 1.0 + (v_max[:, None] - 1.0) * u[None, :]
         zm = (gamma * ze)[:, None] + nu * v * v
@@ -123,10 +118,7 @@ def transmit_region_expectation(
         mu = node_powers(nodes, nu, n, lambda: power_grid(zm, zeg, gamma, beta, lam, tol))
         vals = integrand(mu, zm, zeg) * law_m.density(zm)
         jac = 2.0 * nu * v * (v_max[:, None] - 1.0)
-        inner = (vals * jac) @ wu
-        if include_idle_mass:
-            inner = inner + law_m.cdf(t)
-        return float(we @ (inner * law_e.density(ze))) + idle_tail
+        return float(we @ (((vals * jac) @ wu) * law_e.density(ze)))
 
     return quadrature(at, tol, floor, panels)
 
@@ -142,8 +134,8 @@ def mean_power_full(nu: float, beta: float, link: LinkBudget,
     if not (nu > 0 and beta >= 0):
         raise ValidationError("nu must be positive and beta nonnegative")
     return transmit_region_expectation(nu, beta, link, law_m, law_e, tol,
-                                       lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), False,
-                                       panels, nodes).value
+                                       lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), panels,
+                                       nodes).value
 
 
 def solve_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

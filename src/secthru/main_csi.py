@@ -219,23 +219,22 @@ def main_region_expectation(
     tol: Tolerances,
     integrand,
     floor: float,
-    include_idle_mass: bool,
     panels: int | None = None,
     nodes: NodePowers | None = None,
 ) -> QuadResult:
-    """Expectation over z_m > alpha with a per-z_m power solve and inner z_e integral.
+    """Integral against the state law over z_m > alpha, where the policy
+    transmits, with a per-z_m power solve.
 
     Each z_m node takes its power from main_power on an inner rule with as
     many panels as the outer one, against the normalized multiplier nu
     (lam/beta, or the theta = 0 multiplier at beta = 0).
-    integrand(mu, z_m, z_e) is then integrated on the same inner rule;
-    integrand=None integrates the power itself (no inner integral).
-    include_idle_mass adds the probability mass where the service is zero
-    (z_m <= alpha, z_e >= z_m/gamma, truncated z_m tail) at value 1. panels
-    fixes the outer (and so the inner) panel count (see _region.quadrature);
-    by default both refine together. Given nodes, each rung's main_power
-    result (powers and inner rule) comes from that store under nu, and is
-    solved only on a miss.
+    integrand(mu, z_m, z_e) is then integrated on the same inner rule, over
+    z_e < z_m/gamma where the secrecy rate is positive, so the region is the
+    policy's transmit region; integrand=None integrates the power itself over
+    every z_e (no inner integral). panels fixes the outer (and so the inner)
+    panel count (see _region.quadrature); by default both refine together.
+    Given nodes, each rung's main_power result (powers and inner rule) comes
+    from that store under nu, and is solved only on a miss.
 
     Both variables are substituted to keep the threshold layers resolved at
     any calibration: the power turns on over a distance ~alpha above the
@@ -245,8 +244,7 @@ def main_region_expectation(
     gamma = link.gamma
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
-        return QuadResult(1.0 if include_idle_mass else 0.0, 0.0, 0)
-    base = float(law_m.cdf(alpha)) + (1.0 - float(law_m.cdf(zm_hi))) if include_idle_mass else 0.0
+        return QuadResult(0.0, 0.0, 0)
     anchor = max(alpha, zm_hi * 1e-14)
     w_max = math.sqrt(zm_hi / anchor)
 
@@ -256,13 +254,8 @@ def main_region_expectation(
         wm = wm * 2.0 * anchor * w  # z_m jacobian folded into the weights
         mu, ze, wpe, wu = node_powers(
             nodes, nu, n, lambda: main_power(zm, n, beta, nu, gamma, law_e, tol))
-        if integrand is None:
-            vals = mu
-        else:
-            vals = (integrand(mu[:, None], zm[:, None], ze) * wpe) @ wu
-            if include_idle_mass:
-                vals = vals + (1.0 - law_e.cdf(zm / gamma))
-        return float(wm @ (vals * law_m.density(zm))) + base
+        vals = mu if integrand is None else (integrand(mu[:, None], zm[:, None], ze) * wpe) @ wu
+        return float(wm @ (vals * law_m.density(zm)))
 
     return quadrature(at, tol, floor, panels)
 
@@ -279,7 +272,7 @@ def mean_power_main(nu: float, beta: float, link: LinkBudget,
         raise ValidationError("nu must be positive and beta nonnegative")
     alpha = alpha_threshold(nu, link, law_m, law_e, tol)
     return main_region_expectation(nu, alpha, beta, link, law_m, law_e, tol, None,
-                                   max(link.avg_snr, 1e-6), False, panels, nodes).value
+                                   max(link.avg_snr, 1e-6), panels, nodes).value
 
 
 def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

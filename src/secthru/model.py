@@ -15,25 +15,16 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class FadingLaw:
-    """Marginal law of a channel power gain z = |h|^2.
+    """Marginal law of a channel power gain z = |h|^2 under Rayleigh fading.
 
-    The built-in family 'exponential' models Rayleigh amplitude fading: the
-    power gain is exponential with mean `mean_gain`. New families extend the
-    dispatch in the methods below; every method must accept ndarray input.
-    A new family implements density, cdf, integrated_cdf (the main-CSI
-    cutoff gain is read from it, so it must be accurate to ~1e-12 relative
-    down to arguments near 0), tail_cutoff, mean and sample.
+    The power gain is exponential with mean `mean_gain`. Every method accepts
+    ndarray input. integrated_cdf is accurate to ~1e-12 relative down to
+    arguments near 0, since the main-CSI cutoff gain is read from it.
     """
 
-    family: str = "exponential"
     mean_gain: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.family, str):
-            raise ValidationError(f"fading family must be a name, got {self.family!r}; "
-                                  "pass the mean as FadingLaw(mean_gain=...)")
-        if self.family != "exponential":
-            raise ValidationError(f"unknown fading family: {self.family!r}")
         if not (math.isfinite(self.mean_gain) and self.mean_gain > 0):
             raise ValidationError("mean_gain must be positive and finite")
 
@@ -64,18 +55,8 @@ class FadingLaw:
             raise ValidationError("tail mass must lie in (0, 1)")
         return -self.mean_gain * math.log(mass)
 
-    def mean(self) -> float:
-        return self.mean_gain
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(self.mean_gain, size=n)
-
-
-def sample_gain(law: FadingLaw, seed: int, n: int) -> np.ndarray:
-    """Draw n i.i.d. gains; deterministic for a fixed seed."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    return law.sample(np.random.default_rng(int(seed)), int(n))
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,10 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 _GL_ORDER = 16
-_MAX_PANELS = 4096
 # refine_panels' first rung; the last rung of the solvers' calibration ladder
 FIRST_RUNG = 8
+# refine_panels' panel cap per axis
+_MAX_PANELS = 256
 
 
 class QuadResult(NamedTuple):
@@ -101,23 +102,21 @@ def refine_panels(
     value_at: Callable[[int], float],
     tol: Tolerances = DEFAULT_TOL,
     floor: float = 0.0,
-    start_panels: int = FIRST_RUNG,
-    max_panels: int = _MAX_PANELS,
 ) -> QuadResult:
-    """Double the panel count until two successive values agree.
+    """Double the panel count from FIRST_RUNG until two successive values agree.
 
     The error estimate is |I_2n - I_n|, tightened by a geometric tail bound
     (1.5 * diff * r / (1 - r)) once two successive diffs show a contraction
     ratio r < 1/4. Convergence: estimate <= quad_rel_tol * max(|I_2n|, floor).
     Stops with QuadratureError (best estimate attached) if neither max_iter
-    rounds nor the internal panel cap produce agreement.
+    rounds nor the _MAX_PANELS cap produce agreement.
     """
-    n = start_panels
+    n = FIRST_RUNG
     prev = value_at(n)
     prev_diff = None
     err_est = math.inf
     for _ in range(tol.max_iter):
-        if 2 * n > max_panels:
+        if 2 * n > _MAX_PANELS:
             break
         n *= 2
         cur = value_at(n)

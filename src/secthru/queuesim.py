@@ -136,8 +136,8 @@ def _quantile_thresholds(body: np.ndarray, frames: int) -> np.ndarray:
     return qs[qs > 0.0]
 
 
-def estimate_decay(hist: TailHistogram, fit_range: tuple[float, float] | None = None):
-    """Least-squares decay slope of ln P(Q >= q) over the fit range.
+def estimate_decay(hist: TailHistogram):
+    """Least-squares decay slope of ln P(Q >= q) over the histogram's thresholds.
 
     Returns (theta_hat, std_error). Thresholds with fewer than 100 expected
     exceedance counts are dropped to avoid deep-tail noise; at least 5 usable
@@ -147,12 +147,10 @@ def estimate_decay(hist: TailHistogram, fit_range: tuple[float, float] | None = 
     p = np.asarray(hist.exceedance_prob, dtype=float)
     keep = p * hist.frames > 100.0
     keep &= p < 1.0
-    if fit_range is not None:
-        keep &= (q >= fit_range[0]) & (q <= fit_range[1])
     q = q[keep]
     p = p[keep]
     if q.size < 5:
-        raise ValidationError("insufficient tail mass in the fit range (need >= 5 thresholds)")
+        raise ValidationError("insufficient tail mass (need >= 5 usable thresholds)")
 
     y = np.log(p)
     qc = q - q.mean()

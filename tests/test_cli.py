@@ -182,6 +182,30 @@ class TestConfigFile:
         assert run_cli(["sweep-theta", "--csi", "bogus"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,value", [("seed", "-1"), ("frames", "-5"), ("frames", "0")])
+    def test_bad_seed_or_frames_rejected(self, key, value, source, tmp_path, capsys):
+        if source == "flag":
+            argv = [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv = ["--config", str(cfg)]
+        assert run_cli(["validate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key} must be")
+        assert captured.out == ""
+
+    def test_unparsable_value_names_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        for lineno, line in ((2, "theta=abc"), (3, "frames=1e6")):
+            cfg.write_text("# a comment\n" * (lineno - 1) + line + "\n")
+            assert run_cli(["sweep-theta", "--config", str(cfg)]) == 1
+            captured = capsys.readouterr()
+            key = line.split("=")[0]
+            assert captured.err.startswith(f"error: {cfg}:{lineno}: bad value for {key!r}")
+            assert captured.out == ""
+
 
 class TestValidate:
     def test_quick_gate_passes(self, capsys, tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from secthru.full_csi import (
 )
 from secthru._region import CALIBRATION_RUNGS, NodePowers, throughput_readout
 from secthru.numerics import calibrate
-from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term
+from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term, simpson
 
 TOL = Tolerances()
 
@@ -35,7 +35,7 @@ def closed_form_mean_rate(link, law, tol):
     """
     def expect(lam, integrand, floor, t, panels=None):
         return transmit_region_expectation(lam, 0.0, link, law, law, t, integrand, floor,
-                                           False, panels)
+                                           panels)
 
     def mean_power(panels):
         return lambda lam, t: expect(lam, lambda mu, zm, ze: mu, max(link.avg_snr, 1e-6), t,
@@ -226,6 +226,21 @@ class TestThroughput:
         erg = closed_form_mean_rate(link, law, fast_tol)
         assert res.throughput_bits_s_hz == pytest.approx(erg, abs=1e-12)
         assert res.theta == 0.0
+
+    def test_matches_assembly_with_idle_mass(self, law, link):
+        # -ln E{r^-beta}/(beta ln 2) from a 2001 x 2001 Simpson rule over the whole
+        # truncated state square, idle states at r^-beta = 1, against the readout,
+        # which integrates only 1 - r^-beta over the transmit region
+        qos = make_qos(0.01)
+        sol = solve_full(qos, link, law, law, TOL)
+        z = np.linspace(0.0, law.tail_cutoff(TOL.quad_trunc_mass), 2001)
+        zm, ze = z[None, :], z[:, None]
+        mu = power_grid(zm, ze, link.gamma, qos.beta, sol.throughput.lam, TOL)
+        r_beta = np.exp(-qos.beta * (np.log1p(mu * zm) - np.log1p(link.gamma * mu * ze)))
+        h = z[1] - z[0]
+        inner = np.array([simpson(row, h) for row in r_beta * law.density(zm)])
+        value = -math.log(simpson(inner * law.density(z), h)) / (qos.beta * math.log(2.0))
+        assert value == pytest.approx(sol.throughput.throughput_bits_s_hz, rel=1e-3)
 
     def test_diagnostics_populated(self, law, link, fast_tol):
         res = throughput_full(make_qos(0.01), link, law, law, fast_tol)

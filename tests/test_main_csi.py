@@ -311,6 +311,26 @@ class TestThroughputMain:
         erg = throughput_main(make_qos(0.0), link, law, law, fast_tol).throughput_bits_s_hz
         assert abs(res.throughput_bits_s_hz - erg) <= 1e-3
 
+    def test_matches_assembly_with_idle_mass(self, law, link):
+        # -ln E{r^-beta}/(beta ln 2) assembled with every idle state at r^-beta = 1:
+        # a 2001-point Simpson rule in z_m under the solved policy, 1 where its
+        # power is 0, else a 2001-point Simpson rule over z_e < z_m/gamma plus the
+        # mass P(z_e >= z_m/gamma); the readout integrates only 1 - r^-beta over
+        # the transmit region
+        qos = make_qos(0.01)
+        sol = solve_main(qos, link, law, law, TOL)
+        z_m = np.linspace(0.0, law.tail_cutoff(TOL.quad_trunc_mass), 2001)
+        mu = sol.policy().state_power(z_m)
+        outer = np.ones_like(z_m)
+        for k in np.flatnonzero(mu > 0.0):
+            ze = np.linspace(0.0, z_m[k] / link.gamma, 2001)
+            log_r = np.log1p(mu[k] * z_m[k]) - np.log1p(link.gamma * mu[k] * ze)
+            outer[k] = (simpson(np.exp(-qos.beta * log_r) * law.density(ze), ze[1] - ze[0])
+                        + 1.0 - float(law.cdf(z_m[k] / link.gamma)))
+        mean_r_beta = simpson(outer * law.density(z_m), z_m[1] - z_m[0])
+        value = -math.log(mean_r_beta) / (qos.beta * math.log(2.0))
+        assert value == pytest.approx(sol.throughput.throughput_bits_s_hz, rel=1e-3)
+
     def test_theta_zero_builds_no_table(self, law, link, fast_tol, monkeypatch):
         # only the policy tabulates the theta = 0 power map, when it is asked for
         builds = []

@@ -17,18 +17,19 @@ def find_root(f, lo, hi, tol, f_tol=0.0):
     return _brent(f, lo, float(f(lo)), hi, float(f(hi)), tol, f_tol)[0]
 
 
-def integrate(f, lo, hi, tol=TOL, floor=0.0, start_panels=8):
+def integrate(f, lo, hi, tol=TOL, floor=0.0, start_panels=FIRST_RUNG):
     """refine_panels over panel_nodes on [lo, hi]: the quadrature every region
-    expectation runs, on a plain integrand.
+    expectation runs, on a plain integrand. Each rung of refine_panels takes
+    start_panels/FIRST_RUNG times its panel count.
     """
     def at(n):
-        z, w = panel_nodes(lo, hi, n)
+        z, w = panel_nodes(lo, hi, n * start_panels // FIRST_RUNG)
         return float(w @ f(z))
 
-    return refine_panels(at, tol, floor=floor, start_panels=start_panels)
+    return refine_panels(at, tol, floor=floor)
 
 
-def integrate_density(g, law, tol=TOL, lo=0.0, hi=None, start_panels=8):
+def integrate_density(g, law, tol=TOL, lo=0.0, hi=None, start_panels=FIRST_RUNG):
     """integrate of g times the law's density, up to its tail cutoff by default."""
     hi = law.tail_cutoff(tol.quad_trunc_mass) if hi is None else hi
     return integrate(lambda z: g(z) * law.density(z), lo, hi, tol, start_panels=start_panels)

@@ -96,21 +96,11 @@ class TestEstimateDecay:
         theta_hat, _ = estimate_decay(hist)
         assert theta_hat == pytest.approx(0.5, rel=1e-12)
 
-    def test_fit_range_filter(self):
-        q = np.linspace(1.0, 10.0, 20)
-        p = np.exp(-q)
-        p[q > 5.0] = np.exp(-5.0) * np.exp(-2.0 * (q[q > 5.0] - 5.0))
-        hist = TailHistogram(q, p, frames=10**9, seed=0, arrival_per_frame=1.0)
-        theta_lo, _ = estimate_decay(hist, fit_range=(0.0, 5.0))
-        theta_hi, _ = estimate_decay(hist, fit_range=(5.0, 10.0))
-        assert theta_lo == pytest.approx(1.0, rel=1e-9)
-        assert theta_hi == pytest.approx(2.0, rel=1e-9)
-
     def test_insufficient_points(self):
         q = np.array([1.0, 2.0, 3.0])
         hist = TailHistogram(q, np.exp(-q), frames=10**9, seed=0, arrival_per_frame=1.0)
         with pytest.raises(ValidationError):
-            estimate_decay(hist, fit_range=(0.0, 2.5))
+            estimate_decay(hist)
 
     def test_deep_tail_dropped(self):
         q = np.linspace(1.0, 10.0, 20)
