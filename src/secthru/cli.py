@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import checks, full_csi, main_csi
+from . import checks, full_csi, main_csi, queuesim
 from .model import FadingLaw, LinkBudget, QosSpec, Solution, ValidationError, make_qos
 from .numerics import NumericsError, Tolerances
 
@@ -244,6 +244,8 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    if cfg.frames < queuesim._MIN_FRAMES:  # the queue-decay check's floor, known up front
+        raise ValidationError(f"validate needs frames >= {queuesim._MIN_FRAMES}")
     outcomes = set()
     for name in checks.CHECKS:
         ok, detail, seconds = checks.run(name, cfg)

@@ -31,7 +31,7 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, QuadResult, Tolerances, panel_nodes
+from .numerics import DEFAULT_TOL, QuadResult, Tolerances, graded_nodes
 
 
 def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
@@ -86,39 +86,27 @@ def transmit_region_expectation(
     z_m > gamma*z_e + nu.
 
     mu is power_grid on the active region. panels fixes the panel count per
-    axis (see _region.quadrature); by default both axes refine
-    together. Given nodes (a NodePowers of one solve at these beta, link,
-    laws, root_tol and max_iter), each rung's powers are read from it and
-    solved only on a miss.
-
-    Both variables are substituted to resolve the threshold boundary layers:
-    the power turns on over a distance ~nu above z_m = gamma*z_e + nu and
-    grows like sqrt(distance/nu) beyond it, and the same ~nu scale appears in
-    z_e near 0. Uniform panels in w and v with gamma*z_e = nu*(w^2 - 1) and
-    z_m = gamma*z_e + nu*v^2 stay resolved at any calibrated multiplier.
+    axis (see _region.quadrature); by default both axes refine together.
+    Given nodes (a NodePowers of one solve at these beta, link, laws,
+    root_tol and max_iter), each rung's powers are read from it and solved
+    only on a miss. The power turns on within ~nu of the threshold, so both
+    axes, gamma*z_e and each row's z_m - gamma*z_e - nu, are graded at
+    scale nu (numerics.graded_nodes).
     """
     gamma, lam = link.gamma, reported_lam(beta, nu)
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
-    ze_hi = law_e.tail_cutoff(tol.quad_trunc_mass)
-    ze_cap = min(ze_hi, (zm_hi - nu) / gamma)
+    ze_cap = min(law_e.tail_cutoff(tol.quad_trunc_mass), (zm_hi - nu) / gamma)
     if not ze_cap > 0.0:
         return QuadResult(0.0, 0.0, 0)
 
-    w_max = np.sqrt(1.0 + gamma * ze_cap / nu)
-
     def at(n: int) -> float:
-        w, we = panel_nodes(1.0, w_max, n)
-        u, wu = panel_nodes(0.0, 1.0, n)
-        ze = nu * (w * w - 1.0) / gamma
-        we = we * (2.0 * nu / gamma) * w  # pull the z_e jacobian into the weights
-        v_max = np.sqrt((zm_hi - gamma * ze) / nu)  # z_m(v_max) = zm_hi
-        v = 1.0 + (v_max[:, None] - 1.0) * u[None, :]
-        zm = (gamma * ze)[:, None] + nu * v * v
+        ze, we = graded_nodes(nu / gamma, ze_cap, n)  # gamma*z_e at scale nu
+        dm, wm = graded_nodes(nu, zm_hi - gamma * ze - nu, n)
+        zm = (gamma * ze + nu)[:, None] + dm
         zeg = np.broadcast_to(ze[:, None], zm.shape)
         mu = node_powers(nodes, nu, n, lambda: power_grid(zm, zeg, gamma, beta, lam, tol))
         vals = integrand(mu, zm, zeg) * law_m.density(zm)
-        jac = 2.0 * nu * v * (v_max[:, None] - 1.0)
-        return float(we @ (((vals * jac) @ wu) * law_e.density(ze)))
+        return float(we @ ((vals * wm).sum(axis=1) * law_e.density(ze)))
 
     return quadrature(at, tol, floor, panels)
 

@@ -37,7 +37,8 @@ from .model import (
     ThroughputResult,
     ValidationError,
 )
-from .numerics import DEFAULT_TOL, NumericsError, QuadResult, Tolerances, _brent, panel_nodes
+from .numerics import (DEFAULT_TOL, NumericsError, QuadResult, Tolerances, _brent, graded_nodes,
+                       panel_nodes)
 
 
 def alpha_threshold(nu: float, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
@@ -234,24 +235,19 @@ def main_region_expectation(
     every z_e (no inner integral). panels fixes the outer (and so the inner)
     panel count (see _region.quadrature); by default both refine together.
     Given nodes, each rung's main_power result (powers and inner rule) comes
-    from that store under nu, and is solved only on a miss.
-
-    Both variables are substituted to keep the threshold layers resolved at
-    any calibration: the power turns on over a distance ~alpha above the
-    cutoff, so z_m = alpha*w^2 with uniform panels in w >= 1; main_power's
-    inner rule in u, z_e = (z_m/gamma)*u^2, handles the layer near z_e = 0.
+    from that store under nu, and is solved only on a miss. The power turns
+    on over a distance ~alpha above the cutoff, so z_m - alpha is graded at
+    scale alpha (numerics.graded_nodes).
     """
     gamma = link.gamma
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
         return QuadResult(0.0, 0.0, 0)
     anchor = max(alpha, zm_hi * 1e-14)
-    w_max = math.sqrt(zm_hi / anchor)
 
     def at(n: int) -> float:
-        w, wm = panel_nodes(1.0, w_max, n)
-        zm = anchor * w * w
-        wm = wm * 2.0 * anchor * w  # z_m jacobian folded into the weights
+        dm, wm = graded_nodes(anchor, zm_hi - anchor, n)
+        zm = anchor + dm
         mu, ze, wpe, wu = node_powers(
             nodes, nu, n, lambda: main_power(zm, n, beta, nu, gamma, law_e, tol))
         vals = mu if integrand is None else (integrand(mu[:, None], zm[:, None], ze) * wpe) @ wu

@@ -1,6 +1,6 @@
 import pytest
 
-from secthru import NumericsError, full_csi, main_csi
+from secthru import NumericsError, checks, full_csi, main_csi
 from secthru.cli import RunConfig, main, parse_config_file
 
 FAST = ["--tol", "1e-6"]
@@ -86,6 +86,16 @@ class TestSweepSnr:
         _, rows = read_rows(out)
         values = [float(r["throughput_bits_s_hz"]) for r in rows]
         assert values == sorted(values)
+
+    def test_high_snr_rows_solve_at_the_default_tolerances(self, tmp_path):
+        # at 30 dB the theta = 0 full-CSI threshold nu is about 1e-6: the
+        # transmit region's quadrature must resolve its layer within the panel cap
+        out = tmp_path / "high.csv"
+        assert run_cli(["sweep-snr", "--theta", "0", "--snr-db=20,30", "--csi", "both",
+                        "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 4
+        assert all(r["error"] == "" and float(r["throughput_bits_s_hz"]) > 0.0 for r in rows)
 
 
 class TestPolicySurface:
@@ -222,6 +232,20 @@ class TestValidate:
         assert any("queue-decay" in ln for ln in lines)
         # the checks share their rows: each configuration is solved once
         assert solved and len(solved) == len(set(solved))
+
+    @pytest.mark.parametrize("frames", ["1", "99999"])
+    def test_too_few_frames_rejected_before_any_check(self, frames, capsys, tmp_path,
+                                                      monkeypatch):
+        ran = []
+        monkeypatch.setattr(checks, "run", lambda name, cfg: ran.append(name))
+        assert run_cli(["validate", "--frames", frames]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: validate needs frames >= 100000")
+        assert captured.out == "" and ran == []
+        # the sweeps simulate no queue and keep accepting any positive count
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep-theta", "--theta", "0.01", "--csi", "full", "--frames", frames,
+                        *FAST, "--out", str(out)]) == 0
 
     def test_tampered_tolerance_fails(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

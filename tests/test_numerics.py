@@ -7,7 +7,8 @@ import pytest
 
 from secthru import BracketError, NumericsError, QuadratureError, Tolerances
 from secthru.full_csi import kkt_lhs_full
-from secthru.numerics import FIRST_RUNG, _brent, calibrate, panel_nodes, refine_panels
+from secthru.numerics import (FIRST_RUNG, _brent, calibrate, graded_nodes, panel_nodes,
+                              refine_panels)
 
 TOL = Tolerances()
 
@@ -322,6 +323,30 @@ class TestIntegrate:
 
     def test_empty_interval(self):
         assert integrate(lambda x: x, 1.0, 1.0, TOL).value == 0.0
+
+
+class TestGradedNodes:
+    # (scale, span): from a threshold layer 3e-16 of the span wide to one
+    # 1e4 times wider than the span
+    CASES = [(1e-14, 30.0), (1e-6, 1.0), (1e-3, 28.0), (1.0, 1.0), (0.3, 1e4), (10.0, 1e-3)]
+
+    @pytest.mark.parametrize("scale,span", CASES)
+    def test_rule_on_the_span(self, scale, span):
+        t, w = graded_nodes(scale, span, 16)
+        assert t.shape == w.shape == (16 * 16,)
+        assert np.all(w > 0.0)
+        assert 0.0 < t[0] and np.all(np.diff(t) > 0.0) and t[-1] < span
+        assert w.sum() == pytest.approx(span, rel=1e-12)
+        assert w @ np.exp(-t) == pytest.approx(-math.expm1(-span), rel=1e-12)
+
+    def test_array_span_is_one_rule_per_row(self):
+        spans = np.array([1e-3, 0.5, 30.0, 1e4])
+        t, w = graded_nodes(1e-4, spans, 4)
+        assert t.shape == w.shape == (4, 4 * 16)
+        for k, span in enumerate(spans):
+            t_k, w_k = graded_nodes(1e-4, span, 4)
+            np.testing.assert_allclose(t[k], t_k, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(w[k], w_k, rtol=1e-15, atol=0.0)
 
 
 class TestTolerances:

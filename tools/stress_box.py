@@ -12,7 +12,7 @@ to the budget. The record also holds the process's peak RSS and the total
 time over all rows. Times and RSS depend on the machine; the "env" entry
 names it.
 
-Run from the root of a checkout (about 20 s and 1 GB of memory):
+Run from the root of a checkout (about 2 s and 60 MB of memory):
 
     PYTHONPATH=src python3 tools/stress_box.py --label after
 
