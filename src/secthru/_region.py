@@ -58,8 +58,13 @@ def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
 
 
 # panels per axis of the coarse evaluators numerics.calibrate solves on,
-# cheapest first: the cold walk on 2 panels, then the first refinement rung
-CALIBRATION_RUNGS = (2, FIRST_RUNG)
+# cheapest first: the cold walk on 2 panels, then the second refinement rung.
+# The last coarse stage stays at 8 panels, one rung above FIRST_RUNG: the
+# refined stage's first probe, at its root, then reads those 8 panels from
+# the store and solves only the 4-panel grid against which refine_panels
+# checks them. A 4-panel last stage lands further from the refined root: on
+# the stress box 43 refined evaluations instead of 36, up to 3 on one row.
+CALIBRATION_RUNGS = (2, 2 * FIRST_RUNG)
 
 
 def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solution:
@@ -71,18 +76,20 @@ def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solu
     is the mode's mean power: on each rung of CALIBRATION_RUNGS a coarse
     evaluator of numerics.calibrate's ladder, refined the one that polishes
     the last coarse root. The cold bracket walk thus runs on the 2-panel rule,
-    with 1/16 of the first rung's nodes; the 8-panel stage starts at its root
-    and takes 1-3 evaluations, and the refined stage one. policy_at(nu, nodes)
-    returns the policy at the calibrated nu as (threshold, expectation,
-    build_state_power): its zero-power boundary, its transmit-region integral
-    expectation(integrand, floor) (see throughput_readout), and the builder of
-    its state power map.
+    with 1/16 of the 8-panel rule's nodes; the 8-panel stage starts at its
+    root and takes 1-3 evaluations, and the refined stage one.
+    policy_at(nu, nodes) returns the policy at the calibrated nu as
+    (threshold, expectation, build_state_power): its zero-power boundary, its
+    transmit-region integral expectation(integrand, floor) (see
+    throughput_readout), and the builder of its state power map.
 
     Every evaluation shares one NodePowers store, so the refined stage's first
-    probe, at the 8-panel root, reads the first rung the 8-panel stage solved
-    there, and the readout at the returned nu reads the rungs of the accepted
-    probe. The store is dropped on return, and build_state_power must not
-    hold it: no node grid outlives the solve.
+    probe, at the 8-panel root, reads the 8-panel rung the last coarse stage
+    solved there and solves only the 4-panel rung (FIRST_RUNG) it checks that
+    against; where they agree the refinement stops at 8 panels. The readout
+    at the returned nu reads the rungs of the accepted probe. The store is
+    dropped on return, and build_state_power must not hold it: no node grid
+    outlives the solve.
     """
     beta = qos.beta
     nodes = NodePowers()
@@ -230,9 +237,9 @@ def node_powers(nodes: Optional[NodePowers], nu: float, panels: int, solve):
 
 def quadrature(at: Callable[[int], float], tol: Tolerances, floor: float,
                panels: Optional[int]) -> QuadResult:
-    """refine_panels on a region rule at(n) of n panels per axis, or, given
-    panels, at(panels) alone with no error estimate (error inf): the first
-    rung costs about a fifth of a refinement that stops at the second.
+    """refine_panels on a region rule at(n) of n panels per axis, from
+    FIRST_RUNG (4) up, or, given panels, at(panels) alone with no error
+    estimate (error inf): the calibration's coarse evaluators.
     """
     if panels is None:
         return refine_panels(at, tol, floor=floor)

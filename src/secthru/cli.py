@@ -18,6 +18,9 @@ from .model import FadingLaw, LinkBudget, QosSpec, Solution, ValidationError, ma
 from .numerics import NumericsError, Tolerances
 
 _THETA_DEFAULT = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 9))
+# --tol T sets root_tol = T*1e-4, but no finer than the lane kernel's step
+# test can meet in double precision
+_ROOT_TOL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             overrides[f.name] = value
     if getattr(args, "tol", None) is not None:
         overrides.setdefault("quad_rel_tol", args.tol)
-        overrides.setdefault("root_tol", args.tol * 1e-4)
+        overrides.setdefault("root_tol", max(args.tol * 1e-4, _ROOT_TOL_FLOOR))
     cfg = replace(cfg, **overrides)
     if cfg.csi not in ("full", "main", "both"):
         raise ValidationError("csi must be full, main, or both")
@@ -283,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_parse_grid, default=None,
                        help="zE_max,zM_max,steps for policy-surface")
         p.add_argument("--tol", type=float, default=None,
-                       help="quadrature relative tolerance (root_tol follows at 1e-4x)")
+                       help="quadrature relative tolerance (root_tol follows at 1e-4x, "
+                            "floored at 1e-14)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--frames", type=int, default=None,
                        help="frames per queue-simulation seed")

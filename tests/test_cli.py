@@ -97,6 +97,17 @@ class TestSweepSnr:
         assert len(rows) == 4
         assert all(r["error"] == "" and float(r["throughput_bits_s_hz"]) > 0.0 for r in rows)
 
+    def test_tight_tol_floors_root_tol_where_the_lane_kernel_can_meet_it(self, tmp_path):
+        # --tol 1e-11 alone would ask root_tol = 1e-15, below what the lane
+        # kernel's step test can meet in double precision
+        out = tmp_path / "tight.csv"
+        assert run_cli(["sweep-snr", "--theta", "0", "--snr-db=30", "--csi", "both",
+                        "--tol", "1e-11", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 2
+        assert all(r["error"] == "" and float(r["throughput_bits_s_hz"]) > 0.0 for r in rows)
+        assert "root_tol=1e-14" in out.read_text()
+
 
 class TestPolicySurface:
     def test_silent_half_plane(self, tmp_path):

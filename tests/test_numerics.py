@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from secthru import BracketError, NumericsError, QuadratureError, Tolerances
+from secthru._region import CALIBRATION_RUNGS
 from secthru.full_csi import kkt_lhs_full
 from secthru.numerics import (FIRST_RUNG, _brent, calibrate, graded_nodes, panel_nodes,
                               refine_panels)
@@ -254,11 +255,12 @@ class TestCalibrate:
 
     def test_every_bench_calibration_takes_one_refined_and_at_most_two_first_rung_evaluations(
             self, bench_counts):
-        # the cold walk runs on the cheaper rungs of the ladder: the first
-        # rung only finishes from their root (5-7 evaluations without them)
+        # the cold walk runs on the cheapest rung of the ladder: the 8-panel
+        # stage only finishes from its root (5-7 evaluations without it)
+        assert CALIBRATION_RUNGS[-1] == 2 * FIRST_RUNG
         for config, row in bench_counts:
             assert row["rung_evals"]["refined"] == 1, config
-            assert row["rung_evals"].get(str(FIRST_RUNG), 0) <= 2, config
+            assert row["rung_evals"].get(str(CALIBRATION_RUNGS[-1]), 0) <= 2, config
 
     def test_nan_in_the_walk(self):
         with pytest.raises(NumericsError, match="NaN"):

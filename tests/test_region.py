@@ -18,8 +18,9 @@ from secthru import (
     main_csi,
     make_qos,
 )
-from secthru._region import NodePowers, power_lanes
+from secthru._region import CALIBRATION_RUNGS, NodePowers, power_lanes
 from secthru.full_csi import power_grid
+from secthru.numerics import FIRST_RUNG
 from oracles import bisect_lane_power
 
 TOL = Tolerances()
@@ -152,6 +153,36 @@ def test_node_store_solves_each_rung_once_and_drops_old_multipliers():
         assert np.array_equal(nodes.get(nu, panels, solver(nu, panels)), np.full(panels, nu))
     assert solves == [(0.5, 8), (0.5, 16), (0.25, 8), (0.5, 8)]
     assert nodes.nu == 0.5 and list(nodes.grids) == [8]  # 0.5's first 16-panel rung was dropped
+
+
+@pytest.mark.parametrize("mode", ["full", "main"])
+def test_refined_evaluation_at_the_last_coarse_root_solves_only_the_first_rung(
+        mode, monkeypatch):
+    # the last coarse stage stores its 8-panel grid at its root; the refined
+    # evaluation there solves the 4-panel grid, accepts the 8-panel value
+    # against it and reads that from the store, so the kernel sees 1/4 of
+    # the 8-panel terms
+    module = {"full": full_csi, "main": main_csi}[mode]
+    mean_power = getattr(module, f"mean_power_{mode}")
+    law, link, qos = FadingLaw(), LinkBudget(1.0, 1.0), make_qos(0.01)
+    # at the solved nu the 8-panel value meets quad_rel_tol against the 4-panel one
+    args = (getattr(module, f"solve_{mode}")(qos, link, law, law, TOL).nu, qos.beta, link, law,
+            law, TOL)
+    terms, lanes = [], module.power_lanes
+
+    def counted(z_m, coef, *rest):
+        terms.append(coef.size)
+        return lanes(z_m, coef, *rest)
+
+    monkeypatch.setattr(module, "power_lanes", counted)
+    nodes = NodePowers()
+    coarse = mean_power(*args, CALIBRATION_RUNGS[-1], nodes)
+    terms.clear()
+    assert mean_power(*args, None, nodes) == coarse
+    refined_terms = list(terms)
+    terms.clear()
+    mean_power(*args, FIRST_RUNG)
+    assert refined_terms == terms and len(terms) == 1
 
 
 @pytest.mark.parametrize("mean_power", [full_csi.mean_power_full, main_csi.mean_power_main])

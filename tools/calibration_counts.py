@@ -129,27 +129,39 @@ def count_set(configs):
     return {**out, "rows": rows}
 
 
-def count_lanes(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
-    """power_lanes calls and terms of one solved row, by stage."""
-    link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
-    counts = {f"{stage}_{what}": 0 for stage in ("calibration", "readout")
-              for what in ("calls", "terms")}
+@contextmanager
+def solve_stage():
+    """Wrap the throughput readout (_region.throughput_readout) for the block;
+    yields a one-item list naming the stage of the solve under way:
+    "calibration", then "readout" from the readout's start.
+    """
     stage = ["calibration"]
-    lanes, readout = _region.power_lanes, _region.throughput_readout
-
-    def counted_lanes(z_m, coef, *args):
-        counts[f"{stage[0]}_calls"] += 1
-        counts[f"{stage[0]}_terms"] += int(np.size(coef))
-        return lanes(z_m, coef, *args)
+    readout = _region.throughput_readout
 
     def staged_readout(*args):
         stage[0] = "readout"
         return readout(*args)
 
-    with mock.patch.object(full_csi, "power_lanes", counted_lanes), \
-            mock.patch.object(main_csi, "power_lanes", counted_lanes), \
-            mock.patch.object(_region, "throughput_readout", staged_readout):
-        solve(mode, theta, link, tol)
+    with mock.patch.object(_region, "throughput_readout", staged_readout):
+        yield stage
+
+
+def count_lanes(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
+    """power_lanes calls and terms of one solved row, by stage."""
+    link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
+    counts = {f"{stage}_{what}": 0 for stage in ("calibration", "readout")
+              for what in ("calls", "terms")}
+    lanes = _region.power_lanes
+
+    with solve_stage() as stage:
+        def counted_lanes(z_m, coef, *args):
+            counts[f"{stage[0]}_calls"] += 1
+            counts[f"{stage[0]}_terms"] += int(np.size(coef))
+            return lanes(z_m, coef, *args)
+
+        with mock.patch.object(full_csi, "power_lanes", counted_lanes), \
+                mock.patch.object(main_csi, "power_lanes", counted_lanes):
+            solve(mode, theta, link, tol)
     if counts["calibration_terms"] == 0 and not (mode == "full" and theta == 0.0):
         raise RuntimeError(f"{key(mode, theta, snr_db, gamma)}: no power_lanes terms counted "
                            "in the calibration; the kernel has a call site not wrapped here")
