@@ -131,8 +131,9 @@ def power_lanes(z_m, coef, ratio, beta: float, nu: float, tol: Tolerances) -> np
     lies in [L/max(2, beta+1), L/min(2, beta+1)] with L = h(0). Each lane takes
     Newton steps on h from the tangent root at x = 0, bisects its running
     bracket whenever a step leaves it, and is frozen once its step in mu is
-    below root_tol*max(1, mu). A non-finite iterate or max_iter steps raise
-    NumericsError carrying the powers so far (NaN in blocks not reached).
+    below root_tol*max(1, mu) or it lands on a bracket end (h at its rounding
+    floor, where the lane would cycle). A non-finite iterate or max_iter steps
+    raise NumericsError carrying the powers so far (NaN in blocks not reached).
     """
     ratio = np.broadcast_to(ratio, coef.shape)
     size = max(1, BLOCK_TERMS // (coef.shape[1] if coef.ndim == 2 else 1))
@@ -193,7 +194,8 @@ def _newton_block(out, mu, z, c, s, beta, nu, tol):
         x_new = np.where((x_new < lo) | (x_new > hi), 0.5 * (lo + hi), x_new)
         p_new = np.expm1(x_new)
         mu_new = p_new / z
-        done = np.abs(mu_new - p / z) <= tol.root_tol * np.maximum(1.0, mu_new)
+        done = ((np.abs(mu_new - p / z) <= tol.root_tol * np.maximum(1.0, mu_new))
+                | (x_new == lo) | (x_new == hi))
         x, p = x_new, p_new
         if done.any():  # lanes mostly finish together: compact only when some did
             mu[lane[done]] = mu_new[done]

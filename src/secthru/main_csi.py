@@ -18,8 +18,8 @@ Divided by beta, the condition holds for every beta >= 0 with the normalized
 multiplier nu = lam/beta: at beta = 0 (theta = 0, no QoS constraint) it is the
 first-order condition of the mean secrecy rate and nu is the rate multiplier
 in nats. The cutoff solves Int_0^{alpha/gamma} (alpha - gamma*z_e) p_E dz_e = nu
-for every beta, and nu is calibrated so the policy spends the average-SNR
-budget with equality.
+for every beta, by Newton's method on its closed form (alpha_threshold), and
+nu is calibrated so the policy spends the average-SNR budget with equality.
 """
 
 import math
@@ -28,48 +28,44 @@ from functools import partial
 import numpy as np
 
 from ._region import BLOCK_TERMS, NodePowers, node_powers, power_lanes, quadrature, solve
-from .model import (
-    FadingLaw,
-    LinkBudget,
-    PowerPolicy,
-    QosSpec,
-    Solution,
-    ThroughputResult,
-    ValidationError,
-)
-from .numerics import (DEFAULT_TOL, NumericsError, QuadResult, Tolerances, _brent, graded_nodes,
-                       panel_nodes)
+from .model import (SERIES_BELOW, FadingLaw, LinkBudget, PowerPolicy, QosSpec, Solution,
+                    ThroughputResult, ValidationError, excess_series)
+from .numerics import DEFAULT_TOL, NumericsError, QuadResult, Tolerances, graded_nodes, panel_nodes
 
 
 def alpha_threshold(nu: float, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                     tol: Tolerances = DEFAULT_TOL) -> float:
     """Cutoff gain below which the main-CSI policy with multiplier nu is silent.
 
-    The root of the zero-power marginal gain against nu, for every beta >= 0.
-    Integration by parts turns the gain into
-    gamma * Int_0^{alpha/gamma} P(z_E <= t) dt, which idle_marginal_gain reads
-    in closed form from law_e.integrated_cdf, so no gain costs a quadrature.
-    Each gain is evaluated once: the monotonicity probes at z_hi/4, z_hi/2
-    and z_hi are not repeated, and Brent starts from the value at z_hi; a
-    gain that does not increase over the probes raises NumericsError.
-    The search runs up to the truncation point z_hi of law_m. Returns
-    math.inf when nu is beyond any gain achievable on that truncated support
-    (nu = math.inf included).
+    The root of idle_marginal_gain(alpha) = nu, for every beta >= 0: in
+    x = alpha/(gamma*m_e), for the eavesdropper mean m_e, the increasing and
+    convex g(x) = x - 1 + e^-x = nu/(gamma*m_e) = c (_scaled_gain). Newton's
+    method in floats from min(1 + c, sqrt(2c) + c), right of the root, falls
+    onto it monotonically, and stops once a step is at most root_tol relative
+    or no longer decreases x (the floating-point floor); NumericsError carries
+    the last iterate after max_iter steps. Returns 0.0 at nu = 0, and math.inf
+    when g at the truncation point of law_m is at most c (nu = math.inf too).
     """
-    if nu < 0:
+    if not nu >= 0:
         raise ValidationError("nu must be nonnegative")
-    gamma = link.gamma
-    z_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
-
-    gain0 = lambda z: idle_marginal_gain(z, gamma, law_e)
-    # the zero-power gain must be increasing in z_m for the root to be a cutoff
-    probes = gain0(z_hi * 0.25), gain0(z_hi * 0.5), gain0(z_hi)
-    if not (probes[0] < probes[1] < probes[2]):
-        raise NumericsError("zero-power marginal gain is not increasing in z_m")
-    if probes[2] <= nu:
+    scale = link.gamma * law_e.mean_gain
+    c = nu / scale
+    if _scaled_gain(law_m.tail_cutoff(tol.quad_trunc_mass) / scale) <= c:
         return math.inf
-    root, _ = _brent(lambda z: gain0(z) - nu, 0.0, gain0(0.0) - nu, z_hi, probes[2] - nu, tol, 0.0)
-    return root
+    if c == 0.0:
+        return 0.0
+    x = min(1.0 + c, math.sqrt(2.0 * c) + c)
+    for _ in range(tol.max_iter):
+        step = (_scaled_gain(x) - c) / -math.expm1(-x)
+        if x - step >= x or step <= tol.root_tol * (x - step):
+            return min(x, x - step) * scale
+        x -= step
+    raise NumericsError(f"cutoff not converged after {tol.max_iter} Newton steps", best=x * scale)
+
+
+def _scaled_gain(x: float) -> float:
+    """g(x) = x - 1 + e^-x at a float x >= 0, as FadingLaw.integrated_cdf reads it."""
+    return excess_series(x) if x < SERIES_BELOW else x + math.expm1(-x)
 
 
 def idle_marginal_gain(z_m, gamma: float, law_e: FadingLaw):
@@ -77,12 +73,10 @@ def idle_marginal_gain(z_m, gamma: float, law_e: FadingLaw):
     at a gain or an array of gains (0 where z_m <= 0).
 
     This is the zero-power marginal gain of the main-CSI problem divided by
-    beta, for every beta >= 0; it is strictly increasing in z_m, which the
-    cutoff solver (alpha_threshold) relies on. Integrated by parts it is
-    gamma * Int_0^{z_m/gamma} P(z_e <= t) dt, read in closed form from
-    law_e.integrated_cdf: the whole region z_e < z_m/gamma that the inner
-    rule of main_region_expectation integrates, without truncation and
-    without quadrature.
+    beta, for every beta >= 0, strictly increasing in z_m, and the cutoff
+    alpha_threshold solves it against nu. By parts it is gamma times
+    law_e.integrated_cdf(z_m/gamma), in closed form over the whole region
+    z_e < z_m/gamma that main_region_expectation's inner rule integrates.
     """
     return gamma * law_e.integrated_cdf(np.asarray(z_m, dtype=float) / gamma)
 
@@ -275,9 +269,8 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
                tol: Tolerances = DEFAULT_TOL) -> Solution:
     """Calibrate the main-CSI policy and read out its effective secure throughput
     (_region.solve). The threshold is the cutoff alpha at the accepted nu,
-    solved once more at no quadrature cost (its gain is in closed form,
-    idle_marginal_gain), and the policy interpolates main_policy_table, which
-    is built only when the policy is asked for.
+    solved once more (a few Newton steps), and the policy interpolates
+    main_policy_table, which is built only when the policy is asked for.
     """
     beta, gamma = qos.beta, link.gamma
 

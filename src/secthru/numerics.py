@@ -1,7 +1,7 @@
-"""Deterministic scalar root finding, power calibration and panel quadrature.
+"""Deterministic power calibration, scalar root finding and panel quadrature.
 
-Every solver in the package funnels through the primitives here: Brent root
-finding on a bracketed sign change, the average-power calibration built on it,
+Both solvers calibrate through the primitives here: the average-power
+calibration, Brent root finding on a bracketed sign change (its only user),
 and composite Gauss-Legendre quadrature whose panel count doubles until two
 successive refinements agree. Evaluation order is fixed, so results are
 bit-reproducible for fixed tolerances.
@@ -44,7 +44,7 @@ class QuadratureError(NumericsError):
 class Tolerances:
     """Numeric knobs shared by every solver.
 
-    root_tol: relative bracket width at which root finding stops.
+    root_tol: relative bracket width (Brent) or step (Newton) ending a root search.
     quad_rel_tol: required relative agreement between successive quadrature
         refinements (the reported error estimate is their difference).
     quad_trunc_mass: fading-law tail mass dropped when truncating [0, inf).

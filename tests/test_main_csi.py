@@ -30,6 +30,7 @@ from secthru.main_csi import (
     mean_power_main,
 )
 from secthru._region import NodePowers, throughput_readout
+from secthru.model import SERIES_BELOW, excess_series
 from oracles import (
     brute_power_main,
     grid_power_main,
@@ -207,24 +208,79 @@ class TestAlphaThreshold:
         assert worst <= 1e-12
         assert worst_plain > 1e-10  # the grid reaches the cancellation range
 
-    def test_gain_evaluated_once_per_gain(self, law, monkeypatch):
-        # the cutoff looks idle_marginal_gain up through its module, so the
-        # patched attribute sees every zero-power gain evaluation
-        calls = []
+    # c = nu/(gamma*m_e) from 1e-20 to 1e3, and densely on both sides of the
+    # series switch at x = SERIES_BELOW, where c = g(x) is about 8e-6
+    C_GRID = [*np.geomspace(1e-20, 1e3, 47),
+              *(excess_series(x) for x in np.linspace(0.5, 2.0, 61) * SERIES_BELOW)]
+    # a main-channel law whose truncation point (2.8e5) leaves every cutoff
+    # below finite, at every gamma*m_e from 0.3 to 3
+    WIDE = FadingLaw(mean_gain=1e4)
 
-        def counted(z, *args):
-            calls.append(z)
-            return idle_marginal_gain(z, *args)
+    @staticmethod
+    def scaled_gain(x):
+        return excess_series(x) if x < SERIES_BELOW else x + math.expm1(-x)
 
-        monkeypatch.setattr(main_csi, "idle_marginal_gain", counted)
+    def bisection(self, c):
+        """The root of g(x) = c to adjacent floats, by bisection on [0, 1 + c]."""
+        lo, hi = 0.0, 1.0 + c
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if self.scaled_gain(mid) < c else (lo, mid)
+        return hi
+
+    def test_newton_matches_bisection_on_the_closed_form(self, law):
+        # gamma = m_e = 1, so nu = c and alpha = x
+        link = LinkBudget(1.0, 1.0)
+        for c in map(float, self.C_GRID):
+            ref = self.bisection(c)
+            alpha = alpha_threshold(c, link, self.WIDE, law, TOL)
+            assert abs(alpha - ref) <= 1e-13 * ref, (c, alpha, ref)
+
+    def test_iterates_fall_monotonically_within_ten_steps(self, law, monkeypatch):
+        # the first gain read is the one at the truncation point; every later
+        # one is at a Newton iterate
+        xs = []
+
+        def recorded(x):
+            xs.append(x)
+            return self.scaled_gain(x)
+
+        monkeypatch.setattr(main_csi, "_scaled_gain", recorded)
+        for gamma, mean_e in ((1.0, 1.0), (0.3, 10.0), (3.0, 0.1)):
+            link, law_e = LinkBudget(1.0, gamma), FadingLaw(mean_gain=mean_e)
+            for c in map(float, self.C_GRID):
+                xs.clear()
+                alpha_threshold(c * gamma * mean_e, link, self.WIDE, law_e, TOL)
+                iterates = xs[1:]
+                assert 1 <= len(iterates) <= 10, (gamma, mean_e, c, iterates)
+                assert all(b < a for a, b in zip(iterates, iterates[1:])), (c, iterates)
+
+    @pytest.mark.parametrize("gamma, mean_e", [(1.0, 1.0), (0.3, 10.0), (3.0, 0.1)])
+    def test_infinite_exactly_beyond_the_gain_at_the_truncation_point(self, law, gamma,
+                                                                        mean_e):
+        link, law_e = LinkBudget(1.0, gamma), FadingLaw(mean_gain=mean_e)
+        scale = gamma * mean_e
         z_hi = law.tail_cutoff(TOL.quad_trunc_mass)
-        for gamma in (1.0, 2.0):
-            for nu in (1e-3, 1e-2, 0.1, 0.7):
-                calls.clear()
-                alpha = alpha_threshold(nu, LinkBudget(1.0, gamma), law, law, TOL)
-                assert 0.0 < alpha < z_hi
-                assert len(calls) == len(set(calls)), f"gamma={gamma} nu={nu}: {calls}"
-                assert calls.count(z_hi) == 1
+        g_hi = self.scaled_gain(z_hi / scale)
+        for k in range(-4, 5):
+            nu = g_hi * (1.0 + k * 1e-15) * scale
+            alpha = alpha_threshold(nu, link, law, law_e, TOL)
+            assert math.isinf(alpha) == (g_hi <= nu / scale), (k, alpha)
+        below = alpha_threshold(g_hi * (1.0 - 1e-12) * scale, link, law, law_e, TOL)
+        assert below == pytest.approx(z_hi, rel=1e-9)
+
+    def test_tolerance_below_the_float_floor(self, law):
+        # a relative step of 1e-16 is below an ulp, so Newton ends on the
+        # floating-point floor instead
+        link, tight = LinkBudget(1.0, 1.0), Tolerances(root_tol=1e-16)
+        for c in map(float, self.C_GRID):
+            alpha = alpha_threshold(c, link, self.WIDE, law, tight)
+            assert alpha == pytest.approx(self.bisection(c), rel=1e-13)
+
+    def test_step_budget_exhausted(self, law, link):
+        with pytest.raises(NumericsError, match="1 Newton steps") as info:
+            alpha_threshold(0.5, link, law, law, Tolerances(max_iter=1))
+        assert info.value.best > alpha_threshold(0.5, link, law, law, TOL)
 
 
 class TestCalibrationMain:

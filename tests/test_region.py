@@ -140,6 +140,18 @@ def test_iteration_cap_raises_with_best_estimate():
     assert np.allclose(best, exact, rtol=1e-2, atol=1e-12)
 
 
+def test_lane_cycling_at_the_floating_point_floor_is_frozen():
+    # the first node of the 16-panel rung at the theta = 0, 30 dB main-CSI
+    # row: there h's rounding floor, ~1.8e-16 at x ~ 5.2e-3, moves mu by
+    # 2.6e-14 relative, so the iterates cycle between two points and
+    # root_tol = 1e-14 (the CLI's floor) cannot be met by the step test
+    zm, nu = np.array([0.0031305554450792865]), 4.861343967300275e-06
+    law = FadingLaw()
+    mu = main_csi.main_power(zm, 16, 0.0, nu, 1.0, law, Tolerances(root_tol=1e-14))[0]
+    loose = main_csi.main_power(zm, 16, 0.0, nu, 1.0, law, TOL)[0]
+    assert mu == pytest.approx(loose, rel=1e-13)
+
+
 def test_node_store_solves_each_rung_once_and_drops_old_multipliers():
     nodes, solves = NodePowers(), []
 

@@ -27,7 +27,9 @@ one at theta = 0, whose power is closed-form (ergodic.ergodic_power_full),
 must count calibration terms: a row that counts none raises, since the
 kernel then has a call site the wrap misses. Counts depend only on the code
 and the default Tolerances, not on the machine; each row also lists its
-probes on each rung as [ln(nu), mean power] under "probes".
+probes on each rung as [ln(nu), mean power] under "probes", unrounded so that
+the gaps between the rungs' roots can be read from the file. (Labels up to
+"after-refine-from-4" store ln(nu) rounded to 4 decimals.)
 
 Run from the root of a checkout:
 
@@ -113,7 +115,7 @@ def count_calibration(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
         "rung_evals": evals,
         "nu": sol.nu,
         "residual_rel": sol.throughput.power_residual / link.avg_snr,
-        "probes": {rung: [[round(u, 4), p] for u, p in probes[rung]] for rung in evals},
+        "probes": {rung: [[u, p] for u, p in probes[rung]] for rung in evals},
     }
 
 
