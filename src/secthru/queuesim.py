@@ -5,11 +5,23 @@ service of a calibrated policy. When the arrival rate equals the effective
 secure throughput solved for exponent theta, the stationary queue tail must
 satisfy ln P(Q >= q) ~ -theta * q; the fitted slope of the simulated tail is
 the check.
+
+The per-frame service of each chunk of frames is computed in fixed slices of
+_SLICE frames, mapped over a thread pool of up to _MAX_WORKERS threads, one per
+CPU the process may use (inline, with no thread, on one CPU). numpy releases
+the interpreter lock inside the power kernels' ufuncs and np.interp, so the
+slices run in parallel. The output is bit-identical whatever the CPU count:
+the gains are drawn in the caller in a fixed order, each state's power and
+rate depend on that state alone, and the service sum, the Lindley recursion
+and the tail are taken serially over whole arrays.
 """
 
+import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +30,10 @@ from .model import FadingLaw, LinkBudget, PowerPolicy, QosSpec, ValidationError
 _N_THRESHOLDS = 20
 _MIN_FRAMES = 100_000
 _CHUNK = 2_000_000
+# frames per service slice: small enough that each thread's scratch arrays,
+# which glibc keeps in a per-thread arena, add little to the peak RSS
+_SLICE = 1 << 16
+_MAX_WORKERS = 4
 
 
 class InstabilityWarning(UserWarning):
@@ -71,6 +87,12 @@ def simulate_queue(
     rate at i.i.d. gain draws, with power from the policy. The first 10% of
     frames are discarded as burn-in. Emits InstabilityWarning when the arrival
     rate reaches the empirical mean service rate.
+
+    The policy's state_power is called from worker threads on slices of the
+    drawn states (see the module docstring), so it must be thread-safe and
+    give each state's power from that state alone. For a given seed the
+    result is bitwise the same on any number of CPUs. An exception raised by
+    state_power surfaces here, after every worker has stopped.
     """
     if frames < _MIN_FRAMES:
         raise ValidationError(f"frames must be >= {_MIN_FRAMES}")
@@ -80,27 +102,30 @@ def simulate_queue(
     rng = np.random.default_rng(int(seed))
     bits_per_rate = qos.frame_t * qos.bandwidth_b
     gamma = link.gamma
+    workers = _worker_count()
 
     queue = np.empty(frames)
     q0 = 0.0
     service_sum = 0.0
     pos = 0
-    while pos < frames:
-        m = min(_CHUNK, frames - pos)
-        z_m = law_m.sample(rng, m)
-        z_e = law_e.sample(rng, m)
-        if policy.csi_mode == "full":
-            mu = policy.state_power(z_m, z_e)
-        else:
-            mu = policy.state_power(z_m)
-        rate = np.log2(1.0 + mu * z_m) - np.log2(1.0 + gamma * mu * z_e)
-        np.maximum(rate, 0.0, out=rate)
-        service = bits_per_rate * rate
-        service_sum += float(service.sum())
-        chunk_q = lindley_queue(arrival_bits_per_frame - service, q0)
-        queue[pos:pos + m] = chunk_q
-        q0 = float(chunk_q[-1])
-        pos += m
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+        while pos < frames:
+            m = min(_CHUNK, frames - pos)
+            z_m = law_m.sample(rng, m)
+            z_e = law_e.sample(rng, m)
+            service = np.empty(m)
+            fill = partial(_service_slice, policy, gamma, bits_per_rate, z_m, z_e, service)
+            # map is lazy: reading every result runs each slice and raises its error
+            list(run(fill, [slice(s, s + _SLICE) for s in range(0, m, _SLICE)]))
+            service_sum += float(service.sum())
+            chunk_q = lindley_queue(arrival_bits_per_frame - service, q0)
+            queue[pos:pos + m] = chunk_q
+            q0 = float(chunk_q[-1])
+            pos += m
 
     if arrival_bits_per_frame >= service_sum / frames:
         warnings.warn(
@@ -109,15 +134,18 @@ def simulate_queue(
             InstabilityWarning,
         )
 
+    # one sort, in place, serves both: np.quantile reads the same order
+    # statistics from sorted input, so the thresholds are bitwise those of
+    # the unsorted body
     body = queue[frames // 10:]
+    body.sort()
     thresholds = _quantile_thresholds(body, frames)
     if thresholds.size == 0:
         thresholds = np.linspace(1.0, 20.0, _N_THRESHOLDS)
         probs = np.zeros(_N_THRESHOLDS)
     else:
-        body_sorted = np.sort(body)
-        idx = np.searchsorted(body_sorted, thresholds, side="left")
-        probs = (body_sorted.size - idx) / body_sorted.size
+        idx = np.searchsorted(body, thresholds, side="left")
+        probs = (body.size - idx) / body.size
     return TailHistogram(
         thresholds=thresholds,
         exceedance_prob=probs,
@@ -125,6 +153,23 @@ def simulate_queue(
         seed=int(seed),
         arrival_per_frame=float(arrival_bits_per_frame),
     )
+
+
+def _service_slice(policy: PowerPolicy, gamma: float, bits_per_rate: float,
+                   z_m: np.ndarray, z_e: np.ndarray, service: np.ndarray, sl: slice) -> None:
+    """Write the service of the states in slice sl into service[sl]."""
+    zm, ze = z_m[sl], z_e[sl]
+    mu = policy.state_power(zm, ze) if policy.csi_mode == "full" else policy.state_power(zm)
+    rate = np.log2(1.0 + mu * zm) - np.log2(1.0 + gamma * mu * ze)
+    np.maximum(rate, 0.0, out=rate)
+    np.multiply(bits_per_rate, rate, out=service[sl])
+
+
+def _worker_count() -> int:
+    """Threads for the service slices: the CPUs this process may use, capped."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
 def _quantile_thresholds(body: np.ndarray, frames: int) -> np.ndarray:

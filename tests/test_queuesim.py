@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from secthru import (
     FadingLaw,
     InstabilityWarning,
     LinkBudget,
+    NumericsError,
+    PowerPolicy,
     TailHistogram,
     Tolerances,
     ValidationError,
@@ -12,7 +16,9 @@ from secthru import (
     make_qos,
     simulate_queue,
     solve_full,
+    solve_main,
 )
+from secthru import queuesim
 from secthru.queuesim import lindley_queue
 
 
@@ -26,6 +32,40 @@ def calibrated():
     policy = sol.policy()
     arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
     return policy, qos, link, law, arrival
+
+
+@pytest.fixture(scope="module")
+def calibrated_main():
+    law = FadingLaw()
+    link = LinkBudget(1.0, 1.0)
+    qos = make_qos(0.01)
+    sol = solve_main(qos, link, law, law, Tolerances(quad_rel_tol=1e-6, root_tol=1e-10))
+    arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+    return sol.policy(), qos, link, law, arrival
+
+
+def serial_reference(policy, qos, link, law_m, law_e, arrival, frames, seed, chunk):
+    """simulate_queue's histogram computed serially: the power of each whole
+    chunk in one state_power call, and the quantiles of the unsorted body."""
+    rng = np.random.default_rng(seed)
+    queue = np.empty(frames)
+    q0 = 0.0
+    for pos in range(0, frames, chunk):
+        m = min(chunk, frames - pos)
+        z_m = law_m.sample(rng, m)
+        z_e = law_e.sample(rng, m)
+        mu = policy.state_power(z_m, z_e) if policy.csi_mode == "full" else policy.state_power(z_m)
+        rate = np.log2(1.0 + mu * z_m) - np.log2(1.0 + link.gamma * mu * z_e)
+        np.maximum(rate, 0.0, out=rate)
+        chunk_q = lindley_queue(arrival - qos.frame_t * qos.bandwidth_b * rate, q0)
+        queue[pos:pos + m] = chunk_q
+        q0 = float(chunk_q[-1])
+    body = queue[frames // 10:]
+    deepest = max(100.0 / frames, 2e-5)
+    thresholds = np.unique(np.quantile(body, np.linspace(0.80, 1.0 - deepest, 20)))
+    thresholds = thresholds[thresholds > 0.0]
+    idx = np.searchsorted(np.sort(body), thresholds, side="left")
+    return thresholds, (body.size - idx) / body.size
 
 
 class TestLindley:
@@ -80,6 +120,52 @@ class TestSimulateQueue:
         policy, qos, link, law, arrival = calibrated
         with pytest.raises(ValidationError):
             simulate_queue(policy, qos, link, law, law, arrival, 1000, seed=1)
+
+
+class TestParallelService:
+    @pytest.mark.parametrize("mode", ["full", "main"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("chunk", [queuesim._CHUNK, 150_000])
+    def test_bitwise_equal_to_serial_reference(self, calibrated, calibrated_main, monkeypatch,
+                                               mode, workers, chunk):
+        # 150_000-frame chunks over 400_000 frames: three chunks carrying q0,
+        # each ending in a partial slice
+        policy, qos, link, law, arrival = calibrated if mode == "full" else calibrated_main
+        monkeypatch.setattr(queuesim, "_worker_count", lambda: workers)
+        monkeypatch.setattr(queuesim, "_CHUNK", chunk)
+        hist = simulate_queue(policy, qos, link, law, law, arrival, 400_000, seed=11)
+        thresholds, probs = serial_reference(policy, qos, link, law, law, arrival,
+                                             400_000, 11, chunk)
+        assert np.array_equal(hist.thresholds, thresholds)
+        assert np.array_equal(hist.exceedance_prob, probs)
+        assert hist.exceedance_prob.max() > 0.0
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failing_slice_raises_and_leaves_no_thread(self, calibrated, monkeypatch, workers):
+        _, qos, link, law, arrival = calibrated
+        best = np.zeros(1)
+        callers = set()
+
+        def state_power(z_m, z_e):
+            callers.add(threading.get_ident())
+            if z_m.size < queuesim._SLICE:  # the partial last slice
+                raise NumericsError("slice failed", best=best)
+            return np.ones(z_m.size)
+
+        policy = PowerPolicy(csi_mode="full", lam=1.0, beta=1.0, threshold=0.0,
+                             state_power=state_power)
+        monkeypatch.setattr(queuesim, "_worker_count", lambda: workers)
+        threads = threading.active_count()
+        with pytest.raises(NumericsError, match="slice failed") as excinfo:
+            simulate_queue(policy, qos, link, law, law, arrival, 200_000, seed=1)
+        assert type(excinfo.value) is NumericsError
+        assert excinfo.value.best is best
+        assert threading.active_count() == threads
+        if workers == 1:  # inline: no thread started
+            assert callers == {threading.get_ident()}
+
+    def test_worker_count_is_capped(self):
+        assert 1 <= queuesim._worker_count() <= queuesim._MAX_WORKERS
 
 
 class TestEstimateDecay:

@@ -1,0 +1,137 @@
+"""Time queuesim.simulate_queue at the criterion-7 point, for BENCH_queue.json.
+
+The point is criterion 7's (`queue-decay`): theta 0.01, 0 dB, gamma 1, Exp(1)
+gains on both channels and the default Tolerances, with the arrival rate set
+to the solved effective secure throughput. For each CSI mode and each run
+length in FRAMES, simulate_queue runs once per seed in SEEDS. Each run
+records its wall time, frames per second, the decay exponent theta_hat that
+queuesim.estimate_decay fits to its histogram, and the split of its wall time
+into four stages, all timed on the calling thread:
+
+- sampling: the gain draws (FadingLaw.sample);
+- lindley: the Lindley recursion (queuesim.lindley_queue);
+- tail: from the end of the last recursion to the return (the sort, the
+  threshold quantiles and the exceedance counts);
+- service: the rest, mostly the per-frame power and secrecy rate.
+
+Each (mode, frames) entry also holds the medians over its seeds. The record
+holds the CPUs the process may use, on which simulate_queue sizes its thread
+pool, the process's peak RSS and the total time. One 100,000-frame run per
+mode precedes the timed runs, so that lazy imports are not timed. Times and
+RSS depend on the machine; the "env" entry names it.
+
+Run from the root of a checkout (about 20 s and 300 MB of memory):
+
+    PYTHONPATH=src python3 tools/queue_sim.py --label after
+
+The record is stored under the label in the output file, next to the other
+labels already there, so the file can hold a before/after pair.
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from secthru import queuesim
+from secthru.full_csi import solve_full
+from secthru.main_csi import solve_main
+from secthru.model import FadingLaw, LinkBudget, make_qos
+
+FRAMES = (1_000_000, 10_000_000)
+SEEDS = (0, 1, 2)
+STAGES = ("sampling", "service", "lindley", "tail")
+
+
+@contextmanager
+def timed_stages():
+    """Wrap FadingLaw.sample and queuesim.lindley_queue for the block; yields
+    {"sampling": s, "lindley": s, "last_lindley_end": t}, summed over calls."""
+    times = {"sampling": 0.0, "lindley": 0.0, "last_lindley_end": None}
+    sample, lindley = FadingLaw.sample, queuesim.lindley_queue
+
+    def timed_sample(*args, **kwargs):
+        start = time.perf_counter()
+        out = sample(*args, **kwargs)
+        times["sampling"] += time.perf_counter() - start
+        return out
+
+    def timed_lindley(*args, **kwargs):
+        start = time.perf_counter()
+        out = lindley(*args, **kwargs)
+        times["last_lindley_end"] = end = time.perf_counter()
+        times["lindley"] += end - start
+        return out
+
+    with mock.patch.object(FadingLaw, "sample", timed_sample), \
+            mock.patch.object(queuesim, "lindley_queue", timed_lindley):
+        yield times
+
+
+def run(policy, qos, link, law, arrival, frames, seed):
+    """One timed simulate_queue call: its record (see the module docstring)."""
+    with timed_stages() as times:
+        start = time.perf_counter()
+        hist = queuesim.simulate_queue(policy, qos, link, law, law, arrival, frames, seed)
+        end = time.perf_counter()
+    seconds = end - start
+    stages = {"sampling": times["sampling"], "lindley": times["lindley"],
+              "tail": end - times["last_lindley_end"]}
+    stages["service"] = seconds - sum(stages.values())
+    return {"seconds": round(seconds, 4), "frames_per_s": round(frames / seconds),
+            "theta_hat": queuesim.estimate_decay(hist)[0],
+            "stages_s": {k: round(stages[k], 4) for k in STAGES}}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="key to store the record under")
+    parser.add_argument("--out", default="BENCH_queue.json")
+    args = parser.parse_args(argv)
+
+    qos, link, law = make_qos(0.01), LinkBudget(avg_snr=1.0, gamma=1.0), FadingLaw()
+    total = time.perf_counter()
+    results = {}
+    for mode, solve in (("full", solve_full), ("main", solve_main)):
+        sol = solve(qos, link, law, law)
+        policy = sol.policy()
+        arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+        queuesim.simulate_queue(policy, qos, link, law, law, arrival, 100_000, 0)
+        for frames in FRAMES:
+            runs = {str(seed): run(policy, qos, link, law, arrival, frames, seed)
+                    for seed in SEEDS}
+            median = {"seconds": statistics.median(r["seconds"] for r in runs.values()),
+                      "frames_per_s": statistics.median(r["frames_per_s"] for r in runs.values()),
+                      "stages_s": {k: statistics.median(r["stages_s"][k] for r in runs.values())
+                                   for k in STAGES}}
+            results[f"{mode}|frames={frames}"] = {"median": median, "runs": runs}
+            print(f"{mode} {frames} frames: median {median['seconds']:.3f} s, "
+                  f"{median['frames_per_s']:.3g} frames/s, stages {median['stages_s']}",
+                  flush=True)
+    record = {
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "machine": platform.machine()},
+        "usable_cpus": len(os.sched_getaffinity(0)),
+        "total_s": round(time.perf_counter() - total, 3),
+        # ru_maxrss is in kilobytes on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "results": results,
+    }
+    out = Path(args.out)
+    data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    data[args.label] = record
+    out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    print(f"{args.label}: {record['usable_cpus']} usable CPUs, {record['total_s']:.1f} s "
+          f"in total, peak RSS {record['peak_rss_mb']} MB")
+
+
+if __name__ == "__main__":
+    main()
