@@ -24,7 +24,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import full_csi, main_csi, queuesim
-from .model import LN2
+from .model import LN2, ValidationError
 from .numerics import NumericsError
 
 
@@ -371,11 +371,14 @@ def queue_decay(cfg):
     sol = _solved(cfg, "full", 0.01, cfg.snr_db[0])
     policy = sol.policy()
     arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
-    estimates = [
-        queuesim.estimate_decay(queuesim.simulate_queue(
-            policy, qos, link, law_m, law_e, arrival, cfg.frames, seed=cfg.seed + k))[0]
-        for k in range(8)
-    ]
+    estimates = []
+    for k in range(8):
+        hist = queuesim.simulate_queue(policy, qos, link, law_m, law_e, arrival, cfg.frames,
+                                       seed=cfg.seed + k)
+        try:
+            estimates.append(queuesim.estimate_decay(hist)[0])
+        except ValidationError as exc:  # e.g. a zero budget: the queue never empties
+            return False, f"no decay estimate: {exc}"
     mean_est = float(np.mean(estimates))
     rel = abs(mean_est - 0.01) / 0.01
     return rel <= 0.20, (f"theta_hat {mean_est:.5f} vs 0.01 (rel err {rel:.3f}; "

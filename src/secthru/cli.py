@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 validation failure, 2 numeric failure.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,27 +23,56 @@ _THETA_DEFAULT = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 9))
 _ROOT_TOL_FLOOR = 1e-14
 
 
+def _flag(default, help_text: str):
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters; every field mirrors a CLI flag or config key."""
+    """Resolved run parameters, the one declaration of a run's settings.
 
-    theta: tuple = _THETA_DEFAULT
-    snr_db: tuple = (0.0,)
-    gamma: float = 1.0
-    mean_zm: float = 1.0
-    mean_ze: float = 1.0
-    frame_t: float = 2e-3
-    bandwidth: float = 1e5
-    csi: str = "both"
-    grid: tuple = (4.0, 4.0, 41)
+    Every field is a config-file key, and a field with help text is also the
+    flag --<name> (dashes for underscores). The tolerance fields carry none:
+    they are set through a config file or --tol. Construction checks every
+    value, so a bad one raises ValidationError however the config was made.
+    """
+
+    theta: tuple = _flag(_THETA_DEFAULT, "comma list of QoS exponents (1/bit); 0 = no constraint")
+    snr_db: tuple = _flag((0.0,), "comma list of average SNR values in dB (-inf allowed)")
+    gamma: float = _flag(1.0, "noise ratio N1/N2")
+    mean_zm: float = _flag(1.0, "mean power gain of the main channel")
+    mean_ze: float = _flag(1.0, "mean power gain of the eavesdropper channel")
+    frame_t: float = _flag(2e-3, "frame duration in seconds")
+    bandwidth: float = _flag(1e5, "bandwidth in Hz")
+    csi: str = _flag("both", "CSI mode: full, main or both")
+    grid: tuple = _flag((4.0, 4.0, 41), "zE_max,zM_max,steps for policy-surface")
     root_tol: float = 1e-12
     quad_rel_tol: float = 1e-8
     trunc_mass: float = 1e-12
     max_iter: int = 120
     power_rel_tol: float = 1e-5
-    seed: int = 1729
-    frames: int = 10_000_000
-    out: str = ""
+    seed: int = _flag(1729, "seed of the queue simulation and the Monte Carlo checks")
+    frames: int = _flag(10_000_000, "frames per queue-simulation seed")
+    out: str = _flag("", "output CSV path (default stdout)")
+
+    def __post_init__(self):
+        if self.csi not in ("full", "main", "both"):
+            raise ValidationError("csi must be full, main, or both")
+        ze_max, zm_max, steps = self.grid
+        if not (math.isfinite(ze_max) and math.isfinite(zm_max) and ze_max >= 0 and zm_max >= 0):
+            raise ValidationError("grid maxima must be finite and nonnegative")
+        if steps < 0:
+            raise ValidationError("grid steps must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
+        if self.frames < 1:
+            raise ValidationError("frames must be >= 1")
+        self.tolerances()
+        self.laws()
+        for db in self.snr_db:
+            self.link(db)
+        for theta in self.theta:
+            self.qos(theta)
 
     def tolerances(self) -> Tolerances:
         return Tolerances(
@@ -75,12 +104,6 @@ class RunConfig:
         return (self.csi,)
 
 
-_FLOAT_LIST_KEYS = {"theta", "snr_db"}
-_FLOAT_KEYS = {"gamma", "mean_zm", "mean_ze", "frame_t", "bandwidth",
-               "root_tol", "quad_rel_tol", "trunc_mass", "power_rel_tol"}
-_INT_KEYS = {"max_iter", "seed", "frames"}
-
-
 def _parse_float_list(text: str) -> tuple:
     items = [s for s in text.split(",") if s.strip()]
     if not items:
@@ -95,9 +118,18 @@ def _parse_grid(text: str) -> tuple:
     return (float(parts[0]), float(parts[1]), int(parts[2]))
 
 
+def _parser(f):
+    """Text -> value of a RunConfig field, for its flag and its config key."""
+    if f.name == "grid":
+        return _parse_grid
+    if isinstance(f.default, tuple):
+        return _parse_float_list
+    return type(f.default)
+
+
 def parse_config_file(path: str) -> dict:
     """key=value lines, '#' comments; unknown keys are rejected."""
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name: f for f in fields(RunConfig)}
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -109,82 +141,35 @@ def parse_config_file(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _FLOAT_LIST_KEYS:
-                parse = _parse_float_list
-            elif key == "grid":
-                parse = _parse_grid
-            elif key in _FLOAT_KEYS:
-                parse = float
-            elif key in _INT_KEYS:
-                parse = int
-            else:
-                parse = str
             try:
-                out[key] = parse(value)
+                out[key] = _parser(known[key])(value)
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return out
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = replace(cfg, **parse_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if getattr(args, "tol", None) is not None:
-        overrides.setdefault("quad_rel_tol", args.tol)
-        overrides.setdefault("root_tol", max(args.tol * 1e-4, _ROOT_TOL_FLOOR))
-    cfg = replace(cfg, **overrides)
-    if cfg.csi not in ("full", "main", "both"):
-        raise ValidationError("csi must be full, main, or both")
-    ze_max, zm_max, steps = cfg.grid
-    if not (math.isfinite(ze_max) and math.isfinite(zm_max) and ze_max >= 0 and zm_max >= 0):
-        raise ValidationError("grid maxima must be finite and nonnegative")
-    if steps < 0:
-        raise ValidationError("grid steps must be nonnegative")
-    if cfg.seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    if cfg.frames < 1:
-        raise ValidationError("frames must be >= 1")
-    cfg.tolerances()
-    cfg.laws()
-    for db in cfg.snr_db:
-        cfg.link(db)
-    for theta in cfg.theta:
-        cfg.qos(theta)
-    return cfg
+    """The RunConfig of the config file, overridden by the flags that were given."""
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                  if getattr(args, f.name, None) is not None)
+    if args.tol is not None:
+        values["quad_rel_tol"] = args.tol
+        values["root_tol"] = max(args.tol * 1e-4, _ROOT_TOL_FLOOR)
+    return RunConfig(**values)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _config_header(cfg: RunConfig) -> list:
-    lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        if f.name == "out":  # self-referential; would break byte-identity across paths
-            continue
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            text = ",".join(_fmt(v) for v in value)
-        else:
-            text = _fmt(value)
-        lines.append(f"# {f.name}={text}")
-    return lines
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_csv(cfg: RunConfig, header: list, rows: list) -> None:
-    lines = _config_header(cfg)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    # the header echoes every setting but out, whose path would break byte-identity
+    names = sorted(f.name for f in fields(RunConfig) if f.name != "out")
+    lines = [f"# {name}={_fmt(getattr(cfg, name))}" for name in names] + [",".join(header)]
+    text = "\n".join(lines + [",".join(map(_fmt, row)) for row in rows]) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -259,50 +244,32 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 1 if False in outcomes else 0
 
 
+_COMMANDS = {
+    "sweep-theta": (cmd_sweep_theta, "effective secure throughput vs the QoS exponent"),
+    "sweep-snr": (cmd_sweep_snr, "effective secure throughput vs the average SNR"),
+    "policy-surface": (cmd_policy_surface, "full-CSI power allocation on a gain grid"),
+    "validate": (cmd_validate, "run the validation gate (nonzero exit on failure)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secthru",
         description="Secure-throughput power control sweeps and validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sweep-theta", "effective secure throughput vs the QoS exponent"),
-        ("sweep-snr", "effective secure throughput vs the average SNR"),
-        ("policy-surface", "full-CSI power allocation on a gain grid"),
-        ("validate", "run the validation gate (nonzero exit on failure)"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--theta", type=_parse_float_list, default=None,
-                       help="comma list of QoS exponents (1/bit); 0 = no constraint")
-        p.add_argument("--snr-db", dest="snr_db", type=_parse_float_list, default=None,
-                       help="comma list of average SNR values in dB (-inf allowed)")
-        p.add_argument("--gamma", type=float, default=None, help="noise ratio N1/N2")
-        p.add_argument("--mean-zm", dest="mean_zm", type=float, default=None)
-        p.add_argument("--mean-ze", dest="mean_ze", type=float, default=None)
-        p.add_argument("--frame-t", dest="frame_t", type=float, default=None,
-                       help="frame duration in seconds")
-        p.add_argument("--bandwidth", type=float, default=None, help="bandwidth in Hz")
-        p.add_argument("--csi", choices=("full", "main", "both"), default=None)
-        p.add_argument("--grid", type=_parse_grid, default=None,
-                       help="zE_max,zM_max,steps for policy-surface")
+        for f in fields(RunConfig):
+            if "help" in f.metadata:
+                p.add_argument("--" + f.name.replace("_", "-"), type=_parser(f), default=None,
+                               help=f.metadata["help"])
         p.add_argument("--tol", type=float, default=None,
                        help="quadrature relative tolerance (root_tol follows at 1e-4x, "
                             "floored at 1e-14)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--frames", type=int, default=None,
-                       help="frames per queue-simulation seed")
-        p.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
         p.add_argument("--config", type=str, default=None,
                        help="key=value config file; flags override")
     return parser
-
-
-_COMMANDS = {
-    "sweep-theta": cmd_sweep_theta,
-    "sweep-snr": cmd_sweep_snr,
-    "policy-surface": cmd_policy_surface,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None) -> int:
@@ -313,7 +280,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

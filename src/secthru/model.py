@@ -85,6 +85,8 @@ class QosSpec:
             raise ValidationError("frame_t must be positive and finite")
         if not (math.isfinite(self.bandwidth_b) and self.bandwidth_b > 0):
             raise ValidationError("bandwidth_b must be positive and finite")
+        if not math.isfinite(self.beta):  # theta * frame_t * bandwidth_b can overflow
+            raise ValidationError("beta must be finite")
         expected = self.theta * self.frame_t * self.bandwidth_b / LN2
         # the solvers rely on beta >= 0, which the 1e-12 slack alone would not give at theta = 0
         if self.beta < 0.0 or abs(self.beta - expected) > 1e-12 * max(1.0, expected):
@@ -93,10 +95,6 @@ class QosSpec:
 
 def make_qos(theta: float, frame_t: float = 2e-3, bandwidth_b: float = 1e5) -> QosSpec:
     """Build a QosSpec with the derived exponent beta = theta*T*B/ln2."""
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ValidationError("theta must be nonnegative and finite")
-    if frame_t <= 0 or bandwidth_b <= 0:
-        raise ValidationError("frame_t and bandwidth_b must be positive")
     return QosSpec(
         theta=float(theta),
         frame_t=float(frame_t),

@@ -38,7 +38,8 @@ class TestMakeQos:
         assert theta_back == pytest.approx(qos.theta, rel=1e-14)
 
     @pytest.mark.parametrize("theta,t,b", [(-0.1, 2e-3, 1e5), (0.01, 0.0, 1e5),
-                                           (0.01, 2e-3, -1.0), (math.nan, 2e-3, 1e5)])
+                                           (0.01, 2e-3, -1.0), (math.nan, 2e-3, 1e5),
+                                           (1e308, 2e-3, 1e5), (0.01, 1e300, 1e300)])
     def test_rejects_bad_arguments(self, theta, t, b):
         with pytest.raises(ValidationError):
             make_qos(theta, t, b)
