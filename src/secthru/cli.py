@@ -234,6 +234,8 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     if cfg.frames < queuesim._MIN_FRAMES:  # the queue-decay check's floor, known up front
         raise ValidationError(f"validate needs frames >= {queuesim._MIN_FRAMES}")
+    if cfg.link(cfg.snr_db[0]).avg_snr == 0.0:  # the reference point of most checks
+        raise ValidationError("validate needs a positive budget at snr_db[0]")
     outcomes = set()
     for name in checks.CHECKS:
         ok, detail, seconds = checks.run(name, cfg)

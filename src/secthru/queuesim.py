@@ -6,22 +6,29 @@ secure throughput solved for exponent theta, the stationary queue tail must
 satisfy ln P(Q >= q) ~ -theta * q; the fitted slope of the simulated tail is
 the check.
 
-The per-frame service of each chunk of frames is computed in fixed slices of
-_SLICE frames, mapped over a thread pool of up to _MAX_WORKERS threads, one per
-CPU the process may use (inline, with no thread, on one CPU). numpy releases
-the interpreter lock inside the power kernels' ufuncs and np.interp, so the
-slices run in parallel. The output is bit-identical whatever the CPU count:
-the gains are drawn in the caller in a fixed order, each state's power and
-rate depend on that state alone, and the service sum, the Lindley recursion
-and the tail are taken serially over whole arrays.
+The gains are drawn in chunks of _CHUNK frames: each chunk's z_m first, then
+its z_e slice by slice, _SLICE frames at a time. The service of each slice
+goes to a thread pool of up to _MAX_WORKERS threads, one per CPU the process
+may use (inline, with no thread, on one CPU), as soon as its gains are drawn.
+numpy releases the interpreter lock inside the power kernels' ufuncs and
+np.interp, so the slices run in parallel, while the calling thread draws the
+next slices and runs the Lindley recursion, in order, on the slices already
+served. The recursion writes into the queue array in place and carries its
+running sum and minimum from slice to slice, so no chunk-sized temporary is
+made. The output is bit-identical whatever the CPU count, and to one
+recursion over whole chunks: the gains are drawn in the caller in a fixed
+order, generator draws concatenate bitwise, each state's power and rate
+depend on that state alone, the carried recursion repeats the whole-chunk
+sums operation for operation, and the service sum and the tail are taken
+over whole arrays.
 """
 
 import contextlib
 import math
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -34,6 +41,8 @@ _CHUNK = 2_000_000
 # which glibc keeps in a per-thread arena, add little to the peak RSS
 _SLICE = 1 << 16
 _MAX_WORKERS = 4
+# slices the caller keeps queued per worker before it waits on the oldest
+_AHEAD = 2
 
 
 class InstabilityWarning(UserWarning):
@@ -61,14 +70,34 @@ class TailHistogram:
             raise ValidationError("exceedance probabilities must lie in [0,1], non-increasing")
 
 
-def lindley_queue(increments: np.ndarray, q0: float = 0.0) -> np.ndarray:
+def lindley_queue(increments: np.ndarray, q0: float = 0.0,
+                  carry: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Queue lengths after each arrival-minus-service increment, from Q[0] = q0.
 
     Uses the reflection identity Q[n] = max(q0 + S[n], S[n] - min_{j<=n} S[j])
     so the recursion vectorizes; exact for the per-frame Lindley dynamics.
+
+    To run one recursion block by block, pass carry, a float array holding S
+    and min S over the increments of the earlier blocks, updated in place;
+    start it at [-0.0, inf], the sum and minimum of no increments (-0.0 + x
+    is x bitwise, even for x = -0.0). The blocks' results are then bitwise
+    those of one call on the concatenated increments. out, if given,
+    receives the queue lengths and may be the increments array itself.
     """
-    s = np.cumsum(np.asarray(increments, dtype=float))
-    return np.maximum(q0 + s, s - np.minimum.accumulate(s))
+    if out is None:
+        out = np.array(increments, dtype=float)
+    elif out is not increments:
+        out[...] = increments
+    if carry is not None:
+        out[0] += carry[0]  # the addition one cumsum over all the blocks makes here
+    s = np.cumsum(out, out=out)
+    run_min = np.minimum.accumulate(s)
+    if carry is not None:
+        np.minimum(run_min, carry[1], out=run_min)
+        carry[:] = s[-1], run_min[-1]
+    np.subtract(s, run_min, out=run_min)
+    s += q0
+    return np.maximum(s, run_min, out=s)
 
 
 def simulate_queue(
@@ -92,7 +121,9 @@ def simulate_queue(
     drawn states (see the module docstring), so it must be thread-safe and
     give each state's power from that state alone. For a given seed the
     result is bitwise the same on any number of CPUs. An exception raised by
-    state_power surfaces here, after every worker has stopped.
+    state_power surfaces here, once the slices not yet started are dropped
+    and every worker has stopped. Besides the queue of all frames, a run
+    holds one chunk's z_m and service and a few slices' scratch.
     """
     if frames < _MIN_FRAMES:
         raise ValidationError(f"frames must be >= {_MIN_FRAMES}")
@@ -107,25 +138,33 @@ def simulate_queue(
     queue = np.empty(frames)
     q0 = 0.0
     service_sum = 0.0
-    pos = 0
     with contextlib.ExitStack() as stack:
-        run = map
+        submit, ahead = _run_inline, 0
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
-            run = stack.enter_context(ThreadPoolExecutor(workers)).map
-        while pos < frames:
-            m = min(_CHUNK, frames - pos)
-            z_m = law_m.sample(rng, m)
-            z_e = law_e.sample(rng, m)
-            service = np.empty(m)
-            fill = partial(_service_slice, policy, gamma, bits_per_rate, z_m, z_e, service)
-            # map is lazy: reading every result runs each slice and raises its error
-            list(run(fill, [slice(s, s + _SLICE) for s in range(0, m, _SLICE)]))
+            pool = ThreadPoolExecutor(workers)
+            # on an error, drop the slices not yet started, then wait for the rest
+            stack.callback(pool.shutdown, cancel_futures=True)
+            submit, ahead = (lambda *args: pool.submit(*args).result), _AHEAD * workers
+        for pos in range(0, frames, _CHUNK):
+            chunk = queue[pos:pos + _CHUNK]
+            z_m = law_m.sample(rng, chunk.size)
+            service = np.empty(chunk.size)
+            slices = [slice(s, s + _SLICE) for s in range(0, chunk.size, _SLICE)]
+            waits = deque()
+            carry = np.array([-0.0, np.inf])
+            for k, sl in enumerate(slices):
+                # keep slices k to k + ahead submitted, their z_e drawn in order
+                for nxt in slices[k + len(waits):k + ahead + 1]:
+                    waits.append(submit(_service_slice, policy, gamma, bits_per_rate, z_m[nxt],
+                                        law_e.sample(rng, z_m[nxt].size), service[nxt]))
+                waits.popleft()()  # wait for slice k; raises its error, if any
+                q = chunk[sl]
+                np.subtract(arrival_bits_per_frame, service[sl], out=q)
+                lindley_queue(q, q0, carry, out=q)
             service_sum += float(service.sum())
-            chunk_q = lindley_queue(arrival_bits_per_frame - service, q0)
-            queue[pos:pos + m] = chunk_q
-            q0 = float(chunk_q[-1])
-            pos += m
+            q0 = float(chunk[-1])
+            del z_m, service  # free before the next chunk's draws and the tail
 
     if arrival_bits_per_frame >= service_sum / frames:
         warnings.warn(
@@ -156,13 +195,18 @@ def simulate_queue(
 
 
 def _service_slice(policy: PowerPolicy, gamma: float, bits_per_rate: float,
-                   z_m: np.ndarray, z_e: np.ndarray, service: np.ndarray, sl: slice) -> None:
-    """Write the service of the states in slice sl into service[sl]."""
-    zm, ze = z_m[sl], z_e[sl]
+                   zm: np.ndarray, ze: np.ndarray, service: np.ndarray) -> None:
+    """Write the service of the states (zm, ze) into service."""
     mu = policy.state_power(zm, ze) if policy.csi_mode == "full" else policy.state_power(zm)
     rate = np.log2(1.0 + mu * zm) - np.log2(1.0 + gamma * mu * ze)
     np.maximum(rate, 0.0, out=rate)
-    np.multiply(bits_per_rate, rate, out=service[sl])
+    np.multiply(bits_per_rate, rate, out=service)
+
+
+def _run_inline(fn, *args):
+    """Run fn(*args) on the calling thread; return a wait with nothing left to do."""
+    fn(*args)
+    return lambda: None
 
 
 def _worker_count() -> int:

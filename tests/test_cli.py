@@ -258,6 +258,17 @@ class TestValidate:
         assert run_cli(["sweep-theta", "--theta", "0.01", "--csi", "full", "--frames", frames,
                         *FAST, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("snr_db", ["-inf", "-inf,0", "-4000"])
+    def test_zero_budget_at_the_reference_snr_rejected_before_any_check(self, snr_db, capsys,
+                                                                        monkeypatch):
+        # -4000 dB is a budget that underflows to 0.0
+        ran = []
+        monkeypatch.setattr(checks, "run", lambda name, cfg: ran.append(name))
+        assert run_cli(["validate", f"--snr-db={snr_db}", "--theta", "0.01,0.02"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: validate needs a positive budget at snr_db[0]")
+        assert captured.out == "" and ran == []
+
     def test_tampered_tolerance_fails(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("theta=0.01\nframes=200000\nroot_tol=10\nquad_rel_tol=1e-4\nmax_iter=8\n")

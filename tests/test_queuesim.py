@@ -1,4 +1,6 @@
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +90,19 @@ class TestLindley:
         x = np.array([-1.0, 2.0, -0.5])
         assert np.allclose(lindley_queue(x, q0=3.0), [2.0, 4.0, 3.5])
 
+    def test_carried_blocks_are_bitwise_one_call(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(-0.1, 1.0, 10_000)
+        whole = lindley_queue(x, q0=2.5)
+        bounds = ((0, 1), (1, 4000), (4000, 10_000))
+        carry = np.array([-0.0, np.inf])
+        copied = np.concatenate([lindley_queue(x[a:b], 2.5, carry) for a, b in bounds])
+        in_place, carry = x.copy(), np.array([-0.0, np.inf])
+        for a, b in bounds:
+            lindley_queue(in_place[a:b], 2.5, carry, out=in_place[a:b])
+        assert np.array_equal(copied.view(np.int64), whole.view(np.int64))
+        assert np.array_equal(in_place.view(np.int64), whole.view(np.int64))
+
 
 class TestSimulateQueue:
     def test_zero_arrival(self, calibrated):
@@ -164,8 +179,56 @@ class TestParallelService:
         if workers == 1:  # inline: no thread started
             assert callers == {threading.get_ident()}
 
+    def test_failing_first_slice_drops_the_slices_not_started(self, calibrated, monkeypatch):
+        _, qos, link, law, arrival = calibrated
+        frames, seed = 1_000_000, 1
+        first_gain = np.random.default_rng(seed).exponential(1.0, 1)[0]  # frame 0's z_m
+        best = np.zeros(1)
+        callers = []
+
+        def state_power(z_m, z_e):
+            callers.append(threading.get_ident())
+            if z_m[0] == first_gain:
+                raise NumericsError("first slice failed", best=best)
+            time.sleep(0.02)  # the other slices are still running when the error is read
+            return np.ones(z_m.size)
+
+        policy = PowerPolicy(csi_mode="full", lam=1.0, beta=1.0, threshold=0.0,
+                             state_power=state_power)
+        monkeypatch.setattr(queuesim, "_worker_count", lambda: 3)
+        threads = threading.active_count()
+        with pytest.raises(NumericsError, match="first slice failed") as excinfo:
+            simulate_queue(policy, qos, link, law, law, arrival, frames, seed)
+        assert type(excinfo.value) is NumericsError
+        assert excinfo.value.best is best
+        assert threading.active_count() == threads
+        assert threading.get_ident() not in callers
+        assert len(callers) < -(-frames // queuesim._SLICE)
+
     def test_worker_count_is_capped(self):
         assert 1 <= queuesim._worker_count() <= queuesim._MAX_WORKERS
+
+
+class TestMemory:
+    @pytest.mark.parametrize("mode", ["full", "main"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_peak_is_a_few_run_sized_arrays(self, calibrated, calibrated_main, monkeypatch,
+                                            mode, workers):
+        # one chunk: the queue, z_m and the service are three arrays of frames
+        # floats, and a recursion over the whole chunk holds about nine. The
+        # rest is per-slice scratch, about 5 MB per full-CSI worker: at 400k
+        # frames that alone is 4.5 such arrays with 3 workers, so the run is
+        # 1M frames long, where it is 1.8.
+        policy, qos, link, law, arrival = calibrated if mode == "full" else calibrated_main
+        monkeypatch.setattr(queuesim, "_worker_count", lambda: workers)
+        frames = 1_000_000
+        tracemalloc.start()
+        try:
+            simulate_queue(policy, qos, link, law, law, arrival, frames, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * frames * 8
 
 
 class TestEstimateDecay:

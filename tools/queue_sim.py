@@ -6,13 +6,19 @@ to the solved effective secure throughput. For each CSI mode and each run
 length in FRAMES, simulate_queue runs once per seed in SEEDS. Each run
 records its wall time, frames per second, the decay exponent theta_hat that
 queuesim.estimate_decay fits to its histogram, and the split of its wall time
-into four stages, all timed on the calling thread:
+into four stages, all timed on the calling thread. The calling thread draws
+the gains and runs the Lindley recursion slice by slice while the pool
+computes the service of the slices submitted ahead, so the first two stages
+run beside the service and the fourth is what the caller waits for:
 
-- sampling: the gain draws (FadingLaw.sample);
-- lindley: the Lindley recursion (queuesim.lindley_queue);
+- sampling: the gain draws (FadingLaw.sample), each chunk's z_m and then its
+  z_e one slice at a time;
+- lindley: the Lindley recursion (queuesim.lindley_queue), one call per
+  slice;
 - tail: from the end of the last recursion to the return (the sort, the
   threshold quantiles and the exceedance counts);
-- service: the rest, mostly the per-frame power and secrecy rate.
+- service: the rest, mostly the caller's wait for the slices' power and
+  secrecy rate (all of their time when the slices run inline, on one CPU).
 
 Each (mode, frames) entry also holds the medians over its seeds. The record
 holds the CPUs the process may use, on which simulate_queue sizes its thread
@@ -20,7 +26,7 @@ pool, the process's peak RSS and the total time. One 100,000-frame run per
 mode precedes the timed runs, so that lazy imports are not timed. Times and
 RSS depend on the machine; the "env" entry names it.
 
-Run from the root of a checkout (about 20 s and 300 MB of memory):
+Run from the root of a checkout (about 10 s and 200 MB of memory on 2 CPUs):
 
     PYTHONPATH=src python3 tools/queue_sim.py --label after
 
