@@ -130,9 +130,10 @@ def power_lanes(z_m, coef, ratio, beta: float, nu: float, tol: Tolerances) -> np
     mean of per-term slopes in [-max(2, beta+1), -min(2, beta+1)], so the root
     lies in [L/max(2, beta+1), L/min(2, beta+1)] with L = h(0). Each lane takes
     Newton steps on h from the tangent root at x = 0, bisects its running
-    bracket whenever a step leaves it, and is frozen once its step in mu is
+    bracket whenever a step leaves it, and is done once its step in mu is
     below root_tol*max(1, mu) or it lands on a bracket end (h at its rounding
-    floor, where the lane would cycle). A non-finite iterate or max_iter steps
+    floor, where the lane would cycle); its power is written at that step and
+    never again. A non-finite iterate of a lane not done, or max_iter steps,
     raise NumericsError carrying the powers so far (NaN in blocks not reached).
     """
     ratio = np.broadcast_to(ratio, coef.shape)
@@ -168,7 +169,15 @@ def _log_gain(p, c, s, beta, nu):
 
 
 def _newton_block(out, mu, z, c, s, beta, nu, tol):
-    """Solve one block of power_lanes into mu, a view of out."""
+    """Solve one block of power_lanes into mu, a view of out.
+
+    A lane's power is written once, at its first done step, and its later
+    steps neither write nor raise. Done lanes stay in the arrays until the
+    block compacts: a 1-D block once half of its lanes are done, since a
+    done lane costs a few elementwise operations and a compaction copies
+    eight arrays; a 2-D block at every step that finishes a lane, since each
+    of its lanes costs a row of terms.
+    """
     b = min(2.0, beta + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # lanes with no gain drop out below
         if c.ndim == 1:
@@ -178,33 +187,49 @@ def _newton_block(out, mu, z, c, s, beta, nu, tol):
     lane = np.flatnonzero(big_l > 0.0)
     if lane.size == 0:
         return
-    z, c, s, big_l, k = (v[lane] for v in (z, c, s, big_l, k))
+    if lane.size < z.size:  # with every lane live the gathers would only copy
+        z, c, s, big_l, k = (v[lane] for v in (z, c, s, big_l, k))
     lo, hi = big_l / max(2.0, beta + 1.0), big_l / b
     x = np.clip(big_l / (b - k), lo, hi)
     p = np.expm1(x)
+    mu_x = p / z  # the power at x
+    done = np.zeros(lane.size, dtype=bool)
+    n_done = 0
     for _ in range(tol.max_iter):
         g, dg = _log_gain(p, c, s, beta, nu)  # h = g - b*x, dh/dx = dg - b
-        step = (g - b * x) / (b - dg)
-        if not np.all(np.isfinite(step)):
-            mu[lane] = p / z
+        bx = b * x
+        step = (g - bx) / (b - dg)
+        if not np.isfinite(step).all() and not np.isfinite(step[~done]).all():
+            mu[lane[~done]] = mu_x[~done]
             raise NumericsError("power_lanes: non-finite iterate", best=out)
-        above = g > b * x
-        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-        x_new = x + step
-        x_new = np.where((x_new < lo) | (x_new > hi), 0.5 * (lo + hi), x_new)
-        p_new = np.expm1(x_new)
-        mu_new = p_new / z
-        done = ((np.abs(mu_new - p / z) <= tol.root_tol * np.maximum(1.0, mu_new))
-                | (x_new == lo) | (x_new == hi))
-        x, p = x_new, p_new
-        if done.any():  # lanes mostly finish together: compact only when some did
-            mu[lane[done]] = mu_new[done]
-            keep = ~done
-            lane, z, c, s, lo, hi, x, p = (v[keep] for v in (lane, z, c, s, lo, hi, x, p))
-            if lane.size == 0:
+        above = g > bx
+        np.copyto(lo, x, where=above)
+        np.copyto(hi, x, where=~above)
+        x += step
+        outside = np.flatnonzero((x < lo) | (x > hi))
+        x[outside] = 0.5 * (lo[outside] + hi[outside])  # bisect the lanes that left
+        p = np.expm1(x)
+        mu_new = p / z
+        new = ((np.abs(mu_new - mu_x) <= tol.root_tol * np.maximum(1.0, mu_new))
+               | (x == lo) | (x == hi))
+        mu_x = mu_new
+        new &= ~done
+        n_new = np.count_nonzero(new)
+        if n_new:
+            mu[lane[new]] = mu_x[new]
+            done |= new
+            n_done += n_new
+            if n_done == lane.size:
                 return
-    mu[lane] = p / z
-    raise NumericsError(f"power_lanes: {lane.size} lanes not converged after "
+            if c.ndim == 2 or 2 * n_done >= lane.size:
+                keep = ~done
+                lane, z, c, s, lo, hi, x, p, mu_x = (
+                    v[keep] for v in (lane, z, c, s, lo, hi, x, p, mu_x))
+                done = np.zeros(lane.size, dtype=bool)
+                n_done = 0
+    live = ~done
+    mu[lane[live]] = mu_x[live]
+    raise NumericsError(f"power_lanes: {np.count_nonzero(live)} lanes not converged after "
                         f"{tol.max_iter} steps", best=out)
 
 

@@ -166,10 +166,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(cfg: RunConfig, header: list, rows: list) -> None:
+    """Write the CSV of rows, each already rendered as one line of text."""
     # the header echoes every setting but out, whose path would break byte-identity
     names = sorted(f.name for f in fields(RunConfig) if f.name != "out")
     lines = [f"# {name}={_fmt(getattr(cfg, name))}" for name in names] + [",".join(header)]
-    text = "\n".join(lines + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+    text = "\n".join(lines + rows) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -190,10 +191,11 @@ def _sweep(cfg: RunConfig, snr_values: tuple, snr_column: bool) -> int:
                 row = [theta, beta, mode] + ([snr_db] if snr_column else [])
                 try:
                     res = cfg.solve(mode, theta, snr_db).throughput
-                    rows.append(row + [res.throughput_bits_s_hz, res.lam, res.power_residual, ""])
+                    row += [res.throughput_bits_s_hz, res.lam, res.power_residual, ""]
                 except NumericsError as exc:
                     failed = True
-                    rows.append(row + ["", "", "", str(exc)])
+                    row += ["", "", "", str(exc)]
+                rows.append(",".join(map(_fmt, row)))
     _write_csv(cfg, header, rows)
     return 2 if failed else 0
 
@@ -213,6 +215,7 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
     ze = np.linspace(0.0, ze_max, steps)
     zm = np.linspace(0.0, zm_max, steps)
     header = ["theta", "z_e", "z_m", "mu"]
+    zm_text = [repr(z_m) for z_m in zm.tolist()]
     rows = []
     failed = False
     for theta in cfg.theta:
@@ -224,9 +227,10 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
             failed = True
             print(f"numeric error at theta={theta!r}: {exc}", file=sys.stderr)
             continue
-        for i, z_e in enumerate(ze):
-            for j, z_m in enumerate(zm):
-                rows.append([theta, float(z_e), float(z_m), float(surface[i, j])])
+        # the row text _fmt would give, built from Python floats in bulk
+        for z_e, powers in zip(ze.tolist(), surface.tolist()):
+            head = f"{_fmt(theta)},{z_e!r},"
+            rows.extend(f"{head}{z_m},{mu!r}" for z_m, mu in zip(zm_text, powers))
     _write_csv(cfg, header, rows)
     return 2 if failed else 0
 

@@ -60,12 +60,13 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
     z_m, z_e = np.broadcast_arrays(np.asarray(z_m, dtype=float), np.asarray(z_e, dtype=float))
     out = np.zeros(z_m.shape)
     nu = lam / beta
-    active = (z_m - gamma * z_e) > nu
+    gze = gamma * z_e
+    coef = z_m - gze
+    active = coef > nu
     if not np.any(active):
         return out
-    zm = z_m[active]
-    gze = gamma * z_e[active]
-    out[active] = power_lanes(zm, zm - gze, gze / zm, beta, nu, tol)
+    zm, gze, coef = z_m[active], gze[active], coef[active]
+    out[active] = power_lanes(zm, coef, np.divide(gze, zm, out=gze), beta, nu, tol)
     return out
 
 

@@ -190,18 +190,73 @@ def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
     of main_table_nodes, whose midpoint check bounds the interpolation error,
     and interpolated linearly between them. At and below alpha the policy is
     exactly 0; above the last node it is held at the last node's power.
+    Between, the evaluator is bitwise np.interp on the nodes, with the node
+    interval found by table_lookup instead of a binary search.
     """
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
         return lambda z_m: np.zeros(np.shape(z_m))
     grid, mu_grid = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol)
+    interp = table_lookup(grid, mu_grid)
 
     def state_power(z_m):
         z_m = np.asarray(z_m, dtype=float)
-        mu = np.interp(z_m, grid, mu_grid)
-        return np.where(z_m <= alpha, 0.0, mu)
+        return np.where(z_m <= alpha, 0.0, interp(z_m))
 
     return state_power
+
+
+# buckets per node of table_lookup's index, rounded to a power of two per octave
+_BUCKETS_PER_NODE = 4
+
+
+def table_lookup(grid, values):
+    """np.interp(z, grid, values) as a function of z, bitwise, for an increasing
+    grid of at least two nodes; fast where the nodes are spaced geometrically
+    above grid[0], as main_table_nodes places them.
+
+    np.interp binary-searches the grid for each query. Here the interval of z
+    comes from a bucket index on z - grid[0]: the top bits of that float, its
+    exponent and its first m mantissa bits, so 2^m buckets per octave, close to
+    uniform in ln(z - grid[0]) and exactly monotone in z. m is chosen for about
+    _BUCKETS_PER_NODE buckets per node over the grid's octaves. Each bucket
+    holds the last node below it, and `steps` vectorized advances over
+    grid[j+1] <= z, as many as the most nodes any bucket holds, land on
+    np.interp's interval. The value is then np.interp's own formula,
+    slope[j]*(z - grid[j]) + values[j] with the slopes precomputed as it
+    does, on z clamped to [grid[0], grid[-1]], outside which np.interp
+    returns the end values.
+    """
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    corner, top = grid[0], grid[-1]
+    slope = np.append(np.diff(values) / np.diff(grid), 0.0)
+    after = np.append(grid[1:], np.inf)  # grid[j + 1]; never passed from the last node
+    octaves = max(1.0, math.log2((top - corner) / (grid[1] - corner)))
+    shift = 52 - min(52, max(0, round(math.log2(_BUCKETS_PER_NODE * grid.size / octaves))))
+    first, last = (int(np.subtract(g, corner).view(np.int64) >> shift) for g in (grid[1], top))
+
+    def bucket(z):  # z >= corner: the bits of z - corner >= 0 rise with it
+        key = np.subtract(z, corner).view(np.int64)
+        key >>= shift
+        key -= first
+        return np.clip(key, 0, last - first, out=key)
+
+    node_bucket, bins = bucket(grid), np.arange(last - first + 1)
+    start = np.maximum(np.searchsorted(node_bucket, bins, side="left") - 1, 0)
+    steps = int((np.searchsorted(node_bucket, bins, side="right") - 1 - start).max())
+
+    def interp(z):
+        shape = np.shape(z)
+        z = np.clip(np.ravel(z), corner, top)
+        j = start.take(bucket(z))
+        for _ in range(steps):
+            j += after.take(j) <= z
+        z -= grid.take(j)
+        z *= slope.take(j)
+        z += values.take(j)
+        return z.reshape(shape)
+
+    return interp
 
 
 def main_region_expectation(

@@ -10,17 +10,18 @@ The gains are drawn in chunks of _CHUNK frames: each chunk's z_m first, then
 its z_e slice by slice, _SLICE frames at a time. The service of each slice
 goes to a thread pool of up to _MAX_WORKERS threads, one per CPU the process
 may use (inline, with no thread, on one CPU), as soon as its gains are drawn.
-numpy releases the interpreter lock inside the power kernels' ufuncs and
-np.interp, so the slices run in parallel, while the calling thread draws the
-next slices and runs the Lindley recursion, in order, on the slices already
-served. The recursion writes into the queue array in place and carries its
-running sum and minimum from slice to slice, so no chunk-sized temporary is
-made. The output is bit-identical whatever the CPU count, and to one
+numpy releases the interpreter lock inside the ufuncs of the power kernel
+and of the main-CSI table lookup, so the slices run in parallel, while the
+calling thread draws the next slices and runs the Lindley recursion, in
+order, on the slices already served. The recursion writes into the queue
+array in place and carries its running sum and minimum from slice to slice,
+so no chunk-sized temporary is made. The output is bit-identical whatever the CPU count, and to one
 recursion over whole chunks: the gains are drawn in the caller in a fixed
 order, generator draws concatenate bitwise, each state's power and rate
 depend on that state alone, the carried recursion repeats the whole-chunk
 sums operation for operation, and the service sum and the tail are taken
-over whole arrays.
+over whole arrays. The tail's thresholds are read from the sorted body by
+np.quantile's own linear rule, so they are bitwise np.quantile's.
 """
 
 import contextlib
@@ -173,9 +174,8 @@ def simulate_queue(
             InstabilityWarning,
         )
 
-    # one sort, in place, serves both: np.quantile reads the same order
-    # statistics from sorted input, so the thresholds are bitwise those of
-    # the unsorted body
+    # one sort, in place, serves both the quantiles, which are read from it,
+    # and the exceedance counts
     body = queue[frames // 10:]
     body.sort()
     thresholds = _quantile_thresholds(body, frames)
@@ -217,10 +217,25 @@ def _worker_count() -> int:
 
 
 def _quantile_thresholds(body: np.ndarray, frames: int) -> np.ndarray:
-    # evenly spaced quantile levels from the upper bulk into the resolvable tail
+    """Distinct positive quantiles of the sorted body at evenly spaced levels
+    from the upper bulk into the resolvable tail.
+
+    They are read from body by np.quantile's default linear rule, operation
+    for operation, so they are bitwise np.quantile(body, levels), without
+    the partition of a copy that np.quantile makes: virtual index
+    (n - 1)*level, its floor i and the next index, and the two values
+    interpolated as a + d*t, or b - d*(1 - t) where t >= 0.5.
+    """
     deepest = max(100.0 / frames, 2e-5)
     levels = np.linspace(0.80, 1.0 - deepest, _N_THRESHOLDS)
-    qs = np.quantile(body, levels)
+    virtual = (body.size - 1) * levels
+    below = np.floor(virtual)
+    t = virtual - below
+    i = np.minimum(below.astype(np.intp), body.size - 1)
+    a, b = body[i], body[np.minimum(i + 1, body.size - 1)]
+    d = b - a
+    qs = a + d * t
+    np.subtract(b, d * (1 - t), out=qs, where=t >= 0.5)
     qs = np.unique(qs)
     return qs[qs > 0.0]
 

@@ -231,6 +231,25 @@ class TestMemory:
         assert peak < 7 * frames * 8
 
 
+class TestTailRead:
+    @pytest.mark.parametrize("frames", [queuesim._MIN_FRAMES, 250_000, 1_000_000])
+    def test_thresholds_are_bitwise_np_quantile(self, frames):
+        # sorted bodies with many ties and zeros, as a queue that often empties has
+        rng = np.random.default_rng(frames)
+        n = frames - frames // 10
+        bodies = [rng.exponential(50.0, n), np.round(rng.exponential(3.0, n)),
+                  np.maximum(rng.normal(0.0, 20.0, n), 0.0), np.floor(rng.exponential(0.4, n)),
+                  np.zeros(n)]
+        deepest = max(100.0 / frames, 2e-5)
+        levels = np.linspace(0.80, 1.0 - deepest, queuesim._N_THRESHOLDS)
+        for body in bodies:
+            body.sort()
+            expected = np.unique(np.quantile(body, levels))
+            expected = expected[expected > 0.0]
+            got = queuesim._quantile_thresholds(body, frames)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestEstimateDecay:
     def test_pure_exponential(self):
         q = np.linspace(1.0, 10.0, 20)
