@@ -155,17 +155,29 @@ def _log_gain(p, c, s, beta, nu):
     """
     if c.ndim == 2:
         p = p[:, None]
+    # the arithmetic of e = -(beta-1)*ln(1 + t*p), k = -(beta-1)*t with
+    # t = (1-s)/(1+q), or e = (beta-1)*ln(1+q), k = (beta-1)*s*(1+p)/(1+q),
+    # run in place in two arrays
     q = s * p
     if beta >= 1.0:
-        t = (1.0 - s) / (1.0 + q)
-        e, k = -(beta - 1.0) * np.log1p(t * p), -(beta - 1.0) * t
+        q += 1.0
+        k = 1.0 - s
+        k /= q
+        e = np.log1p(np.multiply(k, p, out=q), out=q)
+        e *= -(beta - 1.0)
+        k *= -(beta - 1.0)
     else:
-        e, k = (beta - 1.0) * np.log1p(q), (beta - 1.0) * s * (1.0 + p) / (1.0 + q)
+        k = (beta - 1.0) * s
+        k *= 1.0 + p
+        e = np.log1p(q)
+        q += 1.0
+        k /= q
+        e *= beta - 1.0
     if c.ndim == 1:
-        return c + e, k
-    w = c * np.exp(e)
+        return np.add(c, e, out=e), k
+    w = np.multiply(c, np.exp(e, out=e), out=e)
     total = w.sum(axis=1)
-    return np.log(total / nu), (w * k).sum(axis=1) / total
+    return np.log(total / nu), (k * w).sum(axis=1) / total
 
 
 def _newton_block(out, mu, z, c, s, beta, nu, tol):
@@ -176,61 +188,93 @@ def _newton_block(out, mu, z, c, s, beta, nu, tol):
     block compacts: a 1-D block once half of its lanes are done, since a
     done lane costs a few elementwise operations and a compaction copies
     eight arrays; a 2-D block at every step that finishes a lane, since each
-    of its lanes costs a row of terms.
+    of its lanes costs a row of terms. Lanes are gathered, written and
+    compacted by index, and each step's bracket update and done test run in
+    scratch arrays made once per block, so no step makes a masked copy.
     """
     b = min(2.0, beta + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # lanes with no gain drop out below
         if c.ndim == 1:
-            c = np.log(c / nu)
-        big_l, k = _log_gain(np.zeros(z.size), c, s, beta, nu)
+            c = big_l = np.log(c / nu)  # _log_gain at p = 0 adds e = -0.0: bitwise c
+        else:
+            big_l, k = _log_gain(np.zeros(z.size), c, s, beta, nu)
     mu[:] = 0.0
     lane = np.flatnonzero(big_l > 0.0)
     if lane.size == 0:
         return
     if lane.size < z.size:  # with every lane live the gathers would only copy
-        z, c, s, big_l, k = (v[lane] for v in (z, c, s, big_l, k))
+        z, c, s, big_l = (v.take(lane, axis=0) for v in (z, c, s, big_l))
+        if c.ndim == 2:
+            k = k.take(lane)
+    if c.ndim == 1:  # _log_gain's slope at p = 0, where 1 + q is 1: bitwise the same
+        k = -(beta - 1.0) * (1.0 - s) if beta >= 1.0 else (beta - 1.0) * s
     lo, hi = big_l / max(2.0, beta + 1.0), big_l / b
     x = np.clip(big_l / (b - k), lo, hi)
     p = np.expm1(x)
     mu_x = p / z  # the power at x
-    done = np.zeros(lane.size, dtype=bool)
-    n_done = 0
+    w0, w1 = np.empty((2, lane.size))
+    above, flag, new, live = np.ones((4, lane.size), dtype=bool)
+    n_live = lane.size
     for _ in range(tol.max_iter):
         g, dg = _log_gain(p, c, s, beta, nu)  # h = g - b*x, dh/dx = dg - b
-        bx = b * x
-        step = (g - bx) / (b - dg)
-        if not np.isfinite(step).all() and not np.isfinite(step[~done]).all():
-            mu[lane[~done]] = mu_x[~done]
+        bx = np.multiply(b, x, out=w0)
+        np.greater(g, bx, out=above)
+        step = np.subtract(g, bx, out=g)
+        step /= np.subtract(b, dg, out=dg)
+        if not np.isfinite(step, out=flag).all() and not flag[live].all():
+            mu[lane[live]] = mu_x[live]
             raise NumericsError("power_lanes: non-finite iterate", best=out)
-        above = g > bx
-        np.copyto(lo, x, where=above)
-        np.copyto(hi, x, where=~above)
+        _split_bracket(above, x, lo, hi, w0.view(np.int64), w1.view(np.int64))
         x += step
-        outside = np.flatnonzero((x < lo) | (x > hi))
+        np.less(x, lo, out=flag)
+        flag |= np.greater(x, hi, out=above)
+        outside = np.flatnonzero(flag)
         x[outside] = 0.5 * (lo[outside] + hi[outside])  # bisect the lanes that left
-        p = np.expm1(x)
-        mu_new = p / z
-        new = ((np.abs(mu_new - mu_x) <= tol.root_tol * np.maximum(1.0, mu_new))
-               | (x == lo) | (x == hi))
-        mu_x = mu_new
-        new &= ~done
+        np.expm1(x, out=p)
+        mu_new = np.divide(p, z, out=w0)
+        # done: |mu_new - mu_x| <= root_tol*max(1, mu_new), or x on a bracket end
+        gap = np.abs(np.subtract(mu_new, mu_x, out=w1), out=w1)
+        np.maximum(1.0, mu_new, out=mu_x)
+        mu_x *= tol.root_tol
+        np.less_equal(gap, mu_x, out=new)
+        new |= np.equal(x, lo, out=flag)
+        new |= np.equal(x, hi, out=flag)
+        new &= live
+        mu_x, w0 = mu_new, mu_x
         n_new = np.count_nonzero(new)
         if n_new:
-            mu[lane[new]] = mu_x[new]
-            done |= new
-            n_done += n_new
-            if n_done == lane.size:
+            idx = np.flatnonzero(new)
+            mu[lane[idx]] = mu_x[idx]
+            live ^= new
+            n_live -= n_new
+            if n_live == 0:
                 return
-            if c.ndim == 2 or 2 * n_done >= lane.size:
-                keep = ~done
+            if c.ndim == 2 or 2 * n_live <= lane.size:
+                keep = np.flatnonzero(live)
                 lane, z, c, s, lo, hi, x, p, mu_x = (
-                    v[keep] for v in (lane, z, c, s, lo, hi, x, p, mu_x))
-                done = np.zeros(lane.size, dtype=bool)
-                n_done = 0
-    live = ~done
+                    v.take(keep, axis=0) for v in (lane, z, c, s, lo, hi, x, p, mu_x))
+                w0, w1, above, flag, new, live = (
+                    v[:lane.size] for v in (w0, w1, above, flag, new, live))
+                live[:] = True
     mu[lane[live]] = mu_x[live]
-    raise NumericsError(f"power_lanes: {np.count_nonzero(live)} lanes not converged after "
+    raise NumericsError(f"power_lanes: {n_live} lanes not converged after "
                         f"{tol.max_iter} steps", best=out)
+
+
+def _split_bracket(above, x, lo, hi, mask, diff):
+    """Set lo = x where above and hi = x elsewhere, in place.
+
+    The update blends bit patterns, lo ^ ((lo ^ x) & mask) with mask all ones
+    where above, so it copies values exactly at the speed of integer
+    arithmetic, where a masked copy takes about twenty times as long; mask
+    and diff are int64 scratch of the lanes' size.
+    """
+    xb, lob, hib = (v.view(np.int64) for v in (x, lo, hi))
+    np.negative(above.view(np.int8), out=mask)
+    np.bitwise_and(np.bitwise_xor(lob, xb, out=diff), mask, out=diff)
+    lob ^= diff
+    np.bitwise_and(np.bitwise_xor(hib, xb, out=diff), mask, out=diff)
+    np.bitwise_xor(xb, diff, out=hib)
 
 
 class NodePowers:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import checks, full_csi, main_csi, queuesim
+from . import full_csi, main_csi, queuesim
 from .model import FadingLaw, LinkBudget, QosSpec, Solution, ValidationError, make_qos
 from .numerics import NumericsError, Tolerances
 
@@ -236,6 +236,8 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    from . import checks  # imported here: no other command needs the checks
+
     if cfg.frames < queuesim._MIN_FRAMES:  # the queue-decay check's floor, known up front
         raise ValidationError(f"validate needs frames >= {queuesim._MIN_FRAMES}")
     if cfg.link(cfg.snr_db[0]).avg_snr == 0.0:  # the reference point of most checks

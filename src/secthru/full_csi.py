@@ -62,11 +62,11 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
     nu = lam / beta
     gze = gamma * z_e
     coef = z_m - gze
-    active = coef > nu
-    if not np.any(active):
+    active = np.flatnonzero(coef > nu)
+    if active.size == 0:
         return out
-    zm, gze, coef = z_m[active], gze[active], coef[active]
-    out[active] = power_lanes(zm, coef, np.divide(gze, zm, out=gze), beta, nu, tol)
+    zm, gze, coef = (np.take(v, active) for v in (z_m, gze, coef))
+    np.put(out, active, power_lanes(zm, coef, np.divide(gze, zm, out=gze), beta, nu, tol))
     return out
 
 

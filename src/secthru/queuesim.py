@@ -6,22 +6,24 @@ secure throughput solved for exponent theta, the stationary queue tail must
 satisfy ln P(Q >= q) ~ -theta * q; the fitted slope of the simulated tail is
 the check.
 
-The gains are drawn in chunks of _CHUNK frames: each chunk's z_m first, then
-its z_e slice by slice, _SLICE frames at a time. The service of each slice
-goes to a thread pool of up to _MAX_WORKERS threads, one per CPU the process
-may use (inline, with no thread, on one CPU), as soon as its gains are drawn.
-numpy releases the interpreter lock inside the ufuncs of the power kernel
-and of the main-CSI table lookup, so the slices run in parallel, while the
-calling thread draws the next slices and runs the Lindley recursion, in
-order, on the slices already served. The recursion writes into the queue
-array in place and carries its running sum and minimum from slice to slice,
-so no chunk-sized temporary is made. The output is bit-identical whatever the CPU count, and to one
-recursion over whole chunks: the gains are drawn in the caller in a fixed
-order, generator draws concatenate bitwise, each state's power and rate
-depend on that state alone, the carried recursion repeats the whole-chunk
-sums operation for operation, and the service sum and the tail are taken
-over whole arrays. The tail's thresholds are read from the sorted body by
-np.quantile's own linear rule, so they are bitwise np.quantile's.
+The run is cut into slices of _SLICE frames. Slice j draws its z_m and
+then its z_e from a stream of its own, default_rng(SeedSequence(seed,
+spawn_key=(j,))), which is SeedSequence(seed).spawn(n)[j], and writes its
+service straight into its part of the queue array. The slices go to a
+thread pool of up to _MAX_WORKERS threads, one per CPU the process may use
+(inline, with no thread, on one CPU). numpy releases the interpreter lock
+inside the generator's draws and the ufuncs of the power kernel and of the
+main-CSI table lookup, so the slices run in parallel, while the calling
+thread takes the slices already served, in order: it adds each slice's
+service to the run's sum, turns it into arrival minus service in place and
+runs the Lindley recursion on it. The recursion carries its running sum and
+minimum from slice to slice across the whole run, so no temporary of the
+run's size is made. The output is a function of (seed, _SLICE) alone and
+bitwise the same whatever the CPU count: each slice's draws come from its
+own stream, each state's power and rate depend on that state alone, and
+the caller's sums and recursion run in slice order. The tail's thresholds
+are read from the sorted body by np.quantile's own linear rule, so they are
+bitwise np.quantile's.
 """
 
 import contextlib
@@ -37,7 +39,6 @@ from .model import FadingLaw, LinkBudget, PowerPolicy, QosSpec, ValidationError
 
 _N_THRESHOLDS = 20
 _MIN_FRAMES = 100_000
-_CHUNK = 2_000_000
 # frames per service slice: small enough that each thread's scratch arrays,
 # which glibc keeps in a per-thread arena, add little to the peak RSS
 _SLICE = 1 << 16
@@ -118,27 +119,29 @@ def simulate_queue(
     frames are discarded as burn-in. Emits InstabilityWarning when the arrival
     rate reaches the empirical mean service rate.
 
-    The policy's state_power is called from worker threads on slices of the
-    drawn states (see the module docstring), so it must be thread-safe and
-    give each state's power from that state alone. For a given seed the
-    result is bitwise the same on any number of CPUs. An exception raised by
-    state_power surfaces here, once the slices not yet started are dropped
-    and every worker has stopped. Besides the queue of all frames, a run
-    holds one chunk's z_m and service and a few slices' scratch.
+    The gains are drawn, and the policy's state_power called, on worker
+    threads, one slice of _SLICE frames at a time, each slice from its own
+    stream of the seed (see the module docstring). So state_power must be
+    thread-safe and give each state's power from that state alone. The
+    result depends on the seed and _SLICE alone: it is bitwise the same on
+    any number of CPUs. An exception raised by state_power surfaces here,
+    once the slices not yet started are dropped and every worker has
+    stopped. Besides the queue of all frames, a run holds only the draws and
+    scratch of the slices in flight.
     """
     if frames < _MIN_FRAMES:
         raise ValidationError(f"frames must be >= {_MIN_FRAMES}")
     if arrival_bits_per_frame < 0:
         raise ValidationError("arrival must be nonnegative")
 
-    rng = np.random.default_rng(int(seed))
     bits_per_rate = qos.frame_t * qos.bandwidth_b
-    gamma = link.gamma
     workers = _worker_count()
+    task = (policy, law_m, law_e, link.gamma, bits_per_rate, int(seed))
 
     queue = np.empty(frames)
-    q0 = 0.0
     service_sum = 0.0
+    carry = np.array([-0.0, np.inf])
+    slices = [slice(s, s + _SLICE) for s in range(0, frames, _SLICE)]
     with contextlib.ExitStack() as stack:
         submit, ahead = _run_inline, 0
         if workers > 1:
@@ -147,25 +150,16 @@ def simulate_queue(
             # on an error, drop the slices not yet started, then wait for the rest
             stack.callback(pool.shutdown, cancel_futures=True)
             submit, ahead = (lambda *args: pool.submit(*args).result), _AHEAD * workers
-        for pos in range(0, frames, _CHUNK):
-            chunk = queue[pos:pos + _CHUNK]
-            z_m = law_m.sample(rng, chunk.size)
-            service = np.empty(chunk.size)
-            slices = [slice(s, s + _SLICE) for s in range(0, chunk.size, _SLICE)]
-            waits = deque()
-            carry = np.array([-0.0, np.inf])
-            for k, sl in enumerate(slices):
-                # keep slices k to k + ahead submitted, their z_e drawn in order
-                for nxt in slices[k + len(waits):k + ahead + 1]:
-                    waits.append(submit(_service_slice, policy, gamma, bits_per_rate, z_m[nxt],
-                                        law_e.sample(rng, z_m[nxt].size), service[nxt]))
-                waits.popleft()()  # wait for slice k; raises its error, if any
-                q = chunk[sl]
-                np.subtract(arrival_bits_per_frame, service[sl], out=q)
-                lindley_queue(q, q0, carry, out=q)
-            service_sum += float(service.sum())
-            q0 = float(chunk[-1])
-            del z_m, service  # free before the next chunk's draws and the tail
+        waits = deque()
+        for j, sl in enumerate(slices):
+            # keep slices j to j + ahead submitted, each to write its service into its queue slice
+            for k in range(j + len(waits), min(j + ahead + 1, len(slices))):
+                waits.append(submit(_service_slice, *task, k, queue[slices[k]]))
+            waits.popleft()()  # wait for slice j; raises its error, if any
+            q = queue[sl]
+            service_sum += float(q.sum())
+            np.subtract(arrival_bits_per_frame, q, out=q)
+            lindley_queue(q, carry=carry, out=q)
 
     if arrival_bits_per_frame >= service_sum / frames:
         warnings.warn(
@@ -194,9 +188,12 @@ def simulate_queue(
     )
 
 
-def _service_slice(policy: PowerPolicy, gamma: float, bits_per_rate: float,
-                   zm: np.ndarray, ze: np.ndarray, service: np.ndarray) -> None:
-    """Write the service of the states (zm, ze) into service."""
+def _service_slice(policy: PowerPolicy, law_m: FadingLaw, law_e: FadingLaw, gamma: float,
+                   bits_per_rate: float, seed: int, j: int, service: np.ndarray) -> None:
+    """Draw slice j's states from its own stream and write their service into service."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+    zm = law_m.sample(rng, service.size)
+    ze = law_e.sample(rng, service.size)
     mu = policy.state_power(zm, ze) if policy.csi_mode == "full" else policy.state_power(zm)
     rate = np.log2(1.0 + mu * zm) - np.log2(1.0 + gamma * mu * ze)
     np.maximum(rate, 0.0, out=rate)

@@ -1,9 +1,11 @@
 """The lane kernel's bookkeeping: a lane's power does not depend on the other
 lanes of its call, whether the block drops its done lanes at once (2-D
 coefficients) or keeps stepping them until half of the block is done (1-D),
-and a capped solve's best estimate keeps the lanes that finished in time.
+a capped solve's best estimate keeps the lanes that finished in time, and
+the full-CSI powers are bitwise those of the mask-based kernel.
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from secthru import FadingLaw, NumericsError, Tolerances, _region
 from secthru._region import power_lanes
+from secthru.full_csi import power_grid
 from secthru.main_csi import main_power
 
 TOL = Tolerances()
@@ -33,6 +36,104 @@ def test_main_power_lanes_are_independent(beta, nu):
     single = [main_power(zm[i:i + 1], 64, beta, nu, 1.0, law, TOL)[0][0] for i in range(zm.size)]
     assert np.array_equal(bits(mu), bits(single))
     assert 0 < np.count_nonzero(mu) < zm.size
+
+
+PINNED_BETAS = (0.29, 2.9, 28.9, 288.5)
+PINNED_NUS = (1e-3, 0.1, 3.0)
+# sha256 of the pinned grids' powers, recorded from the mask-based kernel, and
+# of the elementwise functions they are built from on the machine that
+# recorded it (numpy 2.4 with AVX-512 on x86-64)
+PINNED_DIGEST = "6b631647c7e223988266b9877a7cc2028bfa4278839c7c1aaa8cb2d8191f9da8"
+PINNED_ELEMENTWISE = "6fea2cd9630a5e6eaadd860b846045d4608a22f7315bf071b407dba287470add"
+
+
+def pinned_states():
+    """4,096 seeded full-CSI states, each gain's mean between -10 and 30 dB."""
+    rng = np.random.default_rng(20)
+    return rng.exponential(1.0, (2, 4096)) * 10.0 ** rng.uniform(-1.0, 3.0, (2, 4096))
+
+
+def elementwise_digest():
+    """sha256 of np.log, np.log1p and np.expm1 at fixed arguments."""
+    u = np.random.default_rng(0).uniform(0.0, 1.0, 4096)
+    digest = hashlib.sha256()
+    for values in (np.log(u * 1e3), np.log1p(u * 50.0), np.expm1(u * 40.0 - 20.0)):
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+def masked_power_grid(z_m, z_e, gamma, beta, lam):
+    """power_grid's powers as the mask-based kernel computed them, in one block
+    that never compacts: boolean gathers and scatters, the set-up through the
+    log-gain at p = 0, and masked copies for the bracket."""
+    nu = lam / beta
+    coef = z_m - gamma * z_e
+    active = coef > nu
+    z, c, s = z_m[active], np.log(coef[active] / nu), gamma * z_e[active] / z_m[active]
+
+    def log_gain(p):
+        q = s * p
+        if beta >= 1.0:
+            t = (1.0 - s) / (1.0 + q)
+            e, k = -(beta - 1.0) * np.log1p(t * p), -(beta - 1.0) * t
+        else:
+            e, k = (beta - 1.0) * np.log1p(q), (beta - 1.0) * s * (1.0 + p) / (1.0 + q)
+        return c + e, k
+
+    b = min(2.0, beta + 1.0)
+    big_l, k = log_gain(np.zeros(z.size))
+    lo, hi = big_l / max(2.0, beta + 1.0), big_l / b
+    x = np.clip(big_l / (b - k), lo, hi)
+    p = np.expm1(x)
+    mu_x, mu = p / z, np.zeros(z.size)
+    done = ~(big_l > 0.0)
+    for _ in range(TOL.max_iter):
+        g, dg = log_gain(p)
+        bx = b * x
+        step = (g - bx) / (b - dg)
+        above = g > bx
+        np.copyto(lo, x, where=above)
+        np.copyto(hi, x, where=~above)
+        x += step
+        outside = (x < lo) | (x > hi)
+        x[outside] = 0.5 * (lo[outside] + hi[outside])
+        p = np.expm1(x)
+        mu_new = p / z
+        new = ((np.abs(mu_new - mu_x) <= TOL.root_tol * np.maximum(1.0, mu_new))
+               | (x == lo) | (x == hi)) & ~done
+        mu_x = mu_new
+        mu[new] = mu_x[new]
+        done |= new
+        if done.all():
+            break
+    assert done.all()
+    out = np.zeros(z_m.shape)
+    out[active] = mu
+    return out
+
+
+def test_power_grid_is_bitwise_the_masked_kernel():
+    zm, ze = pinned_states()
+    for beta in PINNED_BETAS:
+        for nu in PINNED_NUS:
+            mu = power_grid(zm, ze, 1.0, beta, beta * nu)
+            assert 0 < np.count_nonzero(mu) < mu.size
+            ref = masked_power_grid(zm, ze, 1.0, beta, beta * nu)
+            assert np.array_equal(bits(mu), bits(ref)), (beta, nu)
+
+
+def test_power_grid_bits_are_pinned():
+    # the digest holds where np.log, np.log1p and np.expm1 round as on the
+    # machine that recorded it; other builds and CPUs round some arguments
+    # differently, which the masked-kernel test above allows for
+    if elementwise_digest() != PINNED_ELEMENTWISE:
+        pytest.skip("elementwise functions round unlike the recording machine's")
+    zm, ze = pinned_states()
+    digest = hashlib.sha256()
+    for beta in PINNED_BETAS:
+        for nu in PINNED_NUS:
+            digest.update(power_grid(zm, ze, 1.0, beta, beta * nu).tobytes())
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 def one_term_lanes(rng, n, gamma, nu):
@@ -109,7 +210,7 @@ def test_non_finite_step_leaves_the_best_of_the_steps_before(monkeypatch, beta, 
     def failing(p, c, s, beta, nu):
         g, dg = log_gain(p, c, s, beta, nu)
         calls.append(1)
-        if len(calls) == k + 2:  # the set-up at p = 0, then steps 1 to k + 1
+        if len(calls) == k + 1:  # steps 1 to k + 1; the 1-D set-up at p = 0 is closed-form
             g = np.where(c == mark, np.nan, g)
         return g, dg
 

@@ -46,22 +46,23 @@ def calibrated_main():
     return sol.policy(), qos, link, law, arrival
 
 
-def serial_reference(policy, qos, link, law_m, law_e, arrival, frames, seed, chunk):
-    """simulate_queue's histogram computed serially: the power of each whole
-    chunk in one state_power call, and the quantiles of the unsorted body."""
-    rng = np.random.default_rng(seed)
-    queue = np.empty(frames)
-    q0 = 0.0
-    for pos in range(0, frames, chunk):
-        m = min(chunk, frames - pos)
-        z_m = law_m.sample(rng, m)
-        z_e = law_e.sample(rng, m)
-        mu = policy.state_power(z_m, z_e) if policy.csi_mode == "full" else policy.state_power(z_m)
-        rate = np.log2(1.0 + mu * z_m) - np.log2(1.0 + link.gamma * mu * z_e)
-        np.maximum(rate, 0.0, out=rate)
-        chunk_q = lindley_queue(arrival - qos.frame_t * qos.bandwidth_b * rate, q0)
-        queue[pos:pos + m] = chunk_q
-        q0 = float(chunk_q[-1])
+def serial_reference(policy, qos, link, law_m, law_e, arrival, frames, seed):
+    """simulate_queue's histogram computed serially: slice j's z_m and then its
+    z_e drawn from SeedSequence(seed).spawn(n)[j], the power of all frames in
+    one state_power call, one Lindley recursion over the whole run, and the
+    quantiles of the unsorted body."""
+    size = queuesim._SLICE
+    streams = np.random.SeedSequence(seed).spawn(-(-frames // size))
+    draws = []
+    for j, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        m = min(size, frames - j * size)
+        draws.append((law_m.sample(rng, m), law_e.sample(rng, m)))
+    z_m, z_e = (np.concatenate(d) for d in zip(*draws))
+    mu = policy.state_power(z_m, z_e) if policy.csi_mode == "full" else policy.state_power(z_m)
+    rate = np.log2(1.0 + mu * z_m) - np.log2(1.0 + link.gamma * mu * z_e)
+    np.maximum(rate, 0.0, out=rate)
+    queue = lindley_queue(arrival - qos.frame_t * qos.bandwidth_b * rate)
     body = queue[frames // 10:]
     deepest = max(100.0 / frames, 2e-5)
     thresholds = np.unique(np.quantile(body, np.linspace(0.80, 1.0 - deepest, 20)))
@@ -140,17 +141,17 @@ class TestSimulateQueue:
 class TestParallelService:
     @pytest.mark.parametrize("mode", ["full", "main"])
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("chunk", [queuesim._CHUNK, 150_000])
+    @pytest.mark.parametrize("frames", [150_000, 2_000_000])
     def test_bitwise_equal_to_serial_reference(self, calibrated, calibrated_main, monkeypatch,
-                                               mode, workers, chunk):
-        # 150_000-frame chunks over 400_000 frames: three chunks carrying q0,
-        # each ending in a partial slice
+                                               mode, workers, frames):
+        # both runs end in a partial slice; 150,000 frames are three slices,
+        # and 2,000,000 frames are 31, more than the seven that 3 workers keep
+        # submitted ahead
         policy, qos, link, law, arrival = calibrated if mode == "full" else calibrated_main
         monkeypatch.setattr(queuesim, "_worker_count", lambda: workers)
-        monkeypatch.setattr(queuesim, "_CHUNK", chunk)
-        hist = simulate_queue(policy, qos, link, law, law, arrival, 400_000, seed=11)
-        thresholds, probs = serial_reference(policy, qos, link, law, law, arrival,
-                                             400_000, 11, chunk)
+        hist = simulate_queue(policy, qos, link, law, law, arrival, frames, seed=11)
+        thresholds, probs = serial_reference(policy, qos, link, law, law, arrival, frames, 11)
+        assert frames % queuesim._SLICE
         assert np.array_equal(hist.thresholds, thresholds)
         assert np.array_equal(hist.exceedance_prob, probs)
         assert hist.exceedance_prob.max() > 0.0
@@ -182,7 +183,8 @@ class TestParallelService:
     def test_failing_first_slice_drops_the_slices_not_started(self, calibrated, monkeypatch):
         _, qos, link, law, arrival = calibrated
         frames, seed = 1_000_000, 1
-        first_gain = np.random.default_rng(seed).exponential(1.0, 1)[0]  # frame 0's z_m
+        stream = np.random.SeedSequence(seed).spawn(1)[0]  # slice 0's
+        first_gain = np.random.default_rng(stream).exponential(1.0, 1)[0]  # frame 0's z_m
         best = np.zeros(1)
         callers = []
 
@@ -214,11 +216,11 @@ class TestMemory:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_peak_is_a_few_run_sized_arrays(self, calibrated, calibrated_main, monkeypatch,
                                             mode, workers):
-        # one chunk: the queue, z_m and the service are three arrays of frames
-        # floats, and a recursion over the whole chunk holds about nine. The
-        # rest is per-slice scratch, about 5 MB per full-CSI worker: at 400k
-        # frames that alone is 4.5 such arrays with 3 workers, so the run is
-        # 1M frames long, where it is 1.8.
+        # the queue is the one array of frames floats; the recursion and the
+        # in-place sort of the tail make no other. The rest is the draws and
+        # scratch of the slices in flight, about 5 MB per full-CSI worker: at
+        # 400k frames that alone is 4.5 such arrays with 3 workers, so the run
+        # is 1M frames long, where it is 1.8.
         policy, qos, link, law, arrival = calibrated if mode == "full" else calibrated_main
         monkeypatch.setattr(queuesim, "_worker_count", lambda: workers)
         frames = 1_000_000
@@ -228,7 +230,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * frames * 8
+        assert peak < 4 * frames * 8
 
 
 class TestTailRead:

@@ -6,19 +6,19 @@ to the solved effective secure throughput. For each CSI mode and each run
 length in FRAMES, simulate_queue runs once per seed in SEEDS. Each run
 records its wall time, frames per second, the decay exponent theta_hat that
 queuesim.estimate_decay fits to its histogram, and the split of its wall time
-into four stages, all timed on the calling thread. The calling thread draws
-the gains and runs the Lindley recursion slice by slice while the pool
-computes the service of the slices submitted ahead, so the first two stages
-run beside the service and the fourth is what the caller waits for:
+into three stages, all timed on the calling thread. The worker threads draw
+each slice's gains and compute its service, while the calling thread runs
+the Lindley recursion, in order, on the slices already served, so the
+first stage runs beside the draws and the service, and the third is what
+the caller waits for:
 
-- sampling: the gain draws (FadingLaw.sample), each chunk's z_m and then its
-  z_e one slice at a time;
 - lindley: the Lindley recursion (queuesim.lindley_queue), one call per
   slice;
 - tail: from the end of the last recursion to the return (the sort, the
   threshold quantiles and the exceedance counts);
-- service: the rest, mostly the caller's wait for the slices' power and
-  secrecy rate (all of their time when the slices run inline, on one CPU).
+- wait: the rest, mostly the caller's wait for the workers' draws and
+  service (all of their time when the slices run inline, on one CPU), and
+  the caller's per-slice service sum and arrival-minus-service.
 
 Each (mode, frames) entry also holds the medians over its seeds. The record
 holds the CPUs the process may use, on which simulate_queue sizes its thread
@@ -54,44 +54,36 @@ from secthru.model import FadingLaw, LinkBudget, make_qos
 
 FRAMES = (1_000_000, 10_000_000)
 SEEDS = (0, 1, 2)
-STAGES = ("sampling", "service", "lindley", "tail")
+STAGES = ("lindley", "tail", "wait")
 
 
 @contextmanager
-def timed_stages():
-    """Wrap FadingLaw.sample and queuesim.lindley_queue for the block; yields
-    {"sampling": s, "lindley": s, "last_lindley_end": t}, summed over calls."""
-    times = {"sampling": 0.0, "lindley": 0.0, "last_lindley_end": None}
-    sample, lindley = FadingLaw.sample, queuesim.lindley_queue
+def timed_lindley():
+    """Wrap queuesim.lindley_queue for the block; yields {"lindley": s,
+    "last_lindley_end": t}, summed over calls."""
+    times = {"lindley": 0.0, "last_lindley_end": None}
+    lindley = queuesim.lindley_queue
 
-    def timed_sample(*args, **kwargs):
-        start = time.perf_counter()
-        out = sample(*args, **kwargs)
-        times["sampling"] += time.perf_counter() - start
-        return out
-
-    def timed_lindley(*args, **kwargs):
+    def timed(*args, **kwargs):
         start = time.perf_counter()
         out = lindley(*args, **kwargs)
         times["last_lindley_end"] = end = time.perf_counter()
         times["lindley"] += end - start
         return out
 
-    with mock.patch.object(FadingLaw, "sample", timed_sample), \
-            mock.patch.object(queuesim, "lindley_queue", timed_lindley):
+    with mock.patch.object(queuesim, "lindley_queue", timed):
         yield times
 
 
 def run(policy, qos, link, law, arrival, frames, seed):
     """One timed simulate_queue call: its record (see the module docstring)."""
-    with timed_stages() as times:
+    with timed_lindley() as times:
         start = time.perf_counter()
         hist = queuesim.simulate_queue(policy, qos, link, law, law, arrival, frames, seed)
         end = time.perf_counter()
     seconds = end - start
-    stages = {"sampling": times["sampling"], "lindley": times["lindley"],
-              "tail": end - times["last_lindley_end"]}
-    stages["service"] = seconds - sum(stages.values())
+    stages = {"lindley": times["lindley"], "tail": end - times["last_lindley_end"]}
+    stages["wait"] = seconds - sum(stages.values())
     return {"seconds": round(seconds, 4), "frames_per_s": round(frames / seconds),
             "theta_hat": queuesim.estimate_decay(hist)[0],
             "stages_s": {k: round(stages[k], 4) for k in STAGES}}
