@@ -1,9 +1,9 @@
 """Deterministic power calibration, scalar root finding and panel quadrature.
 
 Both solvers calibrate through the primitives here: the average-power
-calibration, Brent root finding on a bracketed sign change (its only user),
-and composite Gauss-Legendre quadrature whose panel count doubles until two
-successive refinements agree. Evaluation order is fixed, so results are
+calibration, a secant root search safeguarded by bisection, and composite
+Gauss-Legendre quadrature whose panel count doubles until two successive
+refinements agree. Evaluation order is fixed, so results are
 bit-reproducible for fixed tolerances.
 """
 
@@ -44,7 +44,7 @@ class QuadratureError(NumericsError):
 class Tolerances:
     """Numeric knobs shared by every solver.
 
-    root_tol: relative bracket width (Brent) or step (Newton) ending a root search.
+    root_tol: relative bracket width (calibration) or step (Newton) ending a root search.
     quad_rel_tol: required relative agreement between successive quadrature
         refinements (the reported error estimate is their difference).
     quad_trunc_mass: fading-law tail mass dropped when truncating [0, inf).
@@ -153,113 +153,17 @@ def refine_panels(
     )
 
 
-def _brent(f, x_pre, f_pre, x_cur, f_cur, tol, f_tol):
-    """Brent's method (1973) for a sign change of a scalar map between two
-    evaluated endpoints, f_pre = f(x_pre) and f_cur = f(x_cur); returns the
-    root and f there.
-
-    Each step is an inverse-quadratic or secant step when that stays well
-    inside the bracket, else a bisection. Stops when |f(x)| <= f_tol or when
-    the bracket around the best iterate x is narrower than
-    root_tol * max(1, |x|). The caller brackets. Raises BracketError without
-    a sign change, NumericsError on NaN, and NumericsError, with the last
-    iterate as best, after max_iter steps.
-
-    x_cur is the best iterate, x_pre the one before it, and x_blk the
-    contrapoint: f(x_blk) and f(x_cur) have opposite signs.
-    """
-    if math.isnan(f_pre) or math.isnan(f_cur):
-        raise NumericsError("NaN at bracket endpoint")
-    if f_pre == 0.0:
-        return x_pre, f_pre
-    if f_cur == 0.0:
-        return x_cur, f_cur
-    if (f_pre > 0) == (f_cur > 0):
-        raise BracketError(f"no sign change on [{x_pre:g}, {x_cur:g}]")
-    x_blk, f_blk = x_pre, f_pre
-    s_pre = s_cur = x_cur - x_pre
-    for step in range(tol.max_iter + 1):
-        if (f_pre > 0) != (f_cur > 0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * tol.root_tol * max(1.0, abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        if abs(f_cur) <= f_tol or abs(s_bis) <= delta:
-            return x_cur, f_cur
-        if step == tol.max_iter:
-            break
-        interpolate = abs(s_pre) > delta and abs(f_cur) < abs(f_pre)
-        if interpolate:
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            # keep the step only if it is short against the last two and the bracket
-            interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
-        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = float(f(x_cur))
-        if math.isnan(f_cur):
-            raise NumericsError("NaN during root finding")
-    raise NumericsError(f"Brent root not converged after {tol.max_iter} steps", best=x_cur)
-
-
 # |ln(P/B)| <= f_tol bounds |P/B - 1| by expm1(f_tol); the shrink keeps that
 # within power_rel_tol through the roundings of the log and the ratio
 _CALIBRATION_SHRINK = 1.0 - 1e-6
 # a coarse stage's share of f_tol: its root then sits well inside the next
 # stage's acceptance band, so one evaluation there usually accepts it
 _COARSE_F_TOL_SHARE = 0.125
-# the walk stops before exp(u) underflows
+# a stage stops stepping down before exp(u) underflows
 _U_MIN = math.log(1e-300)
-
-
-def _walk(log_ratio, u, u_hi, f_tol, slope, overshoot, min_step):
-    """Bracket walk on a decreasing h = log_ratio(u) from u, toward its root.
-
-    Returns the probes (above, below), (u, h) with h > 0 at above and a
-    finite h < 0 at below, or one probe with |h| <= f_tol as both. Each step
-    goes to the root of the secant through the last two probes once both lie
-    on the same side, else to the root of the line of the given slope through
-    the last probe; it is lengthened by the factor overshoot and clamped to
-    [min_step, 16]. It never steps up past the midpoint to u_hi,
-    and a probe with h = -inf (zero mean power) is only ever a bracket end:
-    the walk bisects toward the other end until both ends have finite h.
-    Raises NumericsError when it finds no bracket.
-    """
-    above = below = last = None
-    for _ in range(60):
-        h = log_ratio(u)
-        probe = (u, h)
-        if abs(h) <= f_tol:
-            return probe, probe
-        if h > 0.0:
-            above = probe
-        else:
-            below = probe
-        if above is not None and below is not None:
-            if below[1] > -math.inf:
-                return above, below
-            u = 0.5 * (above[0] + below[0])
-        elif h == -math.inf:
-            u -= 4.0
-        else:
-            same_side = (last is not None and math.isfinite(last[1])
-                         and (last[1] > 0.0) == (h > 0.0) and last[1] != h)
-            step = h * (u - last[0]) / (last[1] - h) if same_side else -h / slope
-            u += math.copysign(min(max(overshoot * abs(step), min_step), 16.0), step)
-            if h > 0.0:
-                u = min(u, 0.5 * (probe[0] + u_hi))
-            elif u < _U_MIN:
-                break
-        last = probe
-    raise NumericsError("could not bracket the power calibration")
+# probes per calibration stage: room for a 60-probe walk to a bracket and
+# max_iter more within it
+_WALK_PROBES = 60
 
 
 def calibrate(
@@ -275,37 +179,44 @@ def calibrate(
     at lam = exp(u_hi). The root is found in u = ln(lam) on
     h(u) = ln(mean_power/budget), which is close to linear: its slope runs
     from about -1/(beta+1) at high SNR to below -1 at low SNR. A stage is one
-    bracket walk (_walk) and, unless the walk lands within f_tol, Brent
-    (_brent) on the bracket, to f_tol = log1p(power_rel_tol) shrunk slightly
-    so that |mean_power - budget| <= power_rel_tol * budget at the returned
-    lam.
+    loop of probes, each stepping to the root of the secant through the last
+    two finite probes (of the line of the stage's start slope while there
+    are fewer). Until probes on both sides of the budget bracket the root,
+    steps are lengthened and clamped as below and never go up past the
+    midpoint to u_hi, and a probe with zero mean power (h = -inf) steps down
+    by 4. Once bracketed, a step that would leave the bracket, or any step
+    while its lower end has h = -inf, goes to the midpoint. The stage stops
+    at |h| <= f_tol, with f_tol = log1p(power_rel_tol) shrunk slightly so
+    that |mean_power - budget| <= power_rel_tol * budget at the returned lam,
+    or, once the bracket is narrower than root_tol * max(1, |u|), at its end
+    with the smaller |h|.
 
     coarse_powers is a ladder of cheap approximations of mean_power, cheapest
     first, such as the mean power on coarse rungs of its quadrature. Each
     coarse evaluator gets a stage solved to f_tol/8, and mean_power a last
-    stage to f_tol. The first stage walks cold: it starts at u_hi - 4 with
-    unit slope and lengthens each step by a quarter, to at least 0.5, so that
-    it crosses the root. Each later stage starts at the root of the last
-    stage that succeeded and accepts its first probe when that lies within
-    its tolerance; otherwise its walk aims at the root: it steps along the
-    secant of the previous stage's bracket, neither lengthened nor clamped
-    from below. A coarse stage that raises NumericsError is skipped, so the
-    next stage starts where the last successful one ended, or cold if none
-    did.
+    stage to f_tol. The first stage starts cold: at u_hi - 4 with unit slope,
+    each step lengthened by a quarter and clamped to [0.5, 16], so that it
+    crosses the root. Each later stage starts at the root of the last stage
+    that succeeded, with the slope of that stage's last secant step, and
+    accepts its first probe when that lies within its tolerance; its steps
+    are neither lengthened nor clamped from below. A coarse stage that raises
+    NumericsError is skipped, so the next stage starts where the last
+    successful one ended, or cold if none did.
 
     No u is evaluated twice by one evaluator, and the residual
     |mean_power - budget| is the one already evaluated at the returned lam.
     The mean power only needs to sit ~50x below that target, so every
     evaluator is called with quad_rel_tol relaxed to 0.02 * power_rel_tol.
-    On the benchmark and acceptance configurations one evaluator takes 4-6
+    On the benchmark and acceptance configurations one evaluator takes 5-6
     evaluations per calibration. With the solvers' ladder (the 2- and
-    8-panel rungs) the cold walk takes 5-7 evaluations on 2 panels, the
+    8-panel rungs) the cold stage takes 5-7 evaluations on 2 panels, the
     8-panel stage 1-3, and mean_power is evaluated once; where the 8-panel
     rung misses the refined mean power by more than f_tol, as on some rows
     of the realistic range, twice. Returns (lam, residual), or
-    (math.inf, 0.0) for a zero budget; raises NumericsError on a NaN mean
-    power, when the walk finds no bracket, or when the residual misses its
-    target.
+    (math.inf, 0.0) for a zero budget. Raises NumericsError on a NaN mean
+    power, after 60 + max_iter probes of a stage (with the nearer bracket
+    end as best), or when the residual misses its target, and BracketError
+    when the last stage finds no bracket.
     """
     if budget == 0.0:
         return math.inf, 0.0
@@ -314,8 +225,8 @@ def calibrate(
     f_tol = _CALIBRATION_SHRINK * math.log1p(tol.power_rel_tol)
 
     def solve(power, start, stage_tol):
-        """One stage from start, (u, slope) or None for a cold walk:
-        (root, spent power by u, slope of the walk's bracket)."""
+        """One stage from start, (u, slope) or None for a cold start:
+        (root, spent power by u, last secant slope)."""
         spent = {}
 
         def log_ratio(u: float) -> float:
@@ -329,11 +240,39 @@ def calibrate(
             u, slope, overshoot, min_step = u_hi - 4.0, -1.0, 1.25, 0.5
         else:
             (u, slope), overshoot, min_step = start, 1.0, 0.0
-        above, below = _walk(log_ratio, u, u_hi, stage_tol, slope, overshoot, min_step)
-        if above is below:
-            return above[0], spent, slope
-        u, _ = _brent(log_ratio, *above, *below, tol, stage_tol)
-        return u, spent, (above[1] - below[1]) / (above[0] - below[0])
+        above = below = last = None
+        for _ in range(_WALK_PROBES + tol.max_iter):
+            h = log_ratio(u)
+            if abs(h) <= stage_tol:
+                return u, spent, slope
+            if math.isfinite(h):
+                if last is not None and h != last[1]:
+                    slope = (h - last[1]) / (u - last[0])
+                last = u, h
+            if h > 0.0:
+                above = u, h
+            else:
+                below = u, h
+            if above is not None and below is not None:
+                nearer = min(above, below, key=lambda p: abs(p[1]))[0]
+                if below[0] - above[0] <= tol.root_tol * max(1.0, abs(u)):
+                    return nearer, spent, slope
+                u -= h / slope
+                if below[1] == -math.inf or not above[0] < u < below[0]:
+                    u = 0.5 * (above[0] + below[0])
+            elif h == -math.inf:
+                u -= 4.0
+            else:
+                step = -h / slope
+                u += math.copysign(min(max(overshoot * abs(step), min_step), 16.0), step)
+                if h > 0.0:
+                    u = min(u, 0.5 * (last[0] + u_hi))
+                elif u < _U_MIN:
+                    break
+        if above is None or below is None:
+            raise BracketError("could not bracket the power calibration")
+        raise NumericsError(f"power calibration not converged in {_WALK_PROBES + tol.max_iter} "
+                            "probes", best=math.exp(nearer))
 
     start = None
     for power in coarse_powers:

@@ -11,12 +11,12 @@ then its z_e from a stream of its own, default_rng(SeedSequence(seed,
 spawn_key=(j,))), which is SeedSequence(seed).spawn(n)[j], and writes its
 service straight into its part of the queue array. The slices go to a
 thread pool of up to _MAX_WORKERS threads, one per CPU the process may use
-(inline, with no thread, on one CPU). numpy releases the interpreter lock
-inside the generator's draws and the ufuncs of the power kernel and of the
-main-CSI table lookup, so the slices run in parallel, while the calling
-thread takes the slices already served, in order: it adds each slice's
-service to the run's sum, turns it into arrival minus service in place and
-runs the Lindley recursion on it. The recursion carries its running sum and
+(one thread on one CPU). numpy releases the interpreter lock inside the
+generator's draws and the ufuncs of the power kernel and of the main-CSI
+table lookup, so the slices run in parallel, while the calling thread
+takes the slices already served, in order: it adds each slice's service
+to the run's sum, turns it into arrival minus service in place and runs
+the Lindley recursion on it. The recursion carries its running sum and
 minimum from slice to slice across the whole run, so no temporary of the
 run's size is made. The output is a function of (seed, _SLICE) alone and
 bitwise the same whatever the CPU count: each slice's draws come from its
@@ -26,12 +26,11 @@ are read from the sorted body by np.quantile's own linear rule, so they are
 bitwise np.quantile's.
 """
 
-import contextlib
 import math
 import os
 import warnings
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +42,6 @@ _MIN_FRAMES = 100_000
 # which glibc keeps in a per-thread arena, add little to the peak RSS
 _SLICE = 1 << 16
 _MAX_WORKERS = 4
-# slices the caller keeps queued per worker before it waits on the oldest
-_AHEAD = 2
 
 
 class InstabilityWarning(UserWarning):
@@ -72,11 +69,11 @@ class TailHistogram:
             raise ValidationError("exceedance probabilities must lie in [0,1], non-increasing")
 
 
-def lindley_queue(increments: np.ndarray, q0: float = 0.0,
-                  carry: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Queue lengths after each arrival-minus-service increment, from Q[0] = q0.
+def lindley_queue(increments: np.ndarray, carry: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Queue lengths after each arrival-minus-service increment, from an empty queue.
 
-    Uses the reflection identity Q[n] = max(q0 + S[n], S[n] - min_{j<=n} S[j])
+    Uses the reflection identity Q[n] = max(S[n], S[n] - min_{j<=n} S[j])
     so the recursion vectorizes; exact for the per-frame Lindley dynamics.
 
     To run one recursion block by block, pass carry, a float array holding S
@@ -98,7 +95,6 @@ def lindley_queue(increments: np.ndarray, q0: float = 0.0,
         np.minimum(run_min, carry[1], out=run_min)
         carry[:] = s[-1], run_min[-1]
     np.subtract(s, run_min, out=run_min)
-    s += q0
     return np.maximum(s, run_min, out=s)
 
 
@@ -135,28 +131,18 @@ def simulate_queue(
         raise ValidationError("arrival must be nonnegative")
 
     bits_per_rate = qos.frame_t * qos.bandwidth_b
-    workers = _worker_count()
-    task = (policy, law_m, law_e, link.gamma, bits_per_rate, int(seed))
-
     queue = np.empty(frames)
     service_sum = 0.0
     carry = np.array([-0.0, np.inf])
-    slices = [slice(s, s + _SLICE) for s in range(0, frames, _SLICE)]
-    with contextlib.ExitStack() as stack:
-        submit, ahead = _run_inline, 0
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(workers)
-            # on an error, drop the slices not yet started, then wait for the rest
-            stack.callback(pool.shutdown, cancel_futures=True)
-            submit, ahead = (lambda *args: pool.submit(*args).result), _AHEAD * workers
-        waits = deque()
-        for j, sl in enumerate(slices):
-            # keep slices j to j + ahead submitted, each to write its service into its queue slice
-            for k in range(j + len(waits), min(j + ahead + 1, len(slices))):
-                waits.append(submit(_service_slice, *task, k, queue[slices[k]]))
-            waits.popleft()()  # wait for slice j; raises its error, if any
-            q = queue[sl]
+    # imported here, not with the package: the sweeps never simulate a queue
+    from concurrent.futures import ThreadPoolExecutor
+
+    serve = partial(_service_slice, policy, law_m, law_e, link.gamma, bits_per_rate, int(seed),
+                    queue)
+    # map yields the slices in order and, on a slice's error, cancels the
+    # slices not yet started; leaving the pool then waits for the rest
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        for q in pool.map(serve, range(-(-frames // _SLICE))):
             service_sum += float(q.sum())
             np.subtract(arrival_bits_per_frame, q, out=q)
             lindley_queue(q, carry=carry, out=q)
@@ -189,21 +175,17 @@ def simulate_queue(
 
 
 def _service_slice(policy: PowerPolicy, law_m: FadingLaw, law_e: FadingLaw, gamma: float,
-                   bits_per_rate: float, seed: int, j: int, service: np.ndarray) -> None:
-    """Draw slice j's states from its own stream and write their service into service."""
+                   bits_per_rate: float, seed: int, queue: np.ndarray, j: int) -> np.ndarray:
+    """Draw slice j's states from its own stream, write their service into
+    slice j of queue and return that slice."""
+    service = queue[j * _SLICE:(j + 1) * _SLICE]
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
     zm = law_m.sample(rng, service.size)
     ze = law_e.sample(rng, service.size)
     mu = policy.state_power(zm, ze) if policy.csi_mode == "full" else policy.state_power(zm)
     rate = np.log2(1.0 + mu * zm) - np.log2(1.0 + gamma * mu * ze)
     np.maximum(rate, 0.0, out=rate)
-    np.multiply(bits_per_rate, rate, out=service)
-
-
-def _run_inline(fn, *args):
-    """Run fn(*args) on the calling thread; return a wait with nothing left to do."""
-    fn(*args)
-    return lambda: None
+    return np.multiply(bits_per_rate, rate, out=service)
 
 
 def _worker_count() -> int:

@@ -8,15 +8,10 @@ import pytest
 from secthru import BracketError, NumericsError, QuadratureError, Tolerances
 from secthru._region import CALIBRATION_RUNGS
 from secthru.full_csi import kkt_lhs_full
-from secthru.numerics import (FIRST_RUNG, _brent, calibrate, graded_nodes, panel_nodes,
+from secthru.numerics import (FIRST_RUNG, calibrate, graded_nodes, panel_nodes,
                               refine_panels)
 
 TOL = Tolerances()
-
-
-def find_root(f, lo, hi, tol, f_tol=0.0):
-    """_brent on [lo, hi], both ends evaluated here."""
-    return _brent(f, lo, float(f(lo)), hi, float(f(hi)), tol, f_tol)[0]
 
 
 def integrate(f, lo, hi, tol=TOL, floor=0.0, start_panels=FIRST_RUNG):
@@ -37,50 +32,92 @@ def integrate_density(g, law, tol=TOL, lo=0.0, hi=None, start_panels=FIRST_RUNG)
     return integrate(lambda z: g(z) * law.density(z), lo, hi, tol, start_panels=start_panels)
 
 
+# the upper end of the search as the solvers set it: ln of the Exp(1) tail cutoff
+U_HI = math.log(-math.log(1e-12))
+
+
+def calibrate_seen(power, budget, tol=TOL, u_hi=U_HI, ladder=()):
+    """calibrate on mean_power(lam) = power(lam): its result and the
+    multipliers the mean power saw; ladder holds the coarse evaluators
+    coarse(lam), cheapest first."""
+    seen = []
+
+    def mean_power(lam, tol):
+        seen.append(lam)
+        return power(lam)
+
+    return calibrate(mean_power, budget, u_hi, tol,
+                     [lambda lam, tol, c=c: c(lam) for c in ladder]), seen
+
+
+def jump(lam):
+    """A mean power that falls from 1.1 to 0.99 at lam = 0.5: against a unit
+    budget, no probe comes within f_tol of it."""
+    return 1.1 if lam < 0.5 else 0.99
+
+
 class TestBisectRoot:
-    """_brent: Brent's method, safeguarded by bisection, on a sign-checked bracket."""
+    """One calibration stage's root search: secant steps, and the midpoint
+    of the bracket where a step would leave it."""
 
     def test_linear(self):
-        assert find_root(lambda x: x - 1.0, 0.0, 2.0, TOL) == pytest.approx(1.0, abs=1e-11)
+        # h = ln(P/budget) linear in ln(lam), slope -1/2: the cold steps,
+        # lengthened by a quarter, cross the root at the third probe, and
+        # the secant through two probes lands on it at the fourth
+        (lam, _), seen = calibrate_seen(lambda lam: 3.0 / math.sqrt(lam), 1.0)
+        assert seen[1] < 9.0 < seen[2]
+        assert lam == seen[3] == pytest.approx(9.0, rel=1e-12)
+        assert len(seen) == 4
 
     def test_sqrt3(self):
-        root = find_root(lambda x: x * x - 3.0, 0.0, 2.0, TOL)
-        assert root == pytest.approx(math.sqrt(3.0), abs=1e-11)
+        # the log power is not linear in ln(lam), and from lam = sqrt(12) up
+        # to exp(u_hi) the power is negative, read as h = -inf
+        (lam, _), _ = calibrate_seen(lambda lam: 4.0 / lam ** 2 - 1.0 / 3.0, 1.0)
+        assert lam == pytest.approx(math.sqrt(3.0), rel=TOL.power_rel_tol)
 
     def test_stationarity_residual_beta1(self, link):
-        # at beta=1 the optimality condition reduces to a closed form
-        f = lambda mu: float(kkt_lhs_full(mu, 2.0, 0.5, 1.0, 1.0)) - 0.5
-        root = find_root(f, 0.0, 2.0, TOL)
-        assert root == pytest.approx((math.sqrt(3.0) - 1.0) / 2.0, abs=1e-10)
+        # at beta=1 the optimality condition reduces to 1.5/(1 + 2 mu)^2, a
+        # decreasing function of mu read here as a mean power in lam = mu
+        power = lambda mu: float(kkt_lhs_full(mu, 2.0, 0.5, 1.0, 1.0))
+        (mu, _), _ = calibrate_seen(power, 0.5)
+        assert mu == pytest.approx((math.sqrt(3.0) - 1.0) / 2.0, rel=2 * TOL.power_rel_tol)
 
     def test_result_bracketed_and_sign_checked(self):
-        f = lambda x: math.cos(x)
-        root = find_root(f, 1.0, 2.0, TOL)
-        assert 1.0 <= root <= 2.0
-        assert f(root - 1e-6) > 0 > f(root + 1e-6)
+        # no probe of jump comes within f_tol, so the stage narrows its
+        # bracket to root_tol and returns the end with the smaller |h|, the
+        # one at 0.99; its residual misses the target
+        with pytest.raises(NumericsError, match="residual") as err:
+            calibrate_seen(jump, 1.0)
+        assert 0.0 <= math.log(err.value.best / 0.5) <= TOL.root_tol
 
     def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0, TOL)
+        # the mean power stays above the budget up to exp(u_hi)
+        with pytest.raises(BracketError, match="could not bracket"):
+            calibrate_seen(lambda lam: 2.0 + 1.0 / lam, 1.0, u_hi=0.0)
 
     def test_nan_rejected(self):
-        with pytest.raises(NumericsError):
-            find_root(lambda x: math.nan, 0.0, 1.0, TOL)
+        # the coarse stage solves, the refined stage's first probe is NaN
+        with pytest.raises(NumericsError, match="NaN"):
+            calibrate_seen(lambda lam: math.nan, 1.0, ladder=[lambda lam: 2.5 / lam])
 
     def test_iteration_cap_raises_with_best_in_bracket(self):
-        # the root of a 10th-root cusp defeats interpolation: 3 steps cannot finish
-        f = lambda x: math.copysign(abs(x - 0.3) ** 0.1, x - 0.3)
+        # a root_tol below the float spacing leaves the bracket of jump too
+        # wide to stop, so the stage runs to its 60 + max_iter probes
         with pytest.raises(NumericsError, match="not converged") as err:
-            find_root(f, 0.0, 1.0, Tolerances(max_iter=3))
-        assert 0.0 < err.value.best < 1.0
+            calibrate_seen(jump, 1.0, Tolerances(root_tol=1e-300, max_iter=3))
+        assert 0.5 <= err.value.best <= 0.5 * (1.0 + 1e-15)
 
     def test_f_tol_exit(self):
-        calls = []
-        def f(x):
-            calls.append(x)
-            return x - 0.3
-        find_root(f, 0.0, 1.0, TOL, f_tol=1e-3)
-        assert len(calls) < 15  # coarse residual target exits early
+        # the stage stops at the first probe within f_tol: fewer probes for
+        # a looser power_rel_tol, and the last probe is the root
+        power = lambda lam: math.exp(-lam) / lam ** 2
+        counts = []
+        for power_rel_tol in (1e-2, 1e-10):
+            (lam, residual), seen = calibrate_seen(power, 1.0, Tolerances(power_rel_tol=power_rel_tol))
+            assert lam == seen[-1]
+            assert residual <= power_rel_tol
+            counts.append(len(seen))
+        assert counts[0] < counts[1]
 
 
 class TestCalibrate:
@@ -102,22 +139,10 @@ class TestCalibrate:
         assert len(seen) <= 3  # ln(P/budget) is linear in ln(lam): one probe past the root
         assert len(set(seen)) == len(seen)  # no multiplier evaluated twice
 
-    # the upper end of the walk as the solvers set it: ln of the Exp(1) tail cutoff
-    U_HI = math.log(-math.log(1e-12))
-
     @staticmethod
     def _calibrate_counted(power, budget, u_hi, ladder=()):
-        """lam and the multipliers mean_power saw; ladder holds the coarse
-        evaluators coarse(lam), cheapest first.
-        """
-        seen = []
-
-        def mean_power(lam, tol):
-            seen.append(lam)
-            return power(lam)
-
-        lam, residual = calibrate(mean_power, budget, u_hi, TOL,
-                                  [lambda lam, tol, c=c: c(lam) for c in ladder])
+        """calibrate_seen's lam and multipliers, with the residual checked."""
+        (lam, residual), seen = calibrate_seen(power, budget, TOL, u_hi, ladder)
         assert residual <= TOL.power_rel_tol * budget
         assert residual == abs(power(lam) - budget)
         assert len(set(seen)) == len(seen)
@@ -128,7 +153,7 @@ class TestCalibrate:
         # the shape at beta = 29 and high SNR: slope -1/30 in ln(lam), root
         # down to lam = 1e-12
         c = math.exp(u_root / 30.0)
-        lam, seen = self._calibrate_counted(lambda lam: c * lam ** (-1.0 / 30.0), 1.0, self.U_HI)
+        lam, seen = self._calibrate_counted(lambda lam: c * lam ** (-1.0 / 30.0), 1.0, U_HI)
         assert math.log(lam) == pytest.approx(u_root, abs=30.0 * TOL.power_rel_tol)
         assert len(seen) <= 7
 
@@ -137,14 +162,14 @@ class TestCalibrate:
         # the low-SNR shape: the power dies off like exp(-lam); the two
         # smallest budgets put the root above the walk's first probe
         lam, seen = self._calibrate_counted(lambda lam: math.exp(-lam) / lam ** 2, budget,
-                                            self.U_HI)
+                                            U_HI)
         assert len(seen) <= 7
 
     @pytest.mark.parametrize("budget", [0.05, 0.5])
     def test_zero_power_at_the_upper_end(self, budget):
         # zero mean power from lam = 0.05 up to exp(u_hi) = 1, and a root above
-        # the first probe at exp(-4): zero-power probes end the bracket but
-        # never reach Brent as -inf or NaN
+        # the first probe at exp(-4): zero-power probes end the bracket, and
+        # the stage bisects until both ends have a finite log
         lam, _ = self._calibrate_counted(lambda lam: max(0.0, 1.0 - 20.0 * lam), budget, 0.0)
         assert lam == pytest.approx((1.0 - budget) / 20.0, rel=2 * TOL.power_rel_tol)
         assert lam > math.exp(-4.0)
@@ -163,7 +188,7 @@ class TestCalibrate:
         # a coarse evaluator within eps of the mean power, as the first
         # quadrature rung is (2e-7 on the benchmark configurations)
         power, budget, _ = self.SHAPES[shape]
-        _, seen = self._calibrate_counted(power, budget, self.U_HI,
+        _, seen = self._calibrate_counted(power, budget, U_HI,
                                           ladder=[lambda lam: power(lam) * (1.0 + eps)])
         assert len(seen) <= 2
 
@@ -173,7 +198,7 @@ class TestCalibrate:
         # two coarse evaluators within eps of the mean power, one on each side
         power, budget, _ = self.SHAPES[shape]
         ladder = [lambda lam: power(lam) * (1.0 - eps), lambda lam: power(lam) * (1.0 + eps)]
-        _, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=ladder)
+        _, seen = self._calibrate_counted(power, budget, U_HI, ladder=ladder)
         assert len(seen) <= 2
 
     @pytest.mark.parametrize("kind", ["nan", "raises", "10x", "0.1x"])
@@ -188,7 +213,7 @@ class TestCalibrate:
 
         coarse = {"nan": lambda lam: math.nan, "raises": raises,
                   "10x": lambda lam: 10.0 * power(lam), "0.1x": lambda lam: 0.1 * power(lam)}
-        lam, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=[coarse[kind]])
+        lam, seen = self._calibrate_counted(power, budget, U_HI, ladder=[coarse[kind]])
         if u_root is not None:
             assert math.log(lam) == pytest.approx(u_root, abs=30.0 * TOL.power_rel_tol)
         assert len(seen) <= 7  # no more than a cold start takes
@@ -206,7 +231,7 @@ class TestCalibrate:
 
         ladder = [{"nan": lambda lam: math.nan, "raises": raises}[kind],
                   lambda lam: power(lam) * (1.0 + 1e-7)]
-        lam, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=ladder)
+        lam, seen = self._calibrate_counted(power, budget, U_HI, ladder=ladder)
         if u_root is not None:
             assert math.log(lam) == pytest.approx(u_root, abs=30.0 * TOL.power_rel_tol)
         assert len(seen) <= 2
@@ -226,15 +251,47 @@ class TestCalibrate:
             failures.append(lam)
             raise QuadratureError("not converged")
 
-        _, alone = self._calibrate_counted(power, budget, self.U_HI, ladder=[first])
+        _, alone = self._calibrate_counted(power, budget, U_HI, ladder=[first])
         first_alone = list(first_seen)
         first_seen.clear()
-        _, seen = self._calibrate_counted(power, budget, self.U_HI, ladder=[first, second])
+        _, seen = self._calibrate_counted(power, budget, U_HI, ladder=[first, second])
         assert len(failures) == 1
         assert first_seen == first_alone
         assert failures[0] in first_seen  # the second stage started at the first root
         assert seen == alone
         assert seen[0] == failures[0]
+
+    def test_next_stage_starts_with_the_last_secant_slope(self):
+        # the coarse stage brackets the root and accepts a probe reached by a
+        # secant step; the refined power is 0.1% off, so the refined stage's
+        # first probe, at the coarse root, misses and its second follows the
+        # slope handed on: that of the secant the coarse stage stepped along
+        power = lambda lam: math.exp(-lam) / lam ** 2
+        coarse_seen = []
+
+        def coarse(lam):
+            coarse_seen.append(lam)
+            return power(lam)
+
+        _, seen = self._calibrate_counted(lambda lam: 1.001 * power(lam), 1.0, U_HI,
+                                          ladder=[coarse])
+        u = [math.log(lam) for lam in coarse_seen]
+        h = [math.log(power(lam)) for lam in coarse_seen]
+        assert h[-3] > 0.0 > h[-2]  # that secant crossed the root
+        assert seen[0] == coarse_seen[-1]
+        h_root = math.log(1.001 * power(seen[0]))
+
+        def second_probe(slope):
+            return u[-1] - h_root / slope
+
+        secant = (h[-2] - h[-3]) / (u[-2] - u[-3])
+        assert math.log(seen[1]) == pytest.approx(second_probe(secant), abs=1e-12)
+        above = max((p for p in zip(u, h) if p[1] > 0.0), key=lambda p: p[0])
+        below = min((p for p in zip(u, h) if p[1] < 0.0), key=lambda p: p[0])
+        others = [-1.0, (h[-1] - h[-2]) / (u[-1] - u[-2]),
+                  (above[1] - below[1]) / (above[0] - below[0])]
+        for slope in others:  # the start slope, the secant to the accepted probe, the bracket's
+            assert abs(second_probe(slope) - second_probe(secant)) > 1e-8
 
     @pytest.fixture(scope="class")
     def bench_counts(self):
@@ -264,11 +321,11 @@ class TestCalibrate:
 
     def test_nan_in_the_walk(self):
         with pytest.raises(NumericsError, match="NaN"):
-            calibrate(lambda lam, tol: math.nan, 1.0, self.U_HI, TOL)
+            calibrate(lambda lam, tol: math.nan, 1.0, U_HI, TOL)
 
-    def test_nan_in_brent(self):
-        # c/lam until both sides of the root are seen, then NaN: the walk
-        # brackets and Brent's first step hits the NaN
+    def test_nan_inside_the_bracket(self):
+        # c/lam until both sides of the root are seen, then NaN: the stage
+        # brackets and its first step inside the bracket hits the NaN
         sides = set()
 
         def mean_power(lam, tol):
@@ -279,11 +336,11 @@ class TestCalibrate:
             return power
 
         with pytest.raises(NumericsError, match="NaN"):
-            calibrate(mean_power, 1.0, self.U_HI, TOL)
+            calibrate(mean_power, 1.0, U_HI, TOL)
         assert len(sides) == 2
 
     def test_mean_power_below_budget_everywhere(self):
-        with pytest.raises(NumericsError, match="could not bracket"):
+        with pytest.raises(BracketError, match="could not bracket"):
             calibrate(lambda lam, tol: 1.0 / (1.0 + lam), 5.0, 0.0, TOL)
 
     def test_zero_budget(self):

@@ -87,20 +87,16 @@ class TestLindley:
         x = np.zeros(1000)
         assert np.all(lindley_queue(x) == 0.0)
 
-    def test_carries_initial_state(self):
-        x = np.array([-1.0, 2.0, -0.5])
-        assert np.allclose(lindley_queue(x, q0=3.0), [2.0, 4.0, 3.5])
-
     def test_carried_blocks_are_bitwise_one_call(self):
         rng = np.random.default_rng(8)
         x = rng.normal(-0.1, 1.0, 10_000)
-        whole = lindley_queue(x, q0=2.5)
+        whole = lindley_queue(x)
         bounds = ((0, 1), (1, 4000), (4000, 10_000))
         carry = np.array([-0.0, np.inf])
-        copied = np.concatenate([lindley_queue(x[a:b], 2.5, carry) for a, b in bounds])
+        copied = np.concatenate([lindley_queue(x[a:b], carry) for a, b in bounds])
         in_place, carry = x.copy(), np.array([-0.0, np.inf])
         for a, b in bounds:
-            lindley_queue(in_place[a:b], 2.5, carry, out=in_place[a:b])
+            lindley_queue(in_place[a:b], carry, out=in_place[a:b])
         assert np.array_equal(copied.view(np.int64), whole.view(np.int64))
         assert np.array_equal(in_place.view(np.int64), whole.view(np.int64))
 
@@ -177,8 +173,7 @@ class TestParallelService:
         assert type(excinfo.value) is NumericsError
         assert excinfo.value.best is best
         assert threading.active_count() == threads
-        if workers == 1:  # inline: no thread started
-            assert callers == {threading.get_ident()}
+        assert threading.get_ident() not in callers  # pool threads serve, one worker too
 
     def test_failing_first_slice_drops_the_slices_not_started(self, calibrated, monkeypatch):
         _, qos, link, law, arrival = calibrated

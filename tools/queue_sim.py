@@ -17,7 +17,8 @@ the caller waits for:
 - tail: from the end of the last recursion to the return (the sort, the
   threshold quantiles and the exceedance counts);
 - wait: the rest, mostly the caller's wait for the workers' draws and
-  service (all of their time when the slices run inline, on one CPU), and
+  service (most of their time on one CPU, where one worker thread draws
+  and serves while the caller waits), and
   the caller's per-slice service sum and arrival-minus-service.
 
 Each (mode, frames) entry also holds the medians over its seeds. The record
