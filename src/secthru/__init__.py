@@ -14,7 +14,6 @@ from .model import (
     PowerPolicy,
     QosSpec,
     Solution,
-    ThroughputResult,
     ValidationError,
     make_qos,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "QuadratureError",
     "Solution",
     "TailHistogram",
-    "ThroughputResult",
     "Tolerances",
     "ValidationError",
     "build_policy_full",

@@ -9,8 +9,7 @@ solve's node powers (NodePowers), the rung quadrature that refines both
 dimensions of a region rule together through numerics.refine_panels
 (quadrature), and one solve (solve): the calibration of the multiplier, the
 throughput readout (throughput_readout) and the Solution record. Only the
-readout and the reported multiplier (reported_lam) depend on whether beta
-is 0.
+readout depends on whether beta is 0.
 """
 
 import math
@@ -18,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import LN2, Solution, ThroughputResult
+from .model import LN2, Solution
 from .numerics import (
     FIRST_RUNG,
     NumericsError,
@@ -27,13 +26,6 @@ from .numerics import (
     calibrate,
     refine_panels,
 )
-
-
-def reported_lam(beta: float, nu: float) -> float:
-    """The multiplier results report for normalized multiplier nu: lam = beta*nu,
-    or at beta = 0 the rate multiplier nu itself (nats per unit power).
-    """
-    return beta * nu if beta > 0.0 else nu
 
 
 def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
@@ -103,16 +95,9 @@ def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solu
                              [at_panels(n) for n in CALIBRATION_RUNGS])
     threshold, expectation, build_state_power = policy_at(nu, nodes)
     value, quad_error = throughput_readout(beta, link.gamma, expectation)
-    throughput = ThroughputResult(
-        throughput_bits_s_hz=value,
-        throughput_bits_s=value * qos.bandwidth_b,
-        lam=reported_lam(beta, nu),
-        power_residual=residual,
-        quad_error=quad_error,
-        theta=qos.theta,
-    )
     return Solution(csi_mode=csi_mode, beta=beta, nu=nu, threshold=threshold,
-                    throughput=throughput, build_state_power=build_state_power)
+                    throughput_bits_s_hz=value, power_residual=residual, quad_error=quad_error,
+                    build_state_power=build_state_power)
 
 
 # lane-terms solved together: the kernel's temporaries stay near a megabyte

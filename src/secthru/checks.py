@@ -159,7 +159,7 @@ def _solved(cfg, mode, theta, snr_db):
 
 def _rate(cfg, mode, theta, snr_db):
     """Throughput in bits/s/Hz of one row of cfg (_solved)."""
-    return _solved(cfg, mode, theta, snr_db).throughput.throughput_bits_s_hz
+    return _solved(cfg, mode, theta, snr_db).throughput_bits_s_hz
 
 
 def kkt_residual_full(cfg):
@@ -282,7 +282,7 @@ def calibration(cfg):
         configs += 1
         sol = _solved(cfg, mode, theta, db)
         spent = _MEAN_POWER[mode](sol.nu, sol.beta, link, law_m, law_e, tol)
-        worst_reported = max(worst_reported, sol.throughput.power_residual / link.avg_snr)
+        worst_reported = max(worst_reported, sol.power_residual / link.avg_snr)
         worst_full_tol = max(worst_full_tol, abs(spent - link.avg_snr) / link.avg_snr)
     ok = worst_reported <= 1e-4 and worst_full_tol <= 1e-4
     return ok, (f"worst relative residual {worst_reported:.3e} reported, "
@@ -361,7 +361,7 @@ def degenerate_limits(cfg):
     zero_full = _rate(cfg, "full", 0.01, -math.inf)
     zero_main = _rate(cfg, "main", 0.01, -math.inf)
     # a configuration of its own, solved once here, outside the memo of cfg
-    eve = replace(cfg, gamma=1e6).solve("full", 0.01, cfg.snr_db[0]).throughput.throughput_bits_s_hz
+    eve = replace(cfg, gamma=1e6).solve("full", 0.01, cfg.snr_db[0]).throughput_bits_s_hz
     ok = zero_full == 0.0 and zero_main == 0.0 and eve <= 1e-3
     return ok, f"snr=0 -> ({zero_full}, {zero_main}); gamma=1e6 -> {eve:.3e}"
 
@@ -373,7 +373,7 @@ def queue_decay(cfg):
     qos = cfg.qos(0.01)
     sol = _solved(cfg, "full", 0.01, cfg.snr_db[0])
     policy = sol.policy()
-    arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+    arrival = sol.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
     estimates = []
     for k in range(8):
         hist = queuesim.simulate_queue(policy, qos, link, law_m, law_e, arrival, cfg.frames,

@@ -190,8 +190,8 @@ def _sweep(cfg: RunConfig, snr_values: tuple, snr_column: bool) -> int:
             for snr_db in snr_values:
                 row = [theta, beta, mode] + ([snr_db] if snr_column else [])
                 try:
-                    res = cfg.solve(mode, theta, snr_db).throughput
-                    row += [res.throughput_bits_s_hz, res.lam, res.power_residual, ""]
+                    sol = cfg.solve(mode, theta, snr_db)
+                    row += [sol.throughput_bits_s_hz, sol.lam, sol.power_residual, ""]
                 except NumericsError as exc:
                     failed = True
                     row += ["", "", "", str(exc)]

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._region import BLOCK_TERMS, NodePowers, node_powers, power_lanes, quadrature, solve
 from .model import (SERIES_BELOW, FadingLaw, LinkBudget, PowerPolicy, QosSpec, Solution,
-                    ThroughputResult, ValidationError, excess_series)
+                    ValidationError, excess_series)
 from .numerics import DEFAULT_TOL, NumericsError, QuadResult, Tolerances, graded_nodes, panel_nodes
 
 
@@ -105,7 +105,7 @@ def main_power(zm, panels, beta, nu, gamma, law_e, tol):
     density-times-jacobian weights, and the u weights, so that
     (f(z_e) * wpe) @ wu integrates f against p_E over each gain's region.
     """
-    u, wu = panel_nodes(0.0, 1.0, panels)
+    u, wu = panel_nodes(panels)
     span = zm / gamma
     ze = (u * u)[None, :] * span[:, None]
     wpe = law_e.density(ze) * span[:, None] * 2.0 * u[None, :]
@@ -156,7 +156,7 @@ def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     anchor = max(alpha, zm_hi * 1e-14)
     # the inner grid is built one kernel block at a time, never for the whole table
-    step = max(1, BLOCK_TERMS // panel_nodes(0.0, 1.0, TABLE_INNER_PANELS)[0].size)
+    step = max(1, BLOCK_TERMS // panel_nodes(TABLE_INNER_PANELS)[0].size)
 
     def solve(z):
         return np.concatenate([fixed_rule_power(zc, beta, nu, gamma, law_e, tol,
@@ -338,10 +338,7 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
     return solve("main", mean_power_main, policy_at, qos, link, law_m, law_e, tol)
 
 
-def throughput_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
-                    tol: Tolerances = DEFAULT_TOL) -> ThroughputResult:
-    """Effective secure throughput under the calibrated main-CSI policy (solve_main)."""
-    return solve_main(qos, link, law_m, law_e, tol).throughput
+throughput_main = solve_main  # the name the benchmark calls the solve by
 
 
 def build_policy_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,

@@ -76,7 +76,6 @@ class QosSpec:
     theta: float
     frame_t: float
     bandwidth_b: float
-    beta: float
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and self.theta >= 0):
@@ -87,20 +86,15 @@ class QosSpec:
             raise ValidationError("bandwidth_b must be positive and finite")
         if not math.isfinite(self.beta):  # theta * frame_t * bandwidth_b can overflow
             raise ValidationError("beta must be finite")
-        expected = self.theta * self.frame_t * self.bandwidth_b / LN2
-        # the solvers rely on beta >= 0, which the 1e-12 slack alone would not give at theta = 0
-        if self.beta < 0.0 or abs(self.beta - expected) > 1e-12 * max(1.0, expected):
-            raise ValidationError("beta must equal theta * frame_t * bandwidth_b / ln 2, >= 0")
+
+    @property
+    def beta(self) -> float:
+        return self.theta * self.frame_t * self.bandwidth_b / LN2
 
 
 def make_qos(theta: float, frame_t: float = 2e-3, bandwidth_b: float = 1e5) -> QosSpec:
-    """Build a QosSpec with the derived exponent beta = theta*T*B/ln2."""
-    return QosSpec(
-        theta=float(theta),
-        frame_t=float(frame_t),
-        bandwidth_b=float(bandwidth_b),
-        beta=float(theta) * float(frame_t) * float(bandwidth_b) / LN2,
-    )
+    """Build a QosSpec from floats; its beta is theta*T*B/ln2."""
+    return QosSpec(theta=float(theta), frame_t=float(frame_t), bandwidth_b=float(bandwidth_b))
 
 
 @dataclass(frozen=True)
@@ -143,20 +137,9 @@ class PowerPolicy:
             raise ValidationError("csi_mode must be 'full' or 'main'")
 
 
-@dataclass(frozen=True)
-class ThroughputResult:
-    """Effective secure throughput with solver diagnostics."""
-
-    throughput_bits_s_hz: float
-    throughput_bits_s: float
-    lam: float
-    power_residual: float
-    quad_error: float
-    theta: float
-
-    def __post_init__(self):
-        if self.throughput_bits_s_hz < 0 or self.throughput_bits_s < 0:
-            raise ValidationError("throughput must be nonnegative")
+def lam_from_nu(beta: float, nu: float) -> float:
+    """The multiplier lam = beta*nu, or at beta = 0 the rate multiplier nu itself."""
+    return beta * nu if beta > 0.0 else nu
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,18 +149,29 @@ class Solution:
     nu is the normalized multiplier lam/beta (the rate multiplier at beta = 0,
     math.inf for the all-zero policy of a zero budget) and threshold the
     policy's zero-power boundary: nu for csi_mode 'full', the cutoff gain
-    alpha for 'main'. throughput was read out in the solve.
-    build_state_power() builds the power map that policy() packages: for main
-    CSI it solves the simulation table, so only a policy() call builds one.
+    alpha for 'main'. The throughput, its quadrature error and the budget's
+    power_residual were read out in the solve. build_state_power() builds
+    the power map that policy() packages: for main CSI it solves the
+    simulation table, so only a policy() call builds one.
     """
 
     csi_mode: str
     beta: float
     nu: float
     threshold: float
-    throughput: ThroughputResult
+    throughput_bits_s_hz: float
+    power_residual: float
+    quad_error: float
     build_state_power: Callable[[], Callable[..., np.ndarray]]
 
+    def __post_init__(self):
+        if self.throughput_bits_s_hz < 0:
+            raise ValidationError("throughput must be nonnegative")
+
+    @property
+    def lam(self) -> float:
+        return lam_from_nu(self.beta, self.nu)
+
     def policy(self) -> PowerPolicy:
-        return PowerPolicy(csi_mode=self.csi_mode, lam=self.throughput.lam, beta=self.beta,
+        return PowerPolicy(csi_mode=self.csi_mode, lam=self.lam, beta=self.beta,
                            threshold=self.threshold, state_power=self.build_state_power())

@@ -89,10 +89,10 @@ def _gauss_legendre(order: int):
     return x, w
 
 
-def panel_nodes(lo: float, hi: float, n_panels: int):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi], ascending."""
+def panel_nodes(n_panels: int):
+    """Composite Gauss-Legendre nodes and weights on [0, 1], ascending."""
     x, w = _gauss_legendre(_GL_ORDER)
-    edges = np.linspace(lo, hi, n_panels + 1)
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     nodes = (centers[:, None] + half * x[None, :]).ravel()
@@ -108,7 +108,7 @@ def graded_nodes(scale: float, span, n_panels: int):
     each entry its own rule, the nodes along a new last axis.
     """
     s_max = np.arcsinh(np.sqrt(1.0 + np.asarray(span, dtype=float) / scale) - 1.0)[..., None]
-    s, ws = panel_nodes(0.0, 1.0, n_panels)
+    s, ws = panel_nodes(n_panels)
     sinh = np.sinh(s_max * s)
     cosh = np.sqrt(1.0 + sinh * sinh)  # a third of the cost of np.cosh
     return scale * sinh * (2.0 + sinh), (2.0 * scale) * (ws * s_max) * ((1.0 + sinh) * cosh)

@@ -24,4 +24,4 @@ def fast_tol():
 @pytest.fixture
 def qos_beta1():
     # beta = theta*T*B/ln 2 = 1 exactly: the full-CSI power has a closed form there
-    return QosSpec(theta=math.log(2.0) / 200.0, frame_t=2e-3, bandwidth_b=1e5, beta=1.0)
+    return QosSpec(theta=math.log(2.0) / 200.0, frame_t=2e-3, bandwidth_b=1e5)

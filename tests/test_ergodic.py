@@ -71,7 +71,7 @@ class TestErgodicThroughput:
 
     def test_full_monte_carlo(self, law, link, fast_tol):
         sol = solve_full(QOS0, link, law, law, fast_tol)
-        policy, result = sol.policy(), sol.throughput
+        policy = sol.policy()
         rng = np.random.default_rng(21)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -79,11 +79,11 @@ class TestErgodicThroughput:
         mu = policy.state_power(z_m, z_e)
         rate = (np.log1p(mu * z_m) - np.log1p(mu * z_e)) / LN2
         se = rate.std() / math.sqrt(n)
-        assert abs(result.throughput_bits_s_hz - rate.mean()) < 3.0 * se
+        assert abs(sol.throughput_bits_s_hz - rate.mean()) < 3.0 * se
 
     def test_main_monte_carlo(self, law, link, fast_tol):
         sol = solve_main(QOS0, link, law, law, fast_tol)
-        policy, result = sol.policy(), sol.throughput
+        policy = sol.policy()
         rng = np.random.default_rng(22)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -92,11 +92,11 @@ class TestErgodicThroughput:
         rate = np.clip((np.log1p(mu * z_m) - np.log1p(mu * z_e)) / LN2, 0.0, None)
         se = rate.std() / math.sqrt(n)
         # the tabulated policy adds a small systematic error on top of MC noise
-        assert abs(result.throughput_bits_s_hz - rate.mean()) < 3.0 * se + 2e-4
+        assert abs(sol.throughput_bits_s_hz - rate.mean()) < 3.0 * se + 2e-4
 
     def test_policies_spend_the_budget(self, law, link, fast_tol):
         sol = solve_full(QOS0, link, law, law, fast_tol)
-        policy, result = sol.policy(), sol.throughput
-        assert result.power_residual <= fast_tol.power_rel_tol * link.avg_snr
-        assert result.lam == policy.lam
+        policy = sol.policy()
+        assert sol.power_residual <= fast_tol.power_rel_tol * link.avg_snr
+        assert sol.lam == policy.lam
         assert policy.beta == 0.0 and policy.threshold == policy.lam

@@ -141,7 +141,7 @@ class TestCalibration:
         assert abs(mean - link.avg_snr) <= fast_tol.power_rel_tol * link.avg_snr
 
     def test_monte_carlo_policy_spends_budget(self, law, link, fast_tol, qos_beta1):
-        lam = solve_full(qos_beta1, link, law, law, fast_tol).throughput.lam
+        lam = solve_full(qos_beta1, link, law, law, fast_tol).lam
         rng = np.random.default_rng(3)
         n = 10_000_000
         z_m = rng.exponential(1.0, n)
@@ -152,7 +152,7 @@ class TestCalibration:
 
     def test_zero_budget_degenerates(self, law, qos_beta1):
         sol = solve_full(qos_beta1, LinkBudget(0.0, 1.0), law, law)
-        assert math.isinf(sol.nu) and math.isinf(sol.throughput.lam)
+        assert math.isinf(sol.nu) and math.isinf(sol.lam)
 
     def test_mean_power_evaluations(self, law, link, monkeypatch):
         # theta = 0.1 at 0 dB; the solve looks mean_power_full up through its
@@ -167,7 +167,7 @@ class TestCalibration:
         qos = make_qos(0.1)
         sol = solve_full(qos, link, law, law, TOL)
         assert sol.nu in calls  # the calibrator works on nu = lam/beta
-        assert sol.throughput.lam == qos.beta * sol.nu
+        assert sol.lam == qos.beta * sol.nu
         assert len(calls) <= 12
         solved = len(calls)  # the readout ran in the solve; the policy adds no evaluation
         sol.policy().state_power(np.array([1.0, 3.0]), np.array([0.2, 0.5]))
@@ -181,7 +181,10 @@ class TestSolve:
     def test_matches_the_public_entry_points(self, law, link, fast_tol, theta):
         qos = make_qos(theta)
         sol = solve_full(qos, link, law, law, fast_tol)
-        assert sol.throughput == throughput_full(qos, link, law, law, fast_tol)
+        assert throughput_full is solve_full
+        again = solve_full(qos, link, law, law, fast_tol)
+        assert (sol.throughput_bits_s_hz, sol.lam, sol.power_residual, sol.quad_error) == (
+            again.throughput_bits_s_hz, again.lam, again.power_residual, again.quad_error)
         assert (sol.csi_mode, sol.beta, sol.threshold) == ("full", qos.beta, sol.nu)
         mine, public = sol.policy(), build_policy_full(qos, link, law, law, fast_tol)
         assert (mine.csi_mode, mine.lam, mine.beta, mine.threshold) == (
@@ -203,14 +206,13 @@ class TestSolve:
         gc.collect()
         assert len(stores) == 1
         assert stores[0]() is None  # no node grid outlives the solve
-        assert sol.throughput.throughput_bits_s_hz > 0.0  # while the solution lives
+        assert sol.throughput_bits_s_hz > 0.0  # while the solution lives
 
 
 class TestThroughput:
     def test_zero_snr(self, law):
         res = throughput_full(make_qos(0.01), LinkBudget(0.0, 1.0), law, law)
         assert res.throughput_bits_s_hz == 0.0
-        assert res.throughput_bits_s == 0.0
 
     def test_dominated_by_eavesdropper(self, law, fast_tol):
         res = throughput_full(make_qos(0.01), LinkBudget(1.0, 1e6), law, law, fast_tol)
@@ -225,7 +227,6 @@ class TestThroughput:
         res = throughput_full(make_qos(0.0), link, law, law, fast_tol)
         erg = closed_form_mean_rate(link, law, fast_tol)
         assert res.throughput_bits_s_hz == pytest.approx(erg, abs=1e-12)
-        assert res.theta == 0.0
 
     def test_matches_assembly_with_idle_mass(self, law, link):
         # -ln E{r^-beta}/(beta ln 2) from a 2001 x 2001 Simpson rule over the whole
@@ -235,20 +236,18 @@ class TestThroughput:
         sol = solve_full(qos, link, law, law, TOL)
         z = np.linspace(0.0, law.tail_cutoff(TOL.quad_trunc_mass), 2001)
         zm, ze = z[None, :], z[:, None]
-        mu = power_grid(zm, ze, link.gamma, qos.beta, sol.throughput.lam, TOL)
+        mu = power_grid(zm, ze, link.gamma, qos.beta, sol.lam, TOL)
         r_beta = np.exp(-qos.beta * (np.log1p(mu * zm) - np.log1p(link.gamma * mu * ze)))
         h = z[1] - z[0]
         inner = np.array([simpson(row, h) for row in r_beta * law.density(zm)])
         value = -math.log(simpson(inner * law.density(z), h)) / (qos.beta * math.log(2.0))
-        assert value == pytest.approx(sol.throughput.throughput_bits_s_hz, rel=1e-3)
+        assert value == pytest.approx(sol.throughput_bits_s_hz, rel=1e-3)
 
     def test_diagnostics_populated(self, law, link, fast_tol):
         res = throughput_full(make_qos(0.01), link, law, law, fast_tol)
         assert res.lam > 0.0
         assert res.power_residual <= fast_tol.power_rel_tol * link.avg_snr
         assert res.quad_error < 1e-4
-        assert res.theta == 0.01
-        assert res.throughput_bits_s == pytest.approx(1e5 * res.throughput_bits_s_hz)
 
 
 ROWS = [(theta, snr_db) for theta in (0.01, 0.1) for snr_db in (0.0, 10.0)]
@@ -280,7 +279,7 @@ class TestNodeReuse:
         sol = solve_full(qos, link, law, law, TOL)
         fresh = throughput_readout(qos.beta, link.gamma, partial(
             transmit_region_expectation, sol.nu, qos.beta, link, law, law, TOL))
-        assert (sol.throughput.throughput_bits_s_hz, sol.throughput.quad_error) == fresh
+        assert (sol.throughput_bits_s_hz, sol.quad_error) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
         stores, asked = [], []

@@ -290,8 +290,8 @@ class TestCalibrationMain:
         assert abs(mean - link.avg_snr) <= fast_tol.power_rel_tol * link.avg_snr
 
     def test_differs_from_full_csi(self, law, link, fast_tol, qos_beta1):
-        lam_m = solve_main(qos_beta1, link, law, law, fast_tol).throughput.lam
-        lam_f = solve_full(qos_beta1, link, law, law, fast_tol).throughput.lam
+        lam_m = solve_main(qos_beta1, link, law, law, fast_tol).lam
+        lam_f = solve_full(qos_beta1, link, law, law, fast_tol).lam
         assert abs(lam_m - lam_f) / lam_f > 1e-3
 
     def test_zero_budget(self, law, qos_beta1):
@@ -311,7 +311,7 @@ class TestCalibrationMain:
         qos = make_qos(0.1)
         sol = solve_main(qos, link, law, law, TOL)
         assert sol.nu in calls
-        assert sol.throughput.lam == qos.beta * sol.nu
+        assert sol.lam == qos.beta * sol.nu
         assert len(calls) <= 12
         solved = len(calls)  # the readout ran in the solve; the table adds no evaluation
         sol.policy().state_power(np.array([0.5, 2.0]))
@@ -325,7 +325,10 @@ class TestSolveMain:
     def test_matches_the_public_entry_points(self, law, link, fast_tol, theta):
         qos = make_qos(theta)
         sol = solve_main(qos, link, law, law, fast_tol)
-        assert sol.throughput == throughput_main(qos, link, law, law, fast_tol)
+        assert throughput_main is solve_main
+        again = solve_main(qos, link, law, law, fast_tol)
+        assert (sol.throughput_bits_s_hz, sol.lam, sol.power_residual, sol.quad_error) == (
+            again.throughput_bits_s_hz, again.lam, again.power_residual, again.quad_error)
         assert (sol.csi_mode, sol.beta) == ("main", qos.beta)
         assert sol.threshold == alpha_threshold(sol.nu, link, law, law, fast_tol)
         mine, public = sol.policy(), build_policy_main(qos, link, law, law, fast_tol)
@@ -347,7 +350,7 @@ class TestSolveMain:
         gc.collect()
         assert len(stores) == 1
         assert stores[0]() is None  # no node grid outlives the solve
-        assert sol.throughput.throughput_bits_s_hz > 0.0  # while the solution lives
+        assert sol.throughput_bits_s_hz > 0.0  # while the solution lives
 
 
 class TestThroughputMain:
@@ -385,7 +388,7 @@ class TestThroughputMain:
                         + 1.0 - float(law.cdf(z_m[k] / link.gamma)))
         mean_r_beta = simpson(outer * law.density(z_m), z_m[1] - z_m[0])
         value = -math.log(mean_r_beta) / (qos.beta * math.log(2.0))
-        assert value == pytest.approx(sol.throughput.throughput_bits_s_hz, rel=1e-3)
+        assert value == pytest.approx(sol.throughput_bits_s_hz, rel=1e-3)
 
     def test_theta_zero_builds_no_table(self, law, link, fast_tol, monkeypatch):
         # only the policy tabulates the theta = 0 power map, when it is asked for
@@ -431,7 +434,7 @@ class TestNodeReuse:
         sol = solve_main(qos, link, law, law, TOL)
         fresh = throughput_readout(qos.beta, link.gamma, partial(
             main_region_expectation, sol.nu, sol.threshold, qos.beta, link, law, law, TOL))
-        assert (sol.throughput.throughput_bits_s_hz, sol.throughput.quad_error) == fresh
+        assert (sol.throughput_bits_s_hz, sol.quad_error) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
         stores, asked = [], []

@@ -8,7 +8,7 @@ from secthru import (
     LinkBudget,
     PowerPolicy,
     QosSpec,
-    ThroughputResult,
+    Solution,
     ValidationError,
     make_qos,
 )
@@ -44,11 +44,11 @@ class TestMakeQos:
         with pytest.raises(ValidationError):
             make_qos(theta, t, b)
 
-    def test_direct_construction_checks_beta(self):
-        with pytest.raises(ValidationError):
+    def test_beta_is_derived(self):
+        qos = QosSpec(theta=0.01, frame_t=2e-3, bandwidth_b=1e5)
+        assert qos.beta == make_qos(0.01).beta
+        with pytest.raises(TypeError):  # beta is not a field
             QosSpec(theta=0.01, frame_t=2e-3, bandwidth_b=1e5, beta=1.0)
-        with pytest.raises(ValidationError):  # within the 1e-12 slack, but negative
-            QosSpec(theta=0.0, frame_t=2e-3, bandwidth_b=1e5, beta=-1e-13)
 
 
 class TestFadingLaw:
@@ -140,7 +140,13 @@ class TestPolicyAndResult:
                         state_power=lambda z: z)
 
     def test_result_nonnegative(self):
+        def solution(throughput, beta=1.0, nu=0.5):
+            return Solution(csi_mode="full", beta=beta, nu=nu, threshold=nu,
+                            throughput_bits_s_hz=throughput, power_residual=0.0,
+                            quad_error=0.0, build_state_power=lambda: None)
+
         with pytest.raises(ValidationError):
-            ThroughputResult(-0.1, -1e4, 1.0, 0.0, 0.0, 0.01)
-        r = ThroughputResult(0.5, 0.5e5, 1.0, 0.0, 0.0, 0.01)
-        assert r.throughput_bits_s == pytest.approx(1e5 * r.throughput_bits_s_hz)
+            solution(-0.1)
+        assert solution(0.5).lam == 0.5 * 1.0
+        assert solution(0.5, beta=2.0).lam == 2.0 * 0.5
+        assert solution(0.5, beta=0.0).lam == 0.5  # the rate multiplier nu itself

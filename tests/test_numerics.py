@@ -15,13 +15,13 @@ TOL = Tolerances()
 
 
 def integrate(f, lo, hi, tol=TOL, floor=0.0, start_panels=FIRST_RUNG):
-    """refine_panels over panel_nodes on [lo, hi]: the quadrature every region
-    expectation runs, on a plain integrand. Each rung of refine_panels takes
-    start_panels/FIRST_RUNG times its panel count.
+    """refine_panels over panel_nodes mapped onto [lo, hi]: the quadrature every
+    region expectation runs, on a plain integrand. Each rung of refine_panels
+    takes start_panels/FIRST_RUNG times its panel count.
     """
     def at(n):
-        z, w = panel_nodes(lo, hi, n * start_panels // FIRST_RUNG)
-        return float(w @ f(z))
+        u, w = panel_nodes(n * start_panels // FIRST_RUNG)
+        return float((hi - lo) * (w @ f(lo + (hi - lo) * u)))
 
     return refine_panels(at, tol, floor=floor)
 

@@ -32,7 +32,7 @@ def calibrated():
     tol = Tolerances(quad_rel_tol=1e-6, root_tol=1e-10)
     sol = solve_full(qos, link, law, law, tol)
     policy = sol.policy()
-    arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+    arrival = sol.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
     return policy, qos, link, law, arrival
 
 
@@ -42,7 +42,7 @@ def calibrated_main():
     link = LinkBudget(1.0, 1.0)
     qos = make_qos(0.01)
     sol = solve_main(qos, link, law, law, Tolerances(quad_rel_tol=1e-6, root_tol=1e-10))
-    arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+    arrival = sol.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
     return sol.policy(), qos, link, law, arrival
 
 

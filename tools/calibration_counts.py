@@ -114,7 +114,7 @@ def count_calibration(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
         "refined_evals": evals["refined"],
         "rung_evals": evals,
         "nu": sol.nu,
-        "residual_rel": sol.throughput.power_residual / link.avg_snr,
+        "residual_rel": sol.power_residual / link.avg_snr,
         "probes": {rung: [[u, p] for u, p in probes[rung]] for rung in evals},
     }
 

@@ -102,7 +102,7 @@ def main(argv=None):
     for mode, solve in (("full", solve_full), ("main", solve_main)):
         sol = solve(qos, link, law, law)
         policy = sol.policy()
-        arrival = sol.throughput.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
+        arrival = sol.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
         queuesim.simulate_queue(policy, qos, link, law, law, arrival, 100_000, 0)
         for frames in FRAMES:
             runs = {str(seed): run(policy, qos, link, law, arrival, frames, seed)

@@ -81,8 +81,8 @@ def solve_row(mode, theta, snr_db, gamma, mean_e):
         except NumericsError as exc:
             row["error"] = type(exc).__name__
         else:
-            row.update(ok=True, nu=sol.nu, throughput=sol.throughput.throughput_bits_s_hz,
-                       residual_rel=sol.throughput.power_residual / link.avg_snr)
+            row.update(ok=True, nu=sol.nu, throughput=sol.throughput_bits_s_hz,
+                       residual_rel=sol.power_residual / link.avg_snr)
     row["seconds"] = round(time.perf_counter() - start, 3)
     row["rung_evals"] = rung_evals(probes)
     row["panels"] = panels
