@@ -29,7 +29,8 @@ from .numerics import (
 
 
 def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
-    """Throughput in bits/s/Hz and its quadrature error under a calibrated policy.
+    """Throughput in bits/s/Hz, its quadrature error and the panel count per
+    axis at which the quadrature stopped, under a calibrated policy.
 
     expectation(integrand, floor) -> QuadResult is the CSI mode's integral of
     integrand(mu, z_m, z_e) against the state law over its transmit region R.
@@ -43,10 +44,10 @@ def throughput_readout(beta: float, gamma: float, expectation) -> tuple:
 
     if beta == 0.0:
         res = expectation(lambda mu, zm, ze: log_ratio(mu, zm, ze) / LN2, 0.01)
-        return max(0.0, res.value), res.error
+        return max(0.0, res.value), res.error, res.panels
     res = expectation(lambda mu, zm, ze: -np.expm1(-beta * log_ratio(mu, zm, ze)), 1.0)
     return (max(0.0, -math.log1p(-res.value) / (beta * LN2)),
-            res.error / ((1.0 - res.value) * beta * LN2))
+            res.error / ((1.0 - res.value) * beta * LN2), res.panels)
 
 
 # panels per axis of the coarse evaluators numerics.calibrate solves on,
@@ -73,7 +74,8 @@ def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solu
     policy_at(nu, nodes) returns the policy at the calibrated nu as
     (threshold, expectation, build_state_power): its zero-power boundary, its
     transmit-region integral expectation(integrand, floor) (see
-    throughput_readout), and the builder of its state power map.
+    throughput_readout), and the builder of its state power map, which
+    Solution.policy calls with the readout's panel count.
 
     Every evaluation shares one NodePowers store, so the refined stage's first
     probe, at the 8-panel root, reads the 8-panel rung the last coarse stage
@@ -94,10 +96,10 @@ def solve(csi_mode, mean_power, policy_at, qos, link, law_m, law_e, tol) -> Solu
     nu, residual = calibrate(at_panels(None), link.avg_snr, u_hi, tol,
                              [at_panels(n) for n in CALIBRATION_RUNGS])
     threshold, expectation, build_state_power = policy_at(nu, nodes)
-    value, quad_error = throughput_readout(beta, link.gamma, expectation)
+    value, quad_error, panels = throughput_readout(beta, link.gamma, expectation)
     return Solution(csi_mode=csi_mode, beta=beta, nu=nu, threshold=threshold,
                     throughput_bits_s_hz=value, power_residual=residual, quad_error=quad_error,
-                    build_state_power=build_state_power)
+                    panels=panels, build_state_power=build_state_power)
 
 
 # lane-terms solved together: the kernel's temporaries stay near a megabyte

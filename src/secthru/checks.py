@@ -139,10 +139,12 @@ def closed_form_power_beta1(z_m, z_e, gamma, lam):
 
 
 def main_power_at(z_m, gamma, beta, lam, law_e, tol):
-    """The main-CSI power evaluator at one gain, on the simulation table's inner
-    rule (NumericsError where that rule cannot resolve law_e).
+    """The main-CSI power evaluator at one gain, on the fixed rule of
+    main_csi.MAX_INNER_PANELS inner panels (NumericsError where that rule
+    cannot resolve law_e).
     """
-    return float(main_csi.fixed_rule_power(np.array([z_m]), beta, lam / beta, gamma, law_e, tol,
+    return float(main_csi.fixed_rule_power(np.array([z_m]), main_csi.MAX_INNER_PANELS, beta,
+                                           lam / beta, gamma, law_e, tol,
                                            "checks.main_power_at")[0])
 
 

@@ -132,7 +132,7 @@ def solve_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
         lam = lam_from_nu(beta, nu)
         return (nu, partial(transmit_region_expectation, nu, beta, link, law_m, law_e, tol,
                             nodes=nodes),
-                lambda: lambda z_m, z_e: power_grid(z_m, z_e, gamma, beta, lam, tol))
+                lambda panels: lambda z_m, z_e: power_grid(z_m, z_e, gamma, beta, lam, tol))
 
     return solve("full", mean_power_full, policy_at, qos, link, law_m, law_e, tol)
 

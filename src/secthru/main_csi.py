@@ -12,7 +12,9 @@ above a cutoff gain alpha and each active z_m has a unique root. The power
 map has one evaluator, main_power: the lane kernel on a Gauss-Legendre rule
 for the inner integral. The throughput and mean-power quadratures
 (main_region_expectation) call it at their own nodes, and the simulation
-policy interpolates a table of it (main_policy_table).
+policy interpolates a table of it (main_policy_table) on the inner panel
+count at which the solve's throughput readout stopped, doubled while that
+rule cannot resolve the eavesdropper law.
 
 Divided by beta, the condition holds for every beta >= 0 with the normalized
 multiplier nu = lam/beta: at beta = 0 (theta = 0, no QoS constraint) it is the
@@ -81,10 +83,11 @@ def idle_marginal_gain(z_m, gamma: float, law_e: FadingLaw):
     return gamma * law_e.integrated_cdf(np.asarray(z_m, dtype=float) / gamma)
 
 
-# the main-CSI simulation table: inner eavesdropper panels per node, nodes
-# before refinement, the interpolation bound relative to max(1, mu) and the
-# refinement rounds before it gives up
-TABLE_INNER_PANELS = 64
+# the finest fixed inner rule: the simulation table's panel ladder stops
+# there, and the release checks' oracle (checks.main_power_at) uses it
+MAX_INNER_PANELS = 64
+# the main-CSI simulation table: nodes before refinement, the interpolation
+# bound relative to max(1, mu) and the refinement rounds before it gives up
 _TABLE_START_POINTS = 513
 _TABLE_REL_TOL = 1e-4
 _TABLE_ROUNDS = 10
@@ -113,40 +116,46 @@ def main_power(zm, panels, beta, nu, gamma, law_e, tol):
     return power_lanes(zm, coef, u * u, beta, nu, tol), ze, wpe, wu
 
 
-def fixed_rule_power(zm, beta, nu, gamma, law_e, tol, layer: str):
-    """main_power on the fixed TABLE_INNER_PANELS-panel inner rule, which the
+class InnerRuleError(NumericsError):
+    """A fixed inner rule cannot resolve the eavesdropper law at some gain."""
+
+
+def fixed_rule_power(zm, panels, beta, nu, gamma, law_e, tol, layer: str):
+    """main_power on a fixed inner rule of the given panel count, which the
     simulation table and the release checks use, checked at every gain.
 
     A fixed rule cannot resolve an eavesdropper law far narrower than
-    z_m/gamma: at eavesdropper mean 1e-9 and z_m = 2 its nodes miss nearly
-    all of the density and the power would silently come out 0. So the rule's
-    zero-power gain, ((z_m - gamma*z_e) * wpe) @ wu, is compared with the
-    closed form idle_marginal_gain, and a relative miss above 1e-8 at any
-    gain raises NumericsError naming layer, with the powers as best.
+    z_m/gamma: at eavesdropper mean 1e-9 and z_m = 2 the nodes of 64 panels
+    miss nearly all of the density and the power would silently come out 0.
+    So the rule's zero-power gain, ((z_m - gamma*z_e) * wpe) @ wu, is
+    compared with the closed form idle_marginal_gain, and a relative miss
+    above 1e-8 at any gain raises InnerRuleError naming layer, with the
+    powers as best.
     """
-    mu, ze, wpe, wu = main_power(zm, TABLE_INNER_PANELS, beta, nu, gamma, law_e, tol)
+    mu, ze, wpe, wu = main_power(zm, panels, beta, nu, gamma, law_e, tol)
     rule = ((zm[:, None] - gamma * ze) * wpe) @ wu
     exact = idle_marginal_gain(zm, gamma, law_e)
     miss = np.abs(rule - exact) > _INNER_RULE_REL_TOL * exact
     if miss.any():
         k = int(np.argmax(miss))
-        raise NumericsError(
-            f"{layer}: the {TABLE_INNER_PANELS}-panel inner rule's zero-power gain at "
+        raise InnerRuleError(
+            f"{layer}: the {panels}-panel inner rule's zero-power gain at "
             f"z_m = {zm[k]:g} is {rule[k]:.6g} against {exact[k]:.6g} in closed form "
             f"({int(miss.sum())} of {zm.size} gains miss by more than "
             f"{_INNER_RULE_REL_TOL:g} relative)", best=mu)
     return mu
 
 
-def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
-    """Nodes (z, mu) of the main-CSI power map whose linear interpolation is
-    within 1e-4*max(1, mu) at every checked midpoint.
+def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol, panels):
+    """Nodes (z, mu) of the main-CSI power map, on an inner rule of the given
+    panel count, whose linear interpolation is within 1e-4*max(1, mu) at
+    every checked midpoint.
 
     The power is 0 up to the cutoff alpha and turns on steeply just above it,
     so the 513 starting nodes are alpha and alpha plus offsets placed
     geometrically from 1e-6*alpha to the truncation point of the main-channel
     law. Each round solves the power (fixed_rule_power, which raises
-    NumericsError where its inner rule cannot resolve the eavesdropper law)
+    InnerRuleError where its inner rule cannot resolve the eavesdropper law)
     at the midpoint of every interval under check and keeps it as a node;
     the halves of an interval whose interpolated midpoint missed the bound
     are checked in the next round. After _TABLE_ROUNDS rounds with a miss
@@ -156,10 +165,10 @@ def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     anchor = max(alpha, zm_hi * 1e-14)
     # the inner grid is built one kernel block at a time, never for the whole table
-    step = max(1, BLOCK_TERMS // panel_nodes(TABLE_INNER_PANELS)[0].size)
+    step = max(1, BLOCK_TERMS // panel_nodes(panels)[0].size)
 
     def solve(z):
-        return np.concatenate([fixed_rule_power(zc, beta, nu, gamma, law_e, tol,
+        return np.concatenate([fixed_rule_power(zc, panels, beta, nu, gamma, law_e, tol,
                                                 "main_policy_table")
                                for zc in np.split(z, range(step, z.size, step))])
 
@@ -182,13 +191,17 @@ def main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol):
                         f"interpolation bound after {_TABLE_ROUNDS} rounds", best=(z, mu))
 
 
-def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
+def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol, panels):
     """Interpolating evaluator of the main-CSI power map, for queue simulation.
 
     Queue simulation evaluates the policy on millions of gains; re-solving the
     inner integral per draw is wasteful, so the power is solved at the nodes
     of main_table_nodes, whose midpoint check bounds the interpolation error,
-    and interpolated linearly between them. At and below alpha the policy is
+    and interpolated linearly between them. The nodes are solved on panels
+    inner panels, the count at which the solve's readout stopped (at most
+    MAX_INNER_PANELS); where that rule misses its zero-power check
+    (InnerRuleError) the build starts over on twice as many, and at
+    MAX_INNER_PANELS the error propagates. At and below alpha the policy is
     exactly 0; above the last node it is held at the last node's power.
     Between, the evaluator is bitwise np.interp on the nodes, with the node
     interval found by table_lookup instead of a binary search.
@@ -196,7 +209,15 @@ def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol):
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
         return lambda z_m: np.zeros(np.shape(z_m))
-    grid, mu_grid = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol)
+    panels = min(panels, MAX_INNER_PANELS)
+    while True:
+        try:
+            grid, mu_grid = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol, panels)
+            break
+        except InnerRuleError:
+            if panels >= MAX_INNER_PANELS:
+                raise
+            panels = min(2 * panels, MAX_INNER_PANELS)
     interp = table_lookup(grid, mu_grid)
 
     def state_power(z_m):
@@ -325,7 +346,8 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
     """Calibrate the main-CSI policy and read out its effective secure throughput
     (_region.solve). The threshold is the cutoff alpha at the accepted nu,
     solved once more (a few Newton steps), and the policy interpolates
-    main_policy_table, which is built only when the policy is asked for.
+    main_policy_table, which is built only when the policy is asked for, on
+    the readout's inner panel count.
     """
     beta, gamma = qos.beta, link.gamma
 
@@ -333,7 +355,7 @@ def solve_main(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLa
         alpha = alpha_threshold(nu, link, law_m, law_e, tol)
         return (alpha, partial(main_region_expectation, nu, alpha, beta, link, law_m, law_e,
                                tol, nodes=nodes),
-                lambda: main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol))
+                partial(main_policy_table, beta, nu, alpha, gamma, law_m, law_e, tol))
 
     return solve("main", mean_power_main, policy_at, qos, link, law_m, law_e, tol)
 

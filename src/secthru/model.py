@@ -150,9 +150,11 @@ class Solution:
     math.inf for the all-zero policy of a zero budget) and threshold the
     policy's zero-power boundary: nu for csi_mode 'full', the cutoff gain
     alpha for 'main'. The throughput, its quadrature error and the budget's
-    power_residual were read out in the solve. build_state_power() builds
-    the power map that policy() packages: for main CSI it solves the
-    simulation table, so only a policy() call builds one.
+    power_residual were read out in the solve, and panels is the panel count
+    per axis at which the readout's refinement stopped (0 where the policy
+    never transmits). build_state_power(panels) builds the power map that
+    policy() packages: for main CSI it solves the simulation table on that
+    many inner panels, so only a policy() call builds one.
     """
 
     csi_mode: str
@@ -162,7 +164,8 @@ class Solution:
     throughput_bits_s_hz: float
     power_residual: float
     quad_error: float
-    build_state_power: Callable[[], Callable[..., np.ndarray]]
+    panels: int
+    build_state_power: Callable[[int], Callable[..., np.ndarray]]
 
     def __post_init__(self):
         if self.throughput_bits_s_hz < 0:
@@ -174,4 +177,5 @@ class Solution:
 
     def policy(self) -> PowerPolicy:
         return PowerPolicy(csi_mode=self.csi_mode, lam=self.lam, beta=self.beta,
-                           threshold=self.threshold, state_power=self.build_state_power())
+                           threshold=self.threshold,
+                           state_power=self.build_state_power(self.panels))

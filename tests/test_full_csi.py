@@ -279,7 +279,7 @@ class TestNodeReuse:
         sol = solve_full(qos, link, law, law, TOL)
         fresh = throughput_readout(qos.beta, link.gamma, partial(
             transmit_region_expectation, sol.nu, qos.beta, link, law, law, TOL))
-        assert (sol.throughput_bits_s_hz, sol.quad_error) == fresh
+        assert (sol.throughput_bits_s_hz, sol.quad_error, sol.panels) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
         stores, asked = [], []

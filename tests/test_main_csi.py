@@ -100,13 +100,14 @@ class TestPowerMain:
     def test_fixed_rule_raises_on_a_narrow_eavesdropper_law(self, law, link):
         # at eavesdropper mean 1e-9 the 64-panel rule's zero-power gain at
         # z_m = 2 is 1.6e-4 against 2.0 in closed form, and its power would
-        # be 0; near the cutoff z_m = 0.3 it reads 0.40 against 0.30
+        # be 0; near the cutoff z_m = 0.3 it reads 0.40 against 0.30. The
+        # table climbs from 8 panels and raises at 64
         law_e = FadingLaw(mean_gain=1e-9)
         with pytest.raises(NumericsError, match="checks.main_power_at"):
             main_power_at(2.0, 1.0, 1.0, 0.3, law_e, TOL)
         alpha = alpha_threshold(0.3, link, law, law_e, TOL)
-        with pytest.raises(NumericsError, match="main_policy_table"):
-            main_policy_table(1.0, 0.3, alpha, 1.0, law, law_e, TOL)
+        with pytest.raises(NumericsError, match="main_policy_table: the 64-panel"):
+            main_policy_table(1.0, 0.3, alpha, 1.0, law, law_e, TOL, 8)
 
     def test_brute_force_spec_point(self, law):
         mu = main_power_at(2.0, 1.0, 1.0, 0.3, law, TOL)
@@ -434,7 +435,7 @@ class TestNodeReuse:
         sol = solve_main(qos, link, law, law, TOL)
         fresh = throughput_readout(qos.beta, link.gamma, partial(
             main_region_expectation, sol.nu, sol.threshold, qos.beta, link, law, law, TOL))
-        assert (sol.throughput_bits_s_hz, sol.quad_error) == fresh
+        assert (sol.throughput_bits_s_hz, sol.quad_error, sol.panels) == fresh
 
     def test_store_holds_one_multiplier(self, law, link, monkeypatch):
         stores, asked = [], []
@@ -507,20 +508,54 @@ class TestPolicyMain:
         assert abs(mu - brute) < 1e-3 * mu
 
     @pytest.mark.parametrize("theta,snr_db,gamma,mean_e", [(1.0, 30.0, 0.3, 0.1),
-                                                           (1e-3, 30.0, 3.0, 10.0)])
+                                                           (1e-3, 30.0, 3.0, 10.0),
+                                                           (0.01, 0.0, 1.0, 1.0)])
     def test_table_midpoints_meet_the_bound(self, theta, snr_db, gamma, mean_e):
-        # stress-box corners: alpha = 2.8e-7 and 2.0e-3
+        # stress-box corners (alpha = 2.8e-7 and 2.0e-3, tables on 16 and 8
+        # inner panels) and the criterion-7 point (8 panels), against the
+        # power on 64 inner panels
         law_m, law_e = FadingLaw(), FadingLaw(mean_gain=mean_e)
         link = LinkBudget(10.0 ** (snr_db / 10.0), gamma)
         sol = solve_main(make_qos(theta), link, law_m, law_e, TOL)
-        beta, nu, alpha = sol.beta, sol.nu, sol.threshold
-        z, _ = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, TOL)
+        args = (sol.beta, sol.nu, sol.threshold, gamma, law_m, law_e, TOL, sol.panels)
+        z, _ = main_table_nodes(*args)
         z_mid = 0.5 * (z[1:] + z[:-1])
         exact = np.concatenate([
-            main_csi.main_power(zc, main_csi.TABLE_INNER_PANELS, beta, nu, gamma, law_e, TOL)[0]
+            main_csi.main_power(zc, 64, sol.beta, sol.nu, gamma, law_e, TOL)[0]
             for zc in np.array_split(z_mid, z_mid.size // 16)])
-        interp = main_policy_table(beta, nu, alpha, gamma, law_m, law_e, TOL)(z_mid)
+        interp = main_policy_table(*args)(z_mid)
         assert np.all(np.abs(interp - exact) <= 1e-4 * np.maximum(1.0, exact))
+
+    def test_table_climbs_to_the_rule_that_resolves_the_eavesdropper(self, monkeypatch):
+        # theta 0.01, 0 dB, gamma 0.3, eavesdropper mean 0.03: the readout
+        # stops at 8 panels, whose inner rule misses the zero-power check,
+        # and the table starts over on 16, bitwise the table built there
+        law_m, law_e = FadingLaw(), FadingLaw(mean_gain=0.03)
+        sol = solve_main(make_qos(0.01), LinkBudget(1.0, 0.3), law_m, law_e, TOL)
+        assert sol.panels == 8
+        args = (sol.beta, sol.nu, sol.threshold, 0.3, law_m, law_e, TOL)
+        with pytest.raises(main_csi.InnerRuleError, match="main_policy_table: the 8-panel"):
+            main_table_nodes(*args, 8)
+        grid, mu = main_table_nodes(*args, 16)
+        tried = []
+
+        def recorded(*nodes_args):
+            tried.append(nodes_args[-1])
+            return main_table_nodes(*nodes_args)
+
+        monkeypatch.setattr(main_csi, "main_table_nodes", recorded)
+        state_power = sol.policy().state_power
+        assert tried == [8, 16]
+        z = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1])])
+        assert np.array_equal(state_power(z), np.interp(z, grid, mu))
+
+    def test_table_raises_where_no_rule_resolves_the_eavesdropper(self):
+        # theta 0.01, 0 dB, gamma 1, eavesdropper mean 1e-4: even the
+        # 64-panel rule misses the zero-power check
+        law_m, law_e = FadingLaw(), FadingLaw(mean_gain=1e-4)
+        sol = solve_main(make_qos(0.01), LinkBudget(1.0, 1.0), law_m, law_e, TOL)
+        with pytest.raises(NumericsError, match="main_policy_table: the 64-panel"):
+            sol.policy()
 
     def test_table_raises_when_rounds_run_out(self, main_policy, monkeypatch):
         policy, law, link, tol = main_policy
@@ -528,7 +563,7 @@ class TestPolicyMain:
         monkeypatch.setattr(main_csi, "_TABLE_ROUNDS", 2)
         nu = policy.lam / policy.beta
         with pytest.raises(NumericsError, match="main_policy_table") as err:
-            main_policy_table(policy.beta, nu, policy.threshold, link.gamma, law, law, tol)
+            main_policy_table(policy.beta, nu, policy.threshold, link.gamma, law, law, tol, 8)
         z, mu = err.value.best
         assert np.all(np.diff(z) > 0.0) and z.size == mu.size
 

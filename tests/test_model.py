@@ -143,7 +143,7 @@ class TestPolicyAndResult:
         def solution(throughput, beta=1.0, nu=0.5):
             return Solution(csi_mode="full", beta=beta, nu=nu, threshold=nu,
                             throughput_bits_s_hz=throughput, power_residual=0.0,
-                            quad_error=0.0, build_state_power=lambda: None)
+                            quad_error=0.0, panels=8, build_state_power=lambda panels: None)
 
         with pytest.raises(ValidationError):
             solution(-0.1)

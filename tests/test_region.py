@@ -197,6 +197,17 @@ def test_refined_evaluation_at_the_last_coarse_root_solves_only_the_first_rung(
     assert refined_terms == terms and len(terms) == 1
 
 
+@pytest.mark.parametrize("mode", ["full", "main"])
+def test_solution_keeps_the_panels_its_readout_stopped_at(mode):
+    # the criterion-7 point (theta 0.01, 0 dB, gamma 1, Exp(1) gains): the
+    # readout's 8-panel value agrees with its 4-panel one; a zero budget never
+    # transmits, so its readout integrates nothing
+    law, qos = FadingLaw(), make_qos(0.01)
+    solve = getattr({"full": full_csi, "main": main_csi}[mode], f"solve_{mode}")
+    assert solve(qos, LinkBudget(1.0, 1.0), law, law, TOL).panels == 8
+    assert solve(qos, LinkBudget(0.0, 1.0), law, law, TOL).panels == 0
+
+
 @pytest.mark.parametrize("mean_power", [full_csi.mean_power_full, main_csi.mean_power_main])
 @pytest.mark.parametrize("nu, beta", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0)])
 def test_mean_power_rejects_nu_and_beta_out_of_domain(mean_power, nu, beta):

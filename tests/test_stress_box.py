@@ -76,3 +76,13 @@ def test_refined_mean_power_meets_its_error_estimate(tool, box):
         floor = max(link.avg_snr, 1e-6)  # the mean power's own floor
         assert abs(value - reference) <= DEFAULT_TOL.quad_rel_tol * max(abs(value), floor), \
             (mode, theta, snr_db, gamma, mean_e, accepted)
+
+
+def test_solution_keeps_the_readout_panels(tool, box):
+    # the main-CSI rows at theta 1, 30 dB refine their readout to 16 panels,
+    # which their simulation tables are then built on
+    for (mode, theta, snr_db, gamma, mean_e), row in box.items():
+        if mode == "main" and theta == 1.0 and snr_db == 30.0:
+            link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
+            sol = tool.solve(mode, theta, link, DEFAULT_TOL, FadingLaw(mean_gain=mean_e))
+            assert row["panels"]["readout"] == [sol.panels] == [16], (gamma, mean_e)

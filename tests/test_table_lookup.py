@@ -21,7 +21,7 @@ def test_policy_table_is_bitwise_the_interpolated_nodes(gamma, mean_e):
     qos, link = make_qos(0.01), LinkBudget(avg_snr=1.0, gamma=gamma)
     law_m, law_e = FadingLaw(), FadingLaw(mean_gain=mean_e)
     sol = solve_main(qos, link, law_m, law_e, TOL)
-    args = (qos.beta, sol.nu, sol.threshold, gamma, law_m, law_e, TOL)
+    args = (qos.beta, sol.nu, sol.threshold, gamma, law_m, law_e, TOL, sol.panels)
     grid, mu = main_table_nodes(*args)
     state_power = main_policy_table(*args)
     alpha = sol.threshold

@@ -21,11 +21,18 @@ the caller waits for:
   and serves while the caller waits), and
   the caller's per-slice service sum and arrival-minus-service.
 
-Each (mode, frames) entry also holds the medians over its seeds. The record
-holds the CPUs the process may use, on which simulate_queue sizes its thread
-pool, the process's peak RSS and the total time. One 100,000-frame run per
-mode precedes the timed runs, so that lazy imports are not timed. Times and
-RSS depend on the machine; the "env" entry names it.
+Each (mode, frames) entry also holds the medians over its seeds. Before its
+runs, each mode records under "policy" the wall time of its solve and of
+POLICY_BUILDS sol.policy() calls (with their median), the panel count at
+which the solve's readout stopped (Solution.panels, None for a Solution
+without it), and, for main CSI, the node count and the inner panel count of
+the simulation table that policy() built (main_csi.main_table_nodes'
+panels argument, None where it takes none); for full CSI, which builds no
+table, both are None. The record holds the CPUs the process may use, on
+which simulate_queue sizes its thread pool, the process's peak RSS and the
+total time. One 100,000-frame run per mode precedes the timed runs, so
+that lazy imports are not timed. Times and RSS depend on the machine; the
+"env" entry names it.
 
 Run from the root of a checkout (about 10 s and 200 MB of memory on 2 CPUs):
 
@@ -48,7 +55,7 @@ from unittest import mock
 
 import numpy as np
 
-from secthru import queuesim
+from secthru import main_csi, queuesim
 from secthru.full_csi import solve_full
 from secthru.main_csi import solve_main
 from secthru.model import FadingLaw, LinkBudget, make_qos
@@ -56,6 +63,42 @@ from secthru.model import FadingLaw, LinkBudget, make_qos
 FRAMES = (1_000_000, 10_000_000)
 SEEDS = (0, 1, 2)
 STAGES = ("lindley", "tail", "wait")
+POLICY_BUILDS = 3
+
+
+@contextmanager
+def table_builds():
+    """Wrap main_csi.main_table_nodes for the block; yields {"nodes": n,
+    "inner_panels": p} of the last table it built (both None if none)."""
+    table = {"nodes": None, "inner_panels": None}
+    nodes = main_csi.main_table_nodes
+
+    def recorded(*args):
+        z, mu = nodes(*args)
+        # the panel argument follows the seven of a table on a fixed rule
+        table.update(nodes=int(z.size), inner_panels=args[7] if len(args) > 7 else None)
+        return z, mu
+
+    with mock.patch.object(main_csi, "main_table_nodes", recorded):
+        yield table
+
+
+def build_policy(solve, qos, link, law):
+    """Solve one mode and build its policy POLICY_BUILDS times; returns the
+    last Solution and policy, and the "policy" record (module docstring)."""
+    start = time.perf_counter()
+    sol = solve(qos, link, law, law)
+    solve_s = time.perf_counter() - start
+    builds = []
+    with table_builds() as table:
+        for _ in range(POLICY_BUILDS):
+            start = time.perf_counter()
+            policy = sol.policy()
+            builds.append(round(time.perf_counter() - start, 4))
+    record = {"solve_s": round(solve_s, 4), "policy_s": statistics.median(builds),
+              "policy_runs_s": builds, "readout_panels": getattr(sol, "panels", None),
+              "table_nodes": table["nodes"], "table_inner_panels": table["inner_panels"]}
+    return sol, policy, record
 
 
 @contextmanager
@@ -100,8 +143,12 @@ def main(argv=None):
     total = time.perf_counter()
     results = {}
     for mode, solve in (("full", solve_full), ("main", solve_main)):
-        sol = solve(qos, link, law, law)
-        policy = sol.policy()
+        sol, policy, build = build_policy(solve, qos, link, law)
+        results[f"{mode}|policy"] = build
+        print(f"{mode} policy: solve {build['solve_s']:.4f} s, policy() median "
+              f"{build['policy_s']:.4f} s, readout panels {build['readout_panels']}, table "
+              f"{build['table_nodes']} nodes on {build['table_inner_panels']} inner panels",
+              flush=True)
         arrival = sol.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
         queuesim.simulate_queue(policy, qos, link, law, law, arrival, 100_000, 0)
         for frames in FRAMES:
