@@ -337,13 +337,19 @@ def theta0_continuity(cfg):
 
 
 def surface_structure(cfg):
-    """On cfg.grid: exact zeros where z_m <= gamma*z_e, theta = 0 spending more at
-    the best state than theta = 0.01, and theta = 0.01 spending more at moderate states.
+    """On cfg.grid, of the exact power map power_grid: exact zeros where
+    z_m <= gamma*z_e, theta = 0 spending more at the best state than
+    theta = 0.01, and theta = 0.01 spending more at moderate states.
     """
     ze_max, zm_max, steps = cfg.grid
     ze, zm = np.linspace(0.0, ze_max, steps), np.linspace(0.0, zm_max, steps)
-    s_qos, s_erg = (_solved(cfg, "full", theta, cfg.snr_db[0]).policy().state_power(
-        zm[None, :], ze[:, None]) for theta in (0.01, 0.0))
+
+    def surface(theta):
+        sol = _solved(cfg, "full", theta, cfg.snr_db[0])
+        return full_csi.power_grid(zm[None, :], ze[:, None], cfg.gamma, sol.beta, sol.lam,
+                                   cfg.tolerances())
+
+    s_qos, s_erg = surface(0.01), surface(0.0)
     ze_grid, zm_grid = np.meshgrid(ze, zm, indexing="ij")
     diff = zm_grid - cfg.gamma * ze_grid
     if diff.size == 0:

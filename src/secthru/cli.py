@@ -220,9 +220,10 @@ def cmd_policy_surface(cfg: RunConfig) -> int:
     failed = False
     for theta in cfg.theta:
         try:
-            # surface[i, j] is the power at (zm[j], ze[i])
-            policy = cfg.solve("full", theta, cfg.snr_db[0]).policy()
-            surface = policy.state_power(zm[None, :], ze[:, None])
+            # surface[i, j] is the exact power (not the simulation table) at (zm[j], ze[i])
+            sol = cfg.solve("full", theta, cfg.snr_db[0])
+            surface = full_csi.power_grid(zm[None, :], ze[:, None], cfg.gamma, sol.beta,
+                                          sol.lam, cfg.tolerances())
         except NumericsError as exc:
             failed = True
             print(f"numeric error at theta={theta!r}: {exc}", file=sys.stderr)

@@ -117,13 +117,16 @@ class LinkBudget:
 
 @dataclass(frozen=True, eq=False)
 class PowerPolicy:
-    """Calibrated state -> transmit-SNR map.
+    """Calibrated state -> transmit-SNR map, as queue simulation evaluates it.
 
     csi_mode 'full': state_power(z_m, z_e), zero exactly on
     z_m - gamma*z_e <= threshold. csi_mode 'main': state_power(z_m), zero
-    exactly on z_m <= threshold. `lam` is the calibrated average-power
-    multiplier (math.inf for the degenerate all-zero policy) and `beta` the
-    QoS exponent it was solved under (0 for the unconstrained policy).
+    exactly on z_m <= threshold. In both modes state_power is the simulation
+    map Solution.policy() builds, an interpolation table within 1e-4*max(1, mu)
+    of the exact map (full_csi.power_grid at full CSI) wherever it is one.
+    `lam` is the calibrated average-power multiplier (math.inf for the
+    degenerate all-zero policy) and `beta` the QoS exponent it was solved
+    under (0 for the unconstrained policy).
     """
 
     csi_mode: str
@@ -153,8 +156,11 @@ class Solution:
     power_residual were read out in the solve, and panels is the panel count
     per axis at which the readout's refinement stopped (0 where the policy
     never transmits). build_state_power(panels) builds the power map that
-    policy() packages: for main CSI it solves the simulation table on that
-    many inner panels, so only a policy() call builds one.
+    policy() packages, the map queue simulation evaluates: in both modes a
+    simulation table, built only by a policy() call. For main CSI it is
+    solved on that many inner panels; for full CSI at beta > 0 it is
+    full_csi.full_policy_table, and at beta = 0 the closed form. The exact
+    full-CSI map is full_csi.power_grid at lam.
     """
 
     csi_mode: str

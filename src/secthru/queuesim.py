@@ -12,8 +12,8 @@ spawn_key=(j,))), which is SeedSequence(seed).spawn(n)[j], and writes its
 service straight into its part of the queue array. The slices go to a
 thread pool of up to _MAX_WORKERS threads, one per CPU the process may use
 (one thread on one CPU). numpy releases the interpreter lock inside the
-generator's draws and the ufuncs of the power kernel and of the main-CSI
-table lookup, so the slices run in parallel, while the calling thread
+generator's draws and the ufuncs of the policies' table lookups and of
+the power kernel, so the slices run in parallel, while the calling thread
 takes the slices already served, in order: it adds each slice's service
 to the run's sum, turns it into arrival minus service in place and runs
 the Lindley recursion on it. The recursion carries its running sum and
@@ -22,8 +22,9 @@ run's size is made. The output is a function of (seed, _SLICE) alone and
 bitwise the same whatever the CPU count: each slice's draws come from its
 own stream, each state's power and rate depend on that state alone, and
 the caller's sums and recursion run in slice order. The tail's thresholds
-are read from the sorted body by np.quantile's own linear rule, so they are
-bitwise np.quantile's.
+are read by np.quantile's own linear rule from the body partitioned at its
+0.8 quantile and sorted above it, so they are bitwise np.quantile's, and
+their counts are those of a full sort.
 """
 
 import math
@@ -37,6 +38,7 @@ import numpy as np
 from .model import FadingLaw, LinkBudget, PowerPolicy, QosSpec, ValidationError
 
 _N_THRESHOLDS = 20
+_LOWEST_LEVEL = 0.80  # the tail's thresholds are quantiles from this level up
 _MIN_FRAMES = 100_000
 # frames per service slice: small enough that each thread's scratch arrays,
 # which glibc keeps in a per-thread arena, add little to the peak RSS
@@ -154,17 +156,7 @@ def simulate_queue(
             InstabilityWarning,
         )
 
-    # one sort, in place, serves both the quantiles, which are read from it,
-    # and the exceedance counts
-    body = queue[frames // 10:]
-    body.sort()
-    thresholds = _quantile_thresholds(body, frames)
-    if thresholds.size == 0:
-        thresholds = np.linspace(1.0, 20.0, _N_THRESHOLDS)
-        probs = np.zeros(_N_THRESHOLDS)
-    else:
-        idx = np.searchsorted(body, thresholds, side="left")
-        probs = (body.size - idx) / body.size
+    thresholds, probs = _read_tail(queue[frames // 10:], frames)
     return TailHistogram(
         thresholds=thresholds,
         exceedance_prob=probs,
@@ -195,9 +187,37 @@ def _worker_count() -> int:
     return min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
+def _read_tail(body: np.ndarray, frames: int):
+    """The thresholds of the body's tail and the share of the body at or
+    above each, reordering body in place.
+
+    Every threshold is read at or above the order statistic k of the lowest
+    level, _LOWEST_LEVEL, so body is partitioned at k and only body[k:] is
+    sorted: the order statistics _quantile_thresholds reads are then in
+    place, and the thresholds bitwise those of a full sort. So are the
+    counts. The values below k are at most body[k], so they count only
+    towards a threshold at or below body[k], a tie with the partition value;
+    there those at or above the threshold are counted directly. With no
+    positive threshold, the histogram is 20 zero-probability points on
+    [1, 20].
+    """
+    k = int((body.size - 1) * _LOWEST_LEVEL)  # np.floor of _quantile_thresholds' first index
+    body.partition(k)
+    top = body[k:]
+    top.sort()
+    thresholds = _quantile_thresholds(body, frames)
+    if thresholds.size == 0:
+        return np.linspace(1.0, 20.0, _N_THRESHOLDS), np.zeros(_N_THRESHOLDS)
+    idx = k + np.searchsorted(top, thresholds, side="left")  # values below each threshold
+    for n in np.flatnonzero(idx == k):
+        idx[n] -= np.count_nonzero(body[:k] >= thresholds[n])
+    return thresholds, (body.size - idx) / body.size
+
+
 def _quantile_thresholds(body: np.ndarray, frames: int) -> np.ndarray:
-    """Distinct positive quantiles of the sorted body at evenly spaced levels
-    from the upper bulk into the resolvable tail.
+    """Distinct positive quantiles of the body at evenly spaced levels from
+    the upper bulk into the resolvable tail; body must be sorted from its
+    order statistic at _LOWEST_LEVEL up (_read_tail).
 
     They are read from body by np.quantile's default linear rule, operation
     for operation, so they are bitwise np.quantile(body, levels), without
@@ -206,7 +226,7 @@ def _quantile_thresholds(body: np.ndarray, frames: int) -> np.ndarray:
     interpolated as a + d*t, or b - d*(1 - t) where t >= 0.5.
     """
     deepest = max(100.0 / frames, 2e-5)
-    levels = np.linspace(0.80, 1.0 - deepest, _N_THRESHOLDS)
+    levels = np.linspace(_LOWEST_LEVEL, 1.0 - deepest, _N_THRESHOLDS)
     virtual = (body.size - 1) * levels
     below = np.floor(virtual)
     t = virtual - below

@@ -246,6 +246,37 @@ class TestTailRead:
             got = queuesim._quantile_thresholds(body, frames)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize("frames", [queuesim._MIN_FRAMES, 1_000_000])
+    def test_partial_sort_reads_the_tail_of_a_full_sort(self, frames):
+        # the body partitioned at its 0.8 order statistic k and sorted above
+        # it gives bitwise the thresholds and counts of a full sort; in the
+        # tied bodies the value at k fills sorted positions on both sides of
+        # k, so a threshold equals it and counts the equal values below k
+        rng = np.random.default_rng(frames + 1)
+        n = frames - frames // 10
+        k = int((n - 1) * 0.8)
+        low, tie = int(0.7 * n), int(0.2 * n)
+        tied = np.concatenate([rng.uniform(0.0, 3.0, low), np.full(tie, 3.0),
+                               3.0 + rng.exponential(5.0, n - low - tie)])
+        rounded = np.round(rng.exponential(3.0, n))
+        bodies = [rng.exponential(50.0, n), rounded, tied, np.zeros(n)]
+        for body in bodies:
+            rng.shuffle(body)
+            ordered = np.sort(body)
+            expected = queuesim._quantile_thresholds(ordered, frames)
+            thresholds, probs = queuesim._read_tail(body, frames)
+            if expected.size:
+                idx = np.searchsorted(ordered, expected, side="left")
+                assert np.array_equal(thresholds.view(np.int64), expected.view(np.int64))
+                assert np.array_equal(probs, (n - idx) / n)
+            else:
+                assert np.all(probs == 0.0)
+        for body in (tied, rounded):
+            # the tie the partition has to count across: a threshold at body[k]
+            thresholds = queuesim._read_tail(body, frames)[0]
+            assert body[k] in thresholds
+            assert np.count_nonzero(body[:k] == body[k]) > 0
+
 
 class TestEstimateDecay:
     def test_pure_exponential(self):

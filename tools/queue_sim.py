@@ -25,14 +25,16 @@ Each (mode, frames) entry also holds the medians over its seeds. Before its
 runs, each mode records under "policy" the wall time of its solve and of
 POLICY_BUILDS sol.policy() calls (with their median), the panel count at
 which the solve's readout stopped (Solution.panels, None for a Solution
-without it), and, for main CSI, the node count and the inner panel count of
-the simulation table that policy() built (main_csi.main_table_nodes'
-panels argument, None where it takes none); for full CSI, which builds no
-table, both are None. The record holds the CPUs the process may use, on
-which simulate_queue sizes its thread pool, the process's peak RSS and the
-total time. One 100,000-frame run per mode precedes the timed runs, so
-that lazy imports are not timed. Times and RSS depend on the machine; the
-"env" entry names it.
+without it), and the node count of the simulation table that policy()
+built. For main CSI it also records the table's inner panel count
+(main_csi.main_table_nodes' panels argument, None where it takes none); for
+full CSI the share of the table's cells that failed their check and fall
+back to the lane kernel (full_csi.full_table_nodes). A count a table does
+not have, or a table the code does not build, is None. The record holds
+the CPUs the process may use, on which simulate_queue sizes its thread
+pool, the process's peak RSS and the total time. One 100,000-frame run per
+mode precedes the timed runs, so that lazy imports are not timed. Times
+and RSS depend on the machine; the "env" entry names it.
 
 Run from the root of a checkout (about 10 s and 200 MB of memory on 2 CPUs):
 
@@ -49,13 +51,13 @@ import platform
 import resource
 import statistics
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
-from secthru import main_csi, queuesim
+from secthru import full_csi, main_csi, queuesim
 from secthru.full_csi import solve_full
 from secthru.main_csi import solve_main
 from secthru.model import FadingLaw, LinkBudget, make_qos
@@ -68,18 +70,28 @@ POLICY_BUILDS = 3
 
 @contextmanager
 def table_builds():
-    """Wrap main_csi.main_table_nodes for the block; yields {"nodes": n,
-    "inner_panels": p} of the last table it built (both None if none)."""
-    table = {"nodes": None, "inner_panels": None}
-    nodes = main_csi.main_table_nodes
+    """Wrap main_csi.main_table_nodes and full_csi.full_table_nodes (where
+    it exists) for the block; yields {"nodes": n, "inner_panels": p,
+    "fallback_cells": f} of the last table built (None where not recorded)."""
+    table = {"nodes": None, "inner_panels": None, "fallback_cells": None}
+    main_nodes = main_csi.main_table_nodes
+    full_nodes = getattr(full_csi, "full_table_nodes", None)
 
-    def recorded(*args):
-        z, mu = nodes(*args)
+    def main_recorded(*args):
+        z, mu = main_nodes(*args)
         # the panel argument follows the seven of a table on a fixed rule
         table.update(nodes=int(z.size), inner_panels=args[7] if len(args) > 7 else None)
         return z, mu
 
-    with mock.patch.object(main_csi, "main_table_nodes", recorded):
+    def full_recorded(*args):
+        x, fail = full_nodes(*args)
+        table.update(nodes=int(x.size), fallback_cells=round(float(fail.mean()), 6))
+        return x, fail
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(main_csi, "main_table_nodes", main_recorded))
+        if full_nodes is not None:
+            stack.enter_context(mock.patch.object(full_csi, "full_table_nodes", full_recorded))
         yield table
 
 
@@ -97,7 +109,8 @@ def build_policy(solve, qos, link, law):
             builds.append(round(time.perf_counter() - start, 4))
     record = {"solve_s": round(solve_s, 4), "policy_s": statistics.median(builds),
               "policy_runs_s": builds, "readout_panels": getattr(sol, "panels", None),
-              "table_nodes": table["nodes"], "table_inner_panels": table["inner_panels"]}
+              "table_nodes": table["nodes"], "table_inner_panels": table["inner_panels"],
+              "table_fallback_cells": table["fallback_cells"]}
     return sol, policy, record
 
 
@@ -147,8 +160,8 @@ def main(argv=None):
         results[f"{mode}|policy"] = build
         print(f"{mode} policy: solve {build['solve_s']:.4f} s, policy() median "
               f"{build['policy_s']:.4f} s, readout panels {build['readout_panels']}, table "
-              f"{build['table_nodes']} nodes on {build['table_inner_panels']} inner panels",
-              flush=True)
+              f"{build['table_nodes']} nodes on {build['table_inner_panels']} inner panels, "
+              f"{build['table_fallback_cells']} of its cells falling back", flush=True)
         arrival = sol.throughput_bits_s_hz * qos.frame_t * qos.bandwidth_b
         queuesim.simulate_queue(policy, qos, link, law, law, arrival, 100_000, 0)
         for frames in FRAMES:
