@@ -25,7 +25,7 @@ import numpy as np
 
 from . import full_csi, main_csi, queuesim
 from .model import LN2, ValidationError
-from .numerics import NumericsError
+from .numerics import MAX_PANELS, NumericsError
 
 
 def secrecy_mgf_term(mu, z_m, z_e, gamma, beta):
@@ -109,6 +109,16 @@ def brute_power_main(z_m, gamma, beta, lam, law, span=50.0):
     return c if fc <= fd else d
 
 
+def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
+    """Marginal objective gain of power at state (z_m, z_e), matched to lam at the optimum."""
+    mu = np.asarray(mu, dtype=float)
+    z_m = np.asarray(z_m, dtype=float)
+    z_e = np.asarray(z_e, dtype=float)
+    log_ratio = np.log1p(mu * z_m) - np.log1p(gamma * mu * z_e)
+    denom = (1.0 + mu * z_m) * (1.0 + gamma * mu * z_e)
+    return beta * np.exp(-beta * log_ratio) * (z_m - gamma * z_e) / denom
+
+
 def stationarity_lhs_main(z_m, mu, gamma, beta, law, panels=64):
     """Main-CSI stationarity left side at gain z_m and power mu,
 
@@ -140,10 +150,10 @@ def closed_form_power_beta1(z_m, z_e, gamma, lam):
 
 def main_power_at(z_m, gamma, beta, lam, law_e, tol):
     """The main-CSI power evaluator at one gain, on the fixed rule of
-    main_csi.MAX_INNER_PANELS inner panels (NumericsError where that rule
-    cannot resolve law_e).
+    MAX_PANELS inner panels (NumericsError where that rule cannot resolve
+    law_e).
     """
-    return float(main_csi.fixed_rule_power(np.array([z_m]), main_csi.MAX_INNER_PANELS, beta,
+    return float(main_csi.fixed_rule_power(np.array([z_m]), MAX_PANELS, beta,
                                            lam / beta, gamma, law_e, tol,
                                            "checks.main_power_at")[0])
 
@@ -175,7 +185,7 @@ def kkt_residual_full(cfg):
         lam = rng.uniform(0.05, 1.0)
         mu = float(full_csi.power_grid([z_m], [z_e], cfg.gamma, beta, lam, tol)[0])
         if mu > 0.0:
-            resid = abs(float(full_csi.kkt_lhs_full(mu, z_m, z_e, cfg.gamma, beta)) - lam)
+            resid = abs(float(kkt_lhs_full(mu, z_m, z_e, cfg.gamma, beta)) - lam)
             worst = max(worst, resid / lam)
     return worst < 1e-8, f"worst relative residual {worst:.3e}"
 

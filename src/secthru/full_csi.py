@@ -34,16 +34,6 @@ from .model import (FadingLaw, LinkBudget, PowerPolicy, QosSpec, Solution, Valid
 from .numerics import DEFAULT_TOL, QuadResult, Tolerances, graded_nodes
 
 
-def kkt_lhs_full(mu, z_m, z_e, gamma: float, beta: float):
-    """Marginal objective gain of power at state (z_m, z_e), matched to lam at the optimum."""
-    mu = np.asarray(mu, dtype=float)
-    z_m = np.asarray(z_m, dtype=float)
-    z_e = np.asarray(z_e, dtype=float)
-    log_ratio = np.log1p(mu * z_m) - np.log1p(gamma * mu * z_e)
-    denom = (1.0 + mu * z_m) * (1.0 + gamma * mu * z_e)
-    return beta * np.exp(-beta * log_ratio) * (z_m - gamma * z_e) / denom
-
-
 def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Vectorized optimal power over broadcast state arrays.

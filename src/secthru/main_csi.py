@@ -32,7 +32,8 @@ import numpy as np
 from ._region import BLOCK_TERMS, NodePowers, node_powers, power_lanes, quadrature, solve
 from .model import (SERIES_BELOW, FadingLaw, LinkBudget, PowerPolicy, QosSpec, Solution,
                     ValidationError, excess_series)
-from .numerics import DEFAULT_TOL, NumericsError, QuadResult, Tolerances, graded_nodes, panel_nodes
+from .numerics import (DEFAULT_TOL, MAX_PANELS, NumericsError, QuadResult, Tolerances,
+                       graded_nodes, panel_nodes)
 
 
 def alpha_threshold(nu: float, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
@@ -83,9 +84,6 @@ def idle_marginal_gain(z_m, gamma: float, law_e: FadingLaw):
     return gamma * law_e.integrated_cdf(np.asarray(z_m, dtype=float) / gamma)
 
 
-# the finest fixed inner rule: the simulation table's panel ladder stops
-# there, and the release checks' oracle (checks.main_power_at) uses it
-MAX_INNER_PANELS = 64
 # the main-CSI simulation table: nodes before refinement, the interpolation
 # bound relative to max(1, mu) and the refinement rounds before it gives up
 _TABLE_START_POINTS = 513
@@ -199,9 +197,9 @@ def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol, panels):
     of main_table_nodes, whose midpoint check bounds the interpolation error,
     and interpolated linearly between them. The nodes are solved on panels
     inner panels, the count at which the solve's readout stopped (at most
-    MAX_INNER_PANELS); where that rule misses its zero-power check
+    numerics.MAX_PANELS); where that rule misses its zero-power check
     (InnerRuleError) the build starts over on twice as many, and at
-    MAX_INNER_PANELS the error propagates. At and below alpha the policy is
+    MAX_PANELS the error propagates. At and below alpha the policy is
     exactly 0; above the last node it is held at the last node's power.
     Between, the evaluator is bitwise np.interp on the nodes, with the node
     interval found by table_lookup instead of a binary search.
@@ -209,15 +207,14 @@ def main_policy_table(beta, nu, alpha, gamma, law_m, law_e, tol, panels):
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
     if not (alpha < zm_hi):
         return lambda z_m: np.zeros(np.shape(z_m))
-    panels = min(panels, MAX_INNER_PANELS)
     while True:
         try:
             grid, mu_grid = main_table_nodes(beta, nu, alpha, gamma, law_m, law_e, tol, panels)
             break
         except InnerRuleError:
-            if panels >= MAX_INNER_PANELS:
+            if panels >= MAX_PANELS:
                 raise
-            panels = min(2 * panels, MAX_INNER_PANELS)
+            panels = min(2 * panels, MAX_PANELS)
     interp = table_lookup(grid, mu_grid)
 
     def state_power(z_m):

@@ -59,7 +59,7 @@ class FadingLaw:
             raise ValidationError("tail mass must lie in (0, 1)")
         return -self.mean_gain * math.log(mass)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: "np.random.Generator", n: int) -> np.ndarray:
         return rng.exponential(self.mean_gain, size=n)
 
 

@@ -73,8 +73,10 @@ _GL_ORDER = 16
 # already agrees with the 4-panel one within quad_rel_tol on most of the
 # realistic range, so most refinements stop at 8 panels
 FIRST_RUNG = 4
-# refine_panels' panel cap per axis
-_MAX_PANELS = 64
+# the finest rule, in panels per axis: refine_panels' cap, the top of the
+# main-CSI simulation table's inner-rule ladder and the rule of the release
+# checks' main-CSI oracle (checks.main_power_at)
+MAX_PANELS = 64
 
 
 class QuadResult(NamedTuple):
@@ -127,14 +129,14 @@ def refine_panels(
     (1.5 * diff * r / (1 - r)) once two successive diffs show a contraction
     ratio r < 1/4. Convergence: estimate <= quad_rel_tol * max(|I_2n|, floor).
     Stops with QuadratureError (best estimate attached) if neither max_iter
-    rounds nor the _MAX_PANELS cap produce agreement.
+    rounds nor the MAX_PANELS cap produce agreement.
     """
     n = FIRST_RUNG
     prev = value_at(n)
     prev_diff = None
     err_est = math.inf
     for _ in range(tol.max_iter):
-        if 2 * n > _MAX_PANELS:
+        if 2 * n > MAX_PANELS:
             break
         n *= 2
         cur = value_at(n)

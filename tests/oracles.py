@@ -14,6 +14,7 @@ from secthru.checks import (
     brute_power_main,
     closed_form_power_beta1,
     grid_power_main,
+    kkt_lhs_full,
     secrecy_mgf_term,
     stationarity_lhs_main,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "brute_power_main",
     "closed_form_power_beta1",
     "grid_power_main",
+    "kkt_lhs_full",
     "secrecy_mgf_term",
     "simpson",
     "simpson_density",

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import secthru
 from secthru import NumericsError, checks, full_csi, main_csi
 from secthru.cli import RunConfig, main, parse_config_file
 
@@ -276,3 +282,20 @@ class TestValidate:
         output = capsys.readouterr().out
         assert code != 0
         assert any(ln.startswith("FAIL kkt-residual-full") for ln in output.splitlines())
+
+
+def loads_numpy_random(module: str) -> bool:
+    """Whether importing module in a fresh interpreter loads numpy.random."""
+    env = dict(os.environ, PYTHONPATH=str(Path(secthru.__file__).parents[1]))
+    probe = f"import sys, {module}; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # no sweep or surface draws a number, and numpy loads numpy.random only
+    # on first use; an annotation evaluated at import would load it early
+    if loads_numpy_random("numpy"):
+        pytest.skip("this numpy loads numpy.random on import")
+    assert not loads_numpy_random("secthru.cli")

@@ -15,15 +15,11 @@ from secthru import (
     throughput_full,
 )
 from secthru import _region, full_csi
-from secthru.full_csi import (
-    kkt_lhs_full,
-    mean_power_full,
-    power_grid,
-    transmit_region_expectation,
-)
+from secthru.full_csi import mean_power_full, power_grid, transmit_region_expectation
 from secthru._region import CALIBRATION_RUNGS, NodePowers, throughput_readout
 from secthru.numerics import calibrate
-from oracles import brute_power_full, closed_form_power_beta1, secrecy_mgf_term, simpson
+from oracles import (brute_power_full, closed_form_power_beta1, kkt_lhs_full, secrecy_mgf_term,
+                     simpson)
 
 TOL = Tolerances()
 

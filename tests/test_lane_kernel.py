@@ -1,8 +1,9 @@
 """The lane kernel's bookkeeping: a lane's power does not depend on the other
 lanes of its call, whether the block drops its done lanes at once (2-D
 coefficients) or keeps stepping them until half of the block is done (1-D),
-a capped solve's best estimate keeps the lanes that finished in time, and
-the full-CSI powers are bitwise those of the mask-based kernel.
+a capped solve's best estimate keeps the lanes that finished in time, the
+full-CSI powers are bitwise those of the mask-based kernel, and the powers
+of both modes match pinned digests.
 """
 
 import hashlib
@@ -53,12 +54,15 @@ def pinned_states():
     return rng.exponential(1.0, (2, 4096)) * 10.0 ** rng.uniform(-1.0, 3.0, (2, 4096))
 
 
-def elementwise_digest():
-    """sha256 of np.log, np.log1p and np.expm1 at fixed arguments."""
+def elementwise_digest(exp=False):
+    """sha256 of np.log, np.log1p and np.expm1 at fixed arguments, and with
+    exp of np.exp too."""
     u = np.random.default_rng(0).uniform(0.0, 1.0, 4096)
     digest = hashlib.sha256()
     for values in (np.log(u * 1e3), np.log1p(u * 50.0), np.expm1(u * 40.0 - 20.0)):
         digest.update(values.tobytes())
+    if exp:
+        digest.update(np.exp(u * 80.0 - 60.0).tobytes())
     return digest.hexdigest()
 
 
@@ -134,6 +138,35 @@ def test_power_grid_bits_are_pinned():
         for nu in PINNED_NUS:
             digest.update(power_grid(zm, ze, 1.0, beta, beta * nu).tobytes())
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+# sha256 of the main-CSI powers of main_pinned_gains on 16 inner panels at
+# PINNED_BETAS and MAIN_PINNED_NUS, recorded from the kernel with the bit-pattern
+# bracket update, and of the elementwise functions with np.exp, which the
+# 2-D log gain and the exponential density add, on the same machine
+MAIN_PINNED_NUS = (1e-3, 0.1)
+MAIN_PINNED_DIGEST = "f00de224e210c3c3d05986ef3e0f5eb9be1ab834811ff35d149575ba00141952"
+MAIN_PINNED_ELEMENTWISE = "7935421515fd343c39e128fb3aba8513aa2076ada74d52969fc8ec2bf948eefd"
+
+
+def main_pinned_gains():
+    """512 seeded main-channel gains, a few of them below each pinned cutoff."""
+    return np.random.default_rng(21).exponential(3.0, 512)
+
+
+def test_main_power_bits_are_pinned():
+    # the 2-D lanes step through the same loop as power_grid's, with a row of
+    # terms per lane and a compaction at every step that finishes one
+    if elementwise_digest(exp=True) != MAIN_PINNED_ELEMENTWISE:
+        pytest.skip("elementwise functions round unlike the recording machine's")
+    zm = main_pinned_gains()
+    digest = hashlib.sha256()
+    for beta in PINNED_BETAS:
+        for nu in MAIN_PINNED_NUS:
+            mu = main_power(zm, 16, beta, nu, 1.0, FadingLaw(), TOL)[0]
+            assert 0 < np.count_nonzero(mu) < mu.size, (beta, nu)
+            digest.update(mu.tobytes())
+    assert digest.hexdigest() == MAIN_PINNED_DIGEST
 
 
 def one_term_lanes(rng, n, gamma, nu):

@@ -7,9 +7,9 @@ import pytest
 
 from secthru import BracketError, NumericsError, QuadratureError, Tolerances
 from secthru._region import CALIBRATION_RUNGS
-from secthru.full_csi import kkt_lhs_full
 from secthru.numerics import (FIRST_RUNG, calibrate, graded_nodes, panel_nodes,
                               refine_panels)
+from oracles import kkt_lhs_full
 
 TOL = Tolerances()
 

@@ -11,7 +11,7 @@ import pytest
 
 from secthru import full_csi, main_csi
 from secthru.model import FadingLaw, LinkBudget, make_qos
-from secthru.numerics import DEFAULT_TOL, _MAX_PANELS
+from secthru.numerics import DEFAULT_TOL, MAX_PANELS
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -72,7 +72,7 @@ def test_refined_mean_power_meets_its_error_estimate(tool, box):
         with tool.counted_panels() as panels:
             value = mean_power(*args)
         (accepted,) = panels["calibration"]
-        reference = mean_power(*args, min(max(2 * accepted, 32), _MAX_PANELS))
+        reference = mean_power(*args, min(max(2 * accepted, 32), MAX_PANELS))
         floor = max(link.avg_snr, 1e-6)  # the mean power's own floor
         assert abs(value - reference) <= DEFAULT_TOL.quad_rel_tol * max(abs(value), floor), \
             (mode, theta, snr_db, gamma, mean_e, accepted)
