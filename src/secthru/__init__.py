@@ -6,8 +6,8 @@ mean-secrecy-rate benchmark), and a queue-tail Monte Carlo validator of the
 QoS-exponent semantics. See the CLI (`secthru`) for sweep and validation runs.
 """
 
-from .full_csi import build_policy_full, solve_full, throughput_full
-from .main_csi import build_policy_main, solve_main, throughput_main
+from .full_csi import solve_full
+from .main_csi import solve_main
 from .model import (
     FadingLaw,
     LinkBudget,
@@ -34,15 +34,11 @@ __all__ = [
     "TailHistogram",
     "Tolerances",
     "ValidationError",
-    "build_policy_full",
-    "build_policy_main",
     "estimate_decay",
     "make_qos",
     "simulate_queue",
     "solve_full",
     "solve_main",
-    "throughput_full",
-    "throughput_main",
 ]
 
 __version__ = "0.1.0"

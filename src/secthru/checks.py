@@ -260,17 +260,18 @@ def oracle(cfg):
     worst_main = max(abs(main_power_at(z_m, gamma, beta, lam, law_e, tol) - mu)
                      for z_m, gamma, beta, lam, mu in main)
     theta, db = max(cfg.theta), max(cfg.snr_db)
-    policy = _solved(cfg, "main", theta, db).policy()
+    sol = _solved(cfg, "main", theta, db)
+    state_power = sol.policy().state_power
     worst_table = 0.0
-    probed = policy.beta > 0.0 and math.isfinite(policy.threshold)
+    probed = sol.beta > 0.0 and math.isfinite(sol.threshold)
     # brute_power_main minimizes the theta > 0 objective; a zero budget has no cutoff
     if probed:
-        for z_m in policy.threshold * np.array([1.02, 1.1, 1.5]):
-            mu = float(policy.state_power(z_m))
+        for z_m in sol.threshold * np.array([1.02, 1.1, 1.5]):
+            mu = float(state_power(z_m))
             # the power near the cutoff reaches hundreds at 30 dB: the search
             # range follows it, and the error is taken relative to max(1, mu)
             # as the table's own bound is
-            brute = brute_power_main(z_m, cfg.gamma, policy.beta, policy.lam, law_e,
+            brute = brute_power_main(z_m, cfg.gamma, sol.beta, sol.lam, law_e,
                                      span=max(50.0, 2.0 * mu))
             worst_table = max(worst_table, abs(mu - brute) / max(1.0, brute))
     ok = worst_full < 1e-3 and worst_main < 1e-3 and worst_table < 1e-3

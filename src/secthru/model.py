@@ -117,22 +117,16 @@ class LinkBudget:
 
 @dataclass(frozen=True, eq=False)
 class PowerPolicy:
-    """Calibrated state -> transmit-SNR map, as queue simulation evaluates it.
+    """The state -> transmit-SNR map queue simulation evaluates, as
+    Solution.policy() builds it; lam, beta and threshold stay on the Solution.
 
     csi_mode 'full': state_power(z_m, z_e), zero exactly on
     z_m - gamma*z_e <= threshold. csi_mode 'main': state_power(z_m), zero
-    exactly on z_m <= threshold. In both modes state_power is the simulation
-    map Solution.policy() builds, an interpolation table within 1e-4*max(1, mu)
-    of the exact map (full_csi.power_grid at full CSI) wherever it is one.
-    `lam` is the calibrated average-power multiplier (math.inf for the
-    degenerate all-zero policy) and `beta` the QoS exponent it was solved
-    under (0 for the unconstrained policy).
+    exactly on z_m <= threshold. Wherever the map is an interpolation table it
+    is within 1e-4*max(1, mu) of the exact map (full_csi.power_grid at full CSI).
     """
 
     csi_mode: str
-    lam: float
-    beta: float
-    threshold: float
     state_power: Callable[..., np.ndarray]
 
     def __post_init__(self):
@@ -155,9 +149,10 @@ class Solution:
     alpha for 'main'. The throughput, its quadrature error and the budget's
     power_residual were read out in the solve, and panels is the panel count
     per axis at which the readout's refinement stopped (0 where the policy
-    never transmits). build_state_power(panels) builds the power map that
-    policy() packages, the map queue simulation evaluates: in both modes a
-    simulation table, built only by a policy() call. For main CSI it is
+    never transmits). The Solution is the one record of these facts.
+    build_state_power(panels) builds the power map that policy() packages
+    with csi_mode as the PowerPolicy queue simulation evaluates: in both modes
+    a simulation table, built only by a policy() call. For main CSI it is
     solved on that many inner panels; for full CSI at beta > 0 it is
     full_csi.full_policy_table, and at beta = 0 the closed form. The exact
     full-CSI map is full_csi.power_grid at lam.
@@ -182,6 +177,4 @@ class Solution:
         return lam_from_nu(self.beta, self.nu)
 
     def policy(self) -> PowerPolicy:
-        return PowerPolicy(csi_mode=self.csi_mode, lam=self.lam, beta=self.beta,
-                           threshold=self.threshold,
-                           state_power=self.build_state_power(self.panels))
+        return PowerPolicy(self.csi_mode, self.build_state_power(self.panels))

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from secthru import (
-    LinkBudget,
-    ValidationError,
-    make_qos,
-    solve_full,
-    solve_main,
-    throughput_full,
-    throughput_main,
-)
+from secthru import LinkBudget, ValidationError, make_qos, solve_full, solve_main
 from secthru.ergodic import ergodic_power_full
 from oracles import brute_power_ergodic_full
 
@@ -56,18 +48,18 @@ class TestErgodicPowerFull:
 
 class TestErgodicThroughput:
     def test_zero_snr(self, law):
-        assert throughput_full(QOS0, LinkBudget(0.0, 1.0), law, law).throughput_bits_s_hz == 0.0
-        assert throughput_main(QOS0, LinkBudget(0.0, 1.0), law, law).throughput_bits_s_hz == 0.0
+        assert solve_full(QOS0, LinkBudget(0.0, 1.0), law, law).throughput_bits_s_hz == 0.0
+        assert solve_main(QOS0, LinkBudget(0.0, 1.0), law, law).throughput_bits_s_hz == 0.0
 
     def test_dominates_constrained_throughput(self, law, link, fast_tol):
-        erg = throughput_full(QOS0, link, law, law, fast_tol).throughput_bits_s_hz
+        erg = solve_full(QOS0, link, law, law, fast_tol).throughput_bits_s_hz
         for theta in (0.001, 0.01, 0.1):
-            qos = throughput_full(make_qos(theta), link, law, law, fast_tol)
+            qos = solve_full(make_qos(theta), link, law, law, fast_tol)
             assert erg >= qos.throughput_bits_s_hz - 1e-9
 
     def test_main_below_full(self, law, link, fast_tol):
-        assert (throughput_main(QOS0, link, law, law, fast_tol).throughput_bits_s_hz
-                <= throughput_full(QOS0, link, law, law, fast_tol).throughput_bits_s_hz + 1e-9)
+        assert (solve_main(QOS0, link, law, law, fast_tol).throughput_bits_s_hz
+                <= solve_full(QOS0, link, law, law, fast_tol).throughput_bits_s_hz + 1e-9)
 
     def test_full_monte_carlo(self, law, link, fast_tol):
         sol = solve_full(QOS0, link, law, law, fast_tol)
@@ -96,7 +88,5 @@ class TestErgodicThroughput:
 
     def test_policies_spend_the_budget(self, law, link, fast_tol):
         sol = solve_full(QOS0, link, law, law, fast_tol)
-        policy = sol.policy()
         assert sol.power_residual <= fast_tol.power_rel_tol * link.avg_snr
-        assert sol.lam == policy.lam
-        assert policy.beta == 0.0 and policy.threshold == policy.lam
+        assert sol.beta == 0.0 and sol.threshold == sol.lam

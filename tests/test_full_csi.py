@@ -6,14 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from secthru import (
-    LinkBudget,
-    Tolerances,
-    build_policy_full,
-    make_qos,
-    solve_full,
-    throughput_full,
-)
+from secthru import LinkBudget, Tolerances, make_qos, solve_full
 from secthru import _region, full_csi
 from secthru.full_csi import mean_power_full, power_grid, transmit_region_expectation
 from secthru._region import CALIBRATION_RUNGS, NodePowers, throughput_readout
@@ -175,6 +168,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("theta", [0.0, 0.01])
     def test_matches_the_public_entry_points(self, law, link, fast_tol, theta):
+        # the names bench/ calls the solve and the policy build by
+        from secthru.full_csi import build_policy_full, throughput_full
+
         qos = make_qos(theta)
         sol = solve_full(qos, link, law, law, fast_tol)
         assert throughput_full is solve_full
@@ -183,8 +179,7 @@ class TestSolve:
             again.throughput_bits_s_hz, again.lam, again.power_residual, again.quad_error)
         assert (sol.csi_mode, sol.beta, sol.threshold) == ("full", qos.beta, sol.nu)
         mine, public = sol.policy(), build_policy_full(qos, link, law, law, fast_tol)
-        assert (mine.csi_mode, mine.lam, mine.beta, mine.threshold) == (
-            public.csi_mode, public.lam, public.beta, public.threshold)
+        assert mine.csi_mode == public.csi_mode == "full"
         z = np.linspace(0.0, 4.0, 21)
         assert np.array_equal(mine.state_power(z[None, :], z[:, None]),
                               public.state_power(z[None, :], z[:, None]))
@@ -207,20 +202,20 @@ class TestSolve:
 
 class TestThroughput:
     def test_zero_snr(self, law):
-        res = throughput_full(make_qos(0.01), LinkBudget(0.0, 1.0), law, law)
+        res = solve_full(make_qos(0.01), LinkBudget(0.0, 1.0), law, law)
         assert res.throughput_bits_s_hz == 0.0
 
     def test_dominated_by_eavesdropper(self, law, fast_tol):
-        res = throughput_full(make_qos(0.01), LinkBudget(1.0, 1e6), law, law, fast_tol)
+        res = solve_full(make_qos(0.01), LinkBudget(1.0, 1e6), law, law, fast_tol)
         assert res.throughput_bits_s_hz <= 1e-3
 
     def test_theta_to_zero_continuity(self, law, link, fast_tol):
-        res = throughput_full(make_qos(1e-6), link, law, law, fast_tol)
-        erg = throughput_full(make_qos(0.0), link, law, law, fast_tol).throughput_bits_s_hz
+        res = solve_full(make_qos(1e-6), link, law, law, fast_tol)
+        erg = solve_full(make_qos(0.0), link, law, law, fast_tol).throughput_bits_s_hz
         assert abs(res.throughput_bits_s_hz - erg) <= 1e-3
 
     def test_theta_zero_routes_to_benchmark(self, law, link, fast_tol):
-        res = throughput_full(make_qos(0.0), link, law, law, fast_tol)
+        res = solve_full(make_qos(0.0), link, law, law, fast_tol)
         erg = closed_form_mean_rate(link, law, fast_tol)
         assert res.throughput_bits_s_hz == pytest.approx(erg, abs=1e-12)
 
@@ -240,7 +235,7 @@ class TestThroughput:
         assert value == pytest.approx(sol.throughput_bits_s_hz, rel=1e-3)
 
     def test_diagnostics_populated(self, law, link, fast_tol):
-        res = throughput_full(make_qos(0.01), link, law, law, fast_tol)
+        res = solve_full(make_qos(0.01), link, law, law, fast_tol)
         assert res.lam > 0.0
         assert res.power_residual <= fast_tol.power_rel_tol * link.avg_snr
         assert res.quad_error < 1e-4
@@ -319,15 +314,16 @@ class TestPolicySurface:
 
 class TestPolicyObject:
     def test_threshold_and_zero_rule(self, law, link, fast_tol):
-        policy = build_policy_full(make_qos(0.01), link, law, law, fast_tol)
+        sol = solve_full(make_qos(0.01), link, law, law, fast_tol)
+        policy = sol.policy()
         assert policy.csi_mode == "full"
-        assert policy.threshold == pytest.approx(policy.lam / policy.beta)
+        assert sol.threshold == pytest.approx(sol.lam / sol.beta)
         z_e = np.array([0.2, 1.0, 2.5])
-        below = policy.state_power(z_e + policy.threshold * 0.99, z_e)
-        above = policy.state_power(z_e + policy.threshold * 1.01, z_e)
+        below = policy.state_power(z_e + sol.threshold * 0.99, z_e)
+        above = policy.state_power(z_e + sol.threshold * 1.01, z_e)
         assert np.all(below == 0.0)
         assert np.all(above > 0.0)
 
     def test_zero_budget_policy(self, law):
-        policy = build_policy_full(make_qos(0.01), LinkBudget(0.0, 1.0), law, law)
+        policy = solve_full(make_qos(0.01), LinkBudget(0.0, 1.0), law, law).policy()
         assert np.all(policy.state_power(np.array([1.0, 5.0]), np.array([0.1, 0.2])) == 0.0)

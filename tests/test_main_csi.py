@@ -11,12 +11,9 @@ from secthru import (
     LinkBudget,
     NumericsError,
     Tolerances,
-    build_policy_main,
     make_qos,
     solve_full,
     solve_main,
-    throughput_full,
-    throughput_main,
 )
 from secthru import _region, main_csi
 from secthru.checks import main_power_at
@@ -324,6 +321,9 @@ class TestSolveMain:
 
     @pytest.mark.parametrize("theta", [0.0, 0.01])
     def test_matches_the_public_entry_points(self, law, link, fast_tol, theta):
+        # the names bench/ calls the solve and the policy build by
+        from secthru.main_csi import build_policy_main, throughput_main
+
         qos = make_qos(theta)
         sol = solve_main(qos, link, law, law, fast_tol)
         assert throughput_main is solve_main
@@ -333,8 +333,7 @@ class TestSolveMain:
         assert (sol.csi_mode, sol.beta) == ("main", qos.beta)
         assert sol.threshold == alpha_threshold(sol.nu, link, law, law, fast_tol)
         mine, public = sol.policy(), build_policy_main(qos, link, law, law, fast_tol)
-        assert (mine.csi_mode, mine.lam, mine.beta, mine.threshold) == (
-            public.csi_mode, public.lam, public.beta, public.threshold)
+        assert mine.csi_mode == public.csi_mode == "main"
         z = np.linspace(0.0, 6.0, 61)
         assert np.array_equal(mine.state_power(z), public.state_power(z))
 
@@ -356,19 +355,19 @@ class TestSolveMain:
 
 class TestThroughputMain:
     def test_zero_snr(self, law):
-        res = throughput_main(make_qos(0.01), LinkBudget(0.0, 1.0), law, law)
+        res = solve_main(make_qos(0.01), LinkBudget(0.0, 1.0), law, law)
         assert res.throughput_bits_s_hz == 0.0
 
     def test_never_beats_full_csi(self, law, link, fast_tol):
         for theta in (0.003, 0.03):
             qos = make_qos(theta)
-            full = throughput_full(qos, link, law, law, fast_tol).throughput_bits_s_hz
-            main = throughput_main(qos, link, law, law, fast_tol).throughput_bits_s_hz
+            full = solve_full(qos, link, law, law, fast_tol).throughput_bits_s_hz
+            main = solve_main(qos, link, law, law, fast_tol).throughput_bits_s_hz
             assert main <= full + 1e-6
 
     def test_theta_to_zero_continuity(self, law, link, fast_tol):
-        res = throughput_main(make_qos(1e-6), link, law, law, fast_tol)
-        erg = throughput_main(make_qos(0.0), link, law, law, fast_tol).throughput_bits_s_hz
+        res = solve_main(make_qos(1e-6), link, law, law, fast_tol)
+        erg = solve_main(make_qos(0.0), link, law, law, fast_tol).throughput_bits_s_hz
         assert abs(res.throughput_bits_s_hz - erg) <= 1e-3
 
     def test_matches_assembly_with_idle_mass(self, law, link):
@@ -468,42 +467,49 @@ def main_policy():
     law = FadingLaw()
     link = LinkBudget(1.0, 1.0)
     tol = Tolerances(quad_rel_tol=1e-6, root_tol=1e-10)
-    return build_policy_main(make_qos(0.01), link, law, law, tol), law, link, tol
+    return solve_main(make_qos(0.01), link, law, law, tol), law, link, tol
 
 
 class TestPolicyMain:
     def test_zero_rule_and_mode(self, main_policy):
-        policy = main_policy[0]
+        sol = main_policy[0]
+        policy = sol.policy()
         assert policy.csi_mode == "main"
-        z = np.array([policy.threshold * 0.5, policy.threshold * 0.999,
-                      policy.threshold * 1.2, 5.0])
+        z = np.array([sol.threshold * 0.5, sol.threshold * 0.999, sol.threshold * 1.2, 5.0])
         mu = policy.state_power(z)
         assert mu[0] == 0.0 and mu[1] == 0.0
         assert mu[2] > 0.0 and mu[3] > 0.0
 
+    def test_zero_budget_policy(self, law):
+        # a zero budget's cutoff is inf, beyond the table's range: exact zeros everywhere
+        sol = solve_main(make_qos(0.01), LinkBudget(0.0, 1.0), law, law)
+        z = np.array([0.0, 1.0, 5.0, 30.0])
+        assert np.all(sol.policy().state_power(z) == 0.0)
+
     def test_table_tracks_solver(self, main_policy):
-        policy, law, link, tol = main_policy
-        for z in (policy.threshold * 1.5, 2.0, 4.0):
-            direct = main_power_at(z, link.gamma, policy.beta, policy.lam, law, tol)
-            assert float(policy.state_power(z)) == pytest.approx(direct, rel=1e-4, abs=1e-6)
+        sol, law, link, tol = main_policy
+        state_power = sol.policy().state_power
+        for z in (sol.threshold * 1.5, 2.0, 4.0):
+            direct = main_power_at(z, link.gamma, sol.beta, sol.lam, law, tol)
+            assert float(state_power(z)) == pytest.approx(direct, rel=1e-4, abs=1e-6)
 
     def test_table_meets_brute_force_near_cutoff(self):
         # theta 0.1, 10 dB, gamma 1: the power rises from 0 to 8.6 between
         # alpha and 1.5 alpha, with alpha = 3.3e-3
         law = FadingLaw()
-        policy = build_policy_main(make_qos(0.1), LinkBudget(10.0, 1.0), law, law, TOL)
-        z = policy.threshold * np.array([1.02, 1.1, 1.5])
-        brute = [brute_power_main(zi, 1.0, policy.beta, policy.lam, law) for zi in z]
-        assert np.max(np.abs(policy.state_power(z) - brute)) < 1e-3
+        sol = solve_main(make_qos(0.1), LinkBudget(10.0, 1.0), law, law, TOL)
+        z = sol.threshold * np.array([1.02, 1.1, 1.5])
+        brute = [brute_power_main(zi, 1.0, sol.beta, sol.lam, law) for zi in z]
+        assert np.max(np.abs(sol.policy().state_power(z) - brute)) < 1e-3
 
     def test_table_meets_brute_force_at_high_snr(self):
         # theta 0.1, 30 dB: the power at 1.5 alpha is about 860, beyond the
         # default brute-force search range of [0, 50]
         law = FadingLaw()
-        policy = build_policy_main(make_qos(0.1), LinkBudget(1000.0, 1.0), law, law, TOL)
-        z = 1.5 * policy.threshold
-        mu = float(policy.state_power(z))
-        brute = brute_power_main(z, 1.0, policy.beta, policy.lam, law, span=2.0 * mu)
+        sol = solve_main(make_qos(0.1), LinkBudget(1000.0, 1.0), law, law, TOL)
+        z = 1.5 * sol.threshold
+        mu = float(sol.policy().state_power(z))
+        brute = brute_power_main(z, 1.0, sol.beta, sol.lam, law, span=2.0 * mu)
         assert mu > 50.0
         assert abs(mu - brute) < 1e-3 * mu
 
@@ -558,18 +564,17 @@ class TestPolicyMain:
             sol.policy()
 
     def test_table_raises_when_rounds_run_out(self, main_policy, monkeypatch):
-        policy, law, link, tol = main_policy
+        sol, law, link, tol = main_policy
         monkeypatch.setattr(main_csi, "_TABLE_REL_TOL", 1e-15)
         monkeypatch.setattr(main_csi, "_TABLE_ROUNDS", 2)
-        nu = policy.lam / policy.beta
         with pytest.raises(NumericsError, match="main_policy_table") as err:
-            main_policy_table(policy.beta, nu, policy.threshold, link.gamma, law, law, tol, 8)
+            main_policy_table(sol.beta, sol.nu, sol.threshold, link.gamma, law, law, tol, 8)
         z, mu = err.value.best
         assert np.all(np.diff(z) > 0.0) and z.size == mu.size
 
     def test_mean_power_of_table(self, main_policy):
-        policy, law, link, _ = main_policy
+        sol, law, link, _ = main_policy
         rng = np.random.default_rng(8)
         z = rng.exponential(1.0, 4_000_000)
-        mu = policy.state_power(z)
+        mu = sol.policy().state_power(z)
         assert mu.mean() == pytest.approx(link.avg_snr, abs=3.5 * mu.std() / math.sqrt(z.size))

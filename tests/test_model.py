@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -136,8 +137,16 @@ class TestLinkBudget:
 class TestPolicyAndResult:
     def test_policy_mode_checked(self):
         with pytest.raises(ValidationError):
-            PowerPolicy(csi_mode="none", lam=1.0, beta=1.0, threshold=1.0,
-                        state_power=lambda z: z)
+            PowerPolicy(csi_mode="none", state_power=lambda z: z)
+
+    def test_policy_is_the_map_alone(self):
+        # lam, beta and threshold are the Solution's; simulate_queue reads these two
+        assert [f.name for f in fields(PowerPolicy)] == ["csi_mode", "state_power"]
+        sol = Solution(csi_mode="main", beta=1.0, nu=0.5, threshold=0.7,
+                       throughput_bits_s_hz=0.1, power_residual=0.0, quad_error=0.0,
+                       panels=8, build_state_power=lambda panels: panels)
+        policy = sol.policy()
+        assert (policy.csi_mode, policy.state_power) == ("main", 8)
 
     def test_result_nonnegative(self):
         def solution(throughput, beta=1.0, nu=0.5):

@@ -174,6 +174,13 @@ class TestCalibrate:
         assert lam == pytest.approx((1.0 - budget) / 20.0, rel=2 * TOL.power_rel_tol)
         assert lam > math.exp(-4.0)
 
+    def test_zero_power_before_any_bracket_steps_down_by_four(self):
+        # zero mean power from lam = 5e-3 up: the first probe, at ln lam = -4,
+        # reads zero before any bracket exists, so the walk steps down by 4
+        lam, seen = self._calibrate_counted(lambda lam: max(0.0, 1.0 - 200.0 * lam), 0.5, 0.0)
+        assert seen[:2] == [math.exp(-4.0), math.exp(-8.0)]
+        assert lam == pytest.approx(2.5e-3, rel=2 * TOL.power_rel_tol)
+
     # the shapes of the tests above: (mean power, budget, ln of the root)
     SHAPES = [
         (lambda lam: 2.5 / lam, 10.0, math.log(0.25)),

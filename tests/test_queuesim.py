@@ -164,8 +164,7 @@ class TestParallelService:
                 raise NumericsError("slice failed", best=best)
             return np.ones(z_m.size)
 
-        policy = PowerPolicy(csi_mode="full", lam=1.0, beta=1.0, threshold=0.0,
-                             state_power=state_power)
+        policy = PowerPolicy(csi_mode="full", state_power=state_power)
         monkeypatch.setattr(queuesim, "_worker_count", lambda: workers)
         threads = threading.active_count()
         with pytest.raises(NumericsError, match="slice failed") as excinfo:
@@ -190,8 +189,7 @@ class TestParallelService:
             time.sleep(0.02)  # the other slices are still running when the error is read
             return np.ones(z_m.size)
 
-        policy = PowerPolicy(csi_mode="full", lam=1.0, beta=1.0, threshold=0.0,
-                             state_power=state_power)
+        policy = PowerPolicy(csi_mode="full", state_power=state_power)
         monkeypatch.setattr(queuesim, "_worker_count", lambda: 3)
         threads = threading.active_count()
         with pytest.raises(NumericsError, match="first slice failed") as excinfo:

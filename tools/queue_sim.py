@@ -24,10 +24,9 @@ the caller waits for:
 Each (mode, frames) entry also holds the medians over its seeds. Before its
 runs, each mode records under "policy" the wall time of its solve and of
 POLICY_BUILDS sol.policy() calls (with their median), the panel count at
-which the solve's readout stopped (Solution.panels, None for a Solution
-without it), and the node count of the simulation table that policy()
-built. For main CSI it also records the table's inner panel count
-(main_csi.main_table_nodes' panels argument, None where it takes none); for
+which the solve's readout stopped (Solution.panels), and the node count of
+the simulation table that policy() built. For main CSI it also records the
+table's inner panel count (main_csi.main_table_nodes' panels argument); for
 full CSI the share of the table's cells that failed their check and fall
 back to the lane kernel (full_csi.full_table_nodes). A count a table does
 not have, or a table the code does not build, is None. The record holds
@@ -51,7 +50,7 @@ import platform
 import resource
 import statistics
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -70,17 +69,15 @@ POLICY_BUILDS = 3
 
 @contextmanager
 def table_builds():
-    """Wrap main_csi.main_table_nodes and full_csi.full_table_nodes (where
-    it exists) for the block; yields {"nodes": n, "inner_panels": p,
-    "fallback_cells": f} of the last table built (None where not recorded)."""
+    """Wrap main_csi.main_table_nodes and full_csi.full_table_nodes for the
+    block; yields {"nodes": n, "inner_panels": p, "fallback_cells": f} of the
+    last table built (None where not recorded)."""
     table = {"nodes": None, "inner_panels": None, "fallback_cells": None}
-    main_nodes = main_csi.main_table_nodes
-    full_nodes = getattr(full_csi, "full_table_nodes", None)
+    main_nodes, full_nodes = main_csi.main_table_nodes, full_csi.full_table_nodes
 
     def main_recorded(*args):
         z, mu = main_nodes(*args)
-        # the panel argument follows the seven of a table on a fixed rule
-        table.update(nodes=int(z.size), inner_panels=args[7] if len(args) > 7 else None)
+        table.update(nodes=int(z.size), inner_panels=args[7])
         return z, mu
 
     def full_recorded(*args):
@@ -88,10 +85,8 @@ def table_builds():
         table.update(nodes=int(x.size), fallback_cells=round(float(fail.mean()), 6))
         return x, fail
 
-    with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(main_csi, "main_table_nodes", main_recorded))
-        if full_nodes is not None:
-            stack.enter_context(mock.patch.object(full_csi, "full_table_nodes", full_recorded))
+    with mock.patch.object(main_csi, "main_table_nodes", main_recorded), \
+            mock.patch.object(full_csi, "full_table_nodes", full_recorded):
         yield table
 
 
@@ -108,7 +103,7 @@ def build_policy(solve, qos, link, law):
             policy = sol.policy()
             builds.append(round(time.perf_counter() - start, 4))
     record = {"solve_s": round(solve_s, 4), "policy_s": statistics.median(builds),
-              "policy_runs_s": builds, "readout_panels": getattr(sol, "panels", None),
+              "policy_runs_s": builds, "readout_panels": sol.panels,
               "table_nodes": table["nodes"], "table_inner_panels": table["inner_panels"],
               "table_fallback_cells": table["fallback_cells"]}
     return sol, policy, record
