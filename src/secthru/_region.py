@@ -9,7 +9,8 @@ solve's node powers (NodePowers), the rung quadrature that refines both
 dimensions of a region rule together through numerics.refine_panels
 (quadrature), and one solve (solve): the calibration of the multiplier, the
 throughput readout (throughput_readout) and the Solution record. Only the
-readout depends on whether beta is 0.
+readout and the kernel's one-term lanes, a quadratic at beta = 0, depend on
+whether beta is 0.
 """
 
 import math
@@ -17,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .ergodic import ergodic_lane_power
 from .model import LN2, Solution
 from .numerics import (
     FIRST_RUNG,
@@ -120,8 +122,10 @@ def power_lanes(z_m, coef, ratio, beta: float, nu: float, tol: Tolerances) -> np
     bracket whenever a step leaves it, and is done once its step in mu is
     below root_tol*max(1, mu) or it lands on a bracket end (h at its rounding
     floor, where the lane would cycle); its power is written at that step and
-    never again. A non-finite iterate of a lane not done, or max_iter steps,
-    raise NumericsError carrying the powers so far (NaN in blocks not reached).
+    never again. One-term lanes at beta = 0 are a quadratic in mu*z_i, whose
+    root (ergodic.ergodic_lane_power) is written with no step. A non-finite
+    iterate of a lane not done, or max_iter steps, raise NumericsError
+    carrying the powers so far (NaN in blocks not reached).
     """
     ratio = np.broadcast_to(ratio, coef.shape)
     size = max(1, BLOCK_TERMS // (coef.shape[1] if coef.ndim == 2 else 1))
@@ -192,6 +196,12 @@ def _newton_block(out, mu, z, c, s, beta, nu, tol):
         z, c, s, big_l = (v.take(lane, axis=0) for v in (z, c, s, big_l))
         if c.ndim == 2:
             k = k.take(lane)
+    if c.ndim == 1 and beta == 0.0:
+        p = ergodic_lane_power(big_l, s)
+        mu[lane] = p / z
+        if not np.isfinite(p).all():
+            raise NumericsError("power_lanes: non-finite iterate", best=out)
+        return
     if c.ndim == 1:  # _log_gain's slope at p = 0, where 1 + q is 1: bitwise the same
         k = -(beta - 1.0) * (1.0 - s) if beta >= 1.0 else (beta - 1.0) * s
     lo, hi = big_l / max(2.0, beta + 1.0), big_l / b

@@ -10,16 +10,16 @@ state transmits exactly when z_m - gamma*z_e > nu and the root is unique.
 Divided by beta, the condition holds for every beta >= 0 with the normalized
 multiplier nu = lam/beta; at beta = 0 (theta = 0, no QoS constraint) it is the
 first-order condition of the mean secrecy rate, nu is the rate multiplier in
-nats and the power is closed-form (ergodic.ergodic_power_full). nu is
-calibrated so the policy spends the average-SNR budget with equality, and the
-throughput is -ln E{r^(-beta)} / (theta*T*B), where r = 1 wherever no power
-is allocated, or E{log2 r} at theta = 0.
+nats and the lane kernel writes the root in closed form. nu is calibrated so
+the policy spends the average-SNR budget with equality, and the throughput is
+-ln E{r^(-beta)} / (theta*T*B), where r = 1 wherever no power is allocated,
+or E{log2 r} at theta = 0.
 
-The exact power map is power_grid. Solution.policy() is the map queue
-simulation evaluates: at beta > 0 an interpolation table of power_grid's root
-(full_policy_table), checked against the lane kernel at 1e-4*max(1, mu) and
-falling back to power_grid wherever the check fails; at beta = 0 the closed
-form itself.
+The exact power map is power_grid, one lane-kernel call at every beta.
+Solution.policy() is the map queue simulation evaluates: an interpolation
+table of power_grid's root (full_policy_table), checked against the lane
+kernel at 1e-4*max(1, mu) and falling back to power_grid wherever the check
+fails.
 """
 
 import math
@@ -28,7 +28,6 @@ from functools import partial
 import numpy as np
 
 from ._region import NodePowers, node_powers, power_lanes, quadrature, solve
-from .ergodic import ergodic_power_full
 from .model import (FadingLaw, LinkBudget, PowerPolicy, QosSpec, Solution, ValidationError,
                     lam_from_nu)
 from .numerics import DEFAULT_TOL, QuadResult, Tolerances, graded_nodes
@@ -38,18 +37,17 @@ def power_grid(z_m, z_e, gamma: float, beta: float, lam: float,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Vectorized optimal power over broadcast state arrays.
 
-    Exact zeros on z_m - gamma*z_e <= lam/beta; elsewhere the unique positive
-    root of the stationarity condition, from the lane kernel: one term
-    (z_m - gamma*z_e)(1+mu*z_m)^-(beta+1)(1+gamma*mu*z_e)^(beta-1) = lam/beta.
-    At beta = 0, lam is the rate multiplier in nats and the root is the
-    closed form ergodic_power_full. Each state's power depends on that state
-    alone.
+    Exact zeros on z_m - gamma*z_e <= nu, nu = lam/beta (lam itself, the rate
+    multiplier in nats, at beta = 0); elsewhere the unique positive root of
+    the stationarity condition, from the lane kernel: one term
+    (z_m - gamma*z_e)(1+mu*z_m)^-(beta+1)(1+gamma*mu*z_e)^(beta-1) = nu,
+    closed-form at beta = 0. Each state's power depends on that state alone.
     """
-    if beta == 0.0:
-        return ergodic_power_full(z_m, z_e, gamma, lam)
+    if not lam > 0:
+        raise ValidationError("lam must be positive")
     z_m, z_e = np.broadcast_arrays(np.asarray(z_m, dtype=float), np.asarray(z_e, dtype=float))
     out = np.zeros(z_m.shape)
-    nu = lam / beta
+    nu = lam / beta if beta > 0.0 else lam
     gze = gamma * z_e
     coef = z_m - gze
     active = np.flatnonzero(coef > nu)
@@ -91,9 +89,9 @@ def _bilinear(x0, x1, x2, x3, fu, fl):
 
 
 def full_table_nodes(beta: float, nu: float, l_hi: float, tol: Tolerances):
-    """The full-CSI simulation table at beta > 0: x = ln(1 + mu*z_m) on the
-    nodes of a uniform grid in t = sqrt(s) over [0, 1] and in L over
-    [0, l_hi], and the cells between them that fail their check.
+    """The full-CSI simulation table: x = ln(1 + mu*z_m) on the nodes of a
+    uniform grid in t = sqrt(s) over [0, 1] and in L over [0, l_hi], and the
+    cells between them that fail their check.
 
     With s = gamma*z_e/z_m in [0, 1) and L = ln((z_m - gamma*z_e)/nu) > 0,
     p = mu*z_m solves (1 + p)^-(beta+1) (1 + s*p)^(beta-1) = e^-L, the lane
@@ -143,13 +141,12 @@ def full_policy_table(beta: float, nu: float, gamma: float, law_m: FadingLaw,
     interpolated bilinearly; states in a cell that failed its check or beyond
     the L range are solved by power_grid in one gathered call. Each state's
     power depends on that state alone, and the evaluator only reads the
-    table, so worker threads can share it. At beta = 0, where power_grid is
-    a closed form, and where nu >= zm_hi, no table is built and power_grid
-    is the evaluator.
+    table, so worker threads can share it. Where nu >= zm_hi no table is
+    built and power_grid is the evaluator.
     """
     exact = partial(power_grid, gamma=gamma, beta=beta, lam=lam_from_nu(beta, nu), tol=tol)
     zm_hi = law_m.tail_cutoff(tol.quad_trunc_mass)
-    if beta == 0.0 or not nu < zm_hi:
+    if not nu < zm_hi:
         return exact
     l_hi = math.log(zm_hi / nu)
     x, fail = full_table_nodes(beta, nu, l_hi, tol)
@@ -279,5 +276,5 @@ throughput_full = solve_full  # the name the benchmark calls the solve by
 
 def build_policy_full(qos: QosSpec, link: LinkBudget, law_m: FadingLaw, law_e: FadingLaw,
                       tol: Tolerances = DEFAULT_TOL) -> PowerPolicy:
-    """The calibrated full-CSI policy, its evaluator tabulated at beta > 0 (solve_full)."""
+    """The calibrated full-CSI policy, its evaluator tabulated (solve_full)."""
     return solve_full(qos, link, law_m, law_e, tol).policy()

@@ -153,9 +153,9 @@ class Solution:
     build_state_power(panels) builds the power map that policy() packages
     with csi_mode as the PowerPolicy queue simulation evaluates: in both modes
     a simulation table, built only by a policy() call. For main CSI it is
-    solved on that many inner panels; for full CSI at beta > 0 it is
-    full_csi.full_policy_table, and at beta = 0 the closed form. The exact
-    full-CSI map is full_csi.power_grid at lam.
+    solved on that many inner panels; for full CSI it is
+    full_csi.full_policy_table at every beta. The exact full-CSI map is
+    full_csi.power_grid at lam.
     """
 
     csi_mode: str

@@ -148,11 +148,8 @@ def refine_panels(
         if err_est <= tol.quad_rel_tol * max(abs(cur), floor):
             return QuadResult(cur, err_est, n)
         prev, prev_diff = cur, diff
-    raise QuadratureError(
-        f"quadrature not converged at {n} panels (last estimate {err_est:.3e})",
-        best=prev,
-        error=err_est,
-    )
+    raise QuadratureError(f"quadrature not converged at {n} panels (value {prev:.6e}, "
+                          f"error estimate {err_est:.3e})", best=prev, error=err_est)
 
 
 # |ln(P/B)| <= f_tol bounds |P/B - 1| by expm1(f_tol); the shrink keeps that

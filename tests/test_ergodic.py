@@ -1,10 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from secthru import LinkBudget, ValidationError, make_qos, solve_full, solve_main
-from secthru.ergodic import ergodic_power_full
+from secthru.full_csi import power_grid
 from oracles import brute_power_ergodic_full
 
 LN2 = math.log(2.0)
@@ -13,17 +14,17 @@ QOS0 = make_qos(0.0)  # theta = 0: the unconstrained mean-secrecy-rate problem
 
 class TestErgodicPowerFull:
     def test_silent_without_advantage(self, link):
-        assert float(ergodic_power_full(1.0, 1.0, link.gamma, 0.4)) == 0.0
-        assert float(ergodic_power_full(0.5, 2.0, link.gamma, 0.4)) == 0.0
+        assert float(power_grid(1.0, 1.0, link.gamma, 0.0, 0.4)) == 0.0
+        assert float(power_grid(0.5, 2.0, link.gamma, 0.0, 0.4)) == 0.0
 
     def test_water_filling_limit(self, link):
         # z_e = 0 reduces to mu = 1/lam - 1/z_m
         for z_m, lam in ((2.0, 0.4), (5.0, 0.1)):
-            mu = float(ergodic_power_full(z_m, 0.0, link.gamma, lam))
+            mu = float(power_grid(z_m, 0.0, link.gamma, 0.0, lam))
             assert mu == pytest.approx(1.0 / lam - 1.0 / z_m, rel=1e-12)
 
     def test_grid_search_spec_point(self, link):
-        mu = float(ergodic_power_full(2.0, 0.5, link.gamma, 0.4))
+        mu = float(power_grid(2.0, 0.5, link.gamma, 0.0, 0.4))
         assert mu == pytest.approx(brute_power_ergodic_full(2.0, 0.5, 1.0, 0.4), abs=1e-5)
         # quadratic-root closed form
         disc = 1.0 + 4.0 * 0.4 * 1.1
@@ -34,7 +35,7 @@ class TestErgodicPowerFull:
         rng = np.random.default_rng(12)
         z_m = rng.exponential(1.0, 50)
         z_e = rng.exponential(1.0, 50)
-        mu = ergodic_power_full(z_m, z_e, link.gamma, 0.3)
+        mu = power_grid(z_m, z_e, link.gamma, 0.0, 0.3)
         active = (z_m - 2.0 * z_e) > 0.3
         assert np.array_equal(mu > 0, active)
         # first-order condition holds where transmitting
@@ -43,7 +44,21 @@ class TestErgodicPowerFull:
 
     def test_rejects_nonpositive_multiplier(self, link):
         with pytest.raises(ValidationError):
-            ergodic_power_full(1.0, 0.5, link.gamma, 0.0)
+            power_grid(1.0, 0.5, link.gamma, 0.0, 0.0)
+
+    @pytest.mark.parametrize("z_e", [1e-14, 1e-12, 1e-10, 1e-8, 1e-4, 0.0])
+    @pytest.mark.parametrize("z_m, gamma, lam", [(1.0, 1.0, 0.3), (2.0, 1.0, 0.4)])
+    def test_within_4_ulps_of_a_50_digit_root(self, z_m, z_e, gamma, lam):
+        # the root of lam*(1 + mu*z_m)(1 + gamma*mu*z_e) = z_m - gamma*z_e in
+        # 50-digit decimal arithmetic; (-b + sqrt(b^2 - 4ac))/(2a) in floats
+        # cancels as z_e -> 0 (8.0e-4 relative at z_e = 1e-14)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            zm, ze, g, lm = (Decimal(v) for v in (z_m, z_e, gamma, lam))
+            a, b, c = g * zm * ze * lm, lm * (zm + g * ze), lm - (zm - g * ze)
+            exact = float(-c / b if a == 0 else (-b + (b * b - 4 * a * c).sqrt()) / (2 * a))
+        mu = float(power_grid(z_m, z_e, gamma, 0.0, lam))
+        assert abs(mu - exact) <= 4.0 * np.spacing(exact), (mu, exact)
 
 
 class TestErgodicThroughput:

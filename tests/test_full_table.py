@@ -1,5 +1,5 @@
 """The full-CSI simulation table (full_csi.full_policy_table), the map that
-Solution.policy() gives queue simulation at beta > 0, against the exact map
+Solution.policy() gives queue simulation at every beta, against the exact map
 power_grid: within 1e-4*max(1, mu) at random states, zero exactly where
 power_grid is, and power_grid itself wherever the table does not serve.
 """
@@ -20,6 +20,8 @@ CRITERION_7 = (0.01, 0.0, 1.0)
 # the corners of the realistic box in theta, SNR (dB) and gamma
 CORNERS = list(itertools.product((1e-3, 1.0), (-10.0, 30.0), (0.3, 3.0)))
 POINTS = [CRITERION_7] + CORNERS
+# the same points at theta = 0, where the table holds the closed-form root
+THETA0 = [(0.0, snr_db, gamma) for _, snr_db, gamma in POINTS]
 
 
 def bits(a):
@@ -30,7 +32,7 @@ def bits(a):
 def solved():
     """{(theta, snr_db, gamma): (Solution, its state power map)}, solved once."""
     out = {}
-    for theta, snr_db, gamma in POINTS:
+    for theta, snr_db, gamma in POINTS + THETA0:
         link = LinkBudget(avg_snr=10.0 ** (snr_db / 10.0), gamma=gamma)
         sol = solve_full(make_qos(theta), link, LAW, LAW, TOL)
         out[(theta, snr_db, gamma)] = sol, sol.policy().state_power
@@ -41,10 +43,10 @@ def states(seed, n=200_000):
     return np.random.default_rng(seed).exponential(1.0, (2, n))
 
 
-@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize("point", POINTS + THETA0)
 def test_table_is_within_the_bound_of_power_grid(solved, point):
     sol, state_power = solved[point]
-    z_m, z_e = states(POINTS.index(point))
+    z_m, z_e = states((POINTS + THETA0).index(point))
     mu = state_power(z_m, z_e)
     exact = power_grid(z_m, z_e, point[2], sol.beta, sol.lam, TOL)
     assert np.max(np.abs(mu - exact) / np.maximum(1.0, exact)) <= 1e-4
@@ -86,7 +88,7 @@ def test_states_in_failed_cells_are_power_grid(solved):
                           bits(power_grid(z_m, z_e, point[2], sol.beta, sol.lam, TOL)))
 
 
-@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize("point", POINTS + THETA0)
 def test_weak_eavesdropper_is_the_closed_form(solved, point):
     # at z_e = 0 the lane equation is (1 + mu*z)^-(beta+1) = nu/z: the
     # QoS-driven power adaptation mu = ((z/nu)^(1/(beta+1)) - 1)/z

@@ -381,6 +381,15 @@ class TestIntegrateDensity:
             integrate_density(lambda z: np.abs(np.sin(50.0 * z)) ** 0.1, law, bad)
         assert err.value.best is not None
 
+    def test_nonconvergence_names_the_value_and_its_error_estimate(self):
+        # rungs 4, 8, 16, 32, 64 read 1, 2, 3, 4, 5: no two agree at quad_rel_tol
+        values = dict(zip((4, 8, 16, 32, 64), (1.0, 2.0, 3.0, 4.0, 5.0)))
+        with pytest.raises(QuadratureError) as err:
+            refine_panels(values.__getitem__, TOL)
+        assert err.value.best == 5.0 and err.value.error == 1.0
+        assert str(err.value) == ("quadrature not converged at 64 panels "
+                                  "(value 5.000000e+00, error estimate 1.000e+00)")
+
 
 class TestIntegrate:
     def test_polynomial(self):

@@ -94,18 +94,27 @@ def test_power_lanes_match_scalar_bisection(kind, beta):
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_power_grid_beta0_closed_form_matches_kernel(gamma):
-    # power_grid answers beta = 0 with the closed-form root; the kernel solves
-    # the same first-order condition with nu = lam
+    # at beta = 0 the kernel writes each state's root in closed form; the
+    # scalar bisection of the same first-order condition, with nu = lam, is
+    # the independent reference
     rng = np.random.default_rng(int(gamma * 10) + 100)
     for lam in LAMS:
         zm, ze = full_states(rng, gamma, lam)
-        gze = gamma * ze
         mu = power_grid(zm, ze, gamma, 0.0, lam, TOL)
-        ref = power_lanes(zm, np.maximum(zm - gze, 0.0), gze / zm, 0.0, lam, TOL)
+        ref = np.array([bisect_lane_power(zm[i], max(zm[i] - gamma * ze[i], 0.0),
+                                          gamma * ze[i] / zm[i], 0.0, lam)
+                        for i in range(zm.size)])
         where = f"gamma={gamma} lam={lam}"
         assert np.array_equal(mu > 0.0, ref > 0.0), where
         err = np.abs(mu - ref) / np.maximum(1.0, mu)
         assert err.max() <= 1e-10, f"{where}: {err.max():.3e}"
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("lam", [0.0, -0.1])
+def test_power_grid_rejects_a_nonpositive_multiplier(beta, lam):
+    with pytest.raises(ValidationError, match="lam must be positive"):
+        power_grid(np.array([2.0, 0.5]), np.array([0.5, 0.1]), 1.0, beta, lam, TOL)
 
 
 def test_power_grid_lanes_are_independent():

@@ -22,13 +22,12 @@ argument: one per full-CSI state, inner nodes times gains for main CSI) in
 full_csi.solve_full or main_csi.solve_main, split into the calibration and
 the throughput readout (_region.throughput_readout). The kernel is wrapped
 at both of its call sites (full_csi for power_grid, main_csi for
-main_power) for the length of each row only. Every row but the full-CSI
-one at theta = 0, whose power is closed-form (ergodic.ergodic_power_full),
-must count calibration terms: a row that counts none raises, since the
-kernel then has a call site the wrap misses. Counts depend only on the code
-and the default Tolerances, not on the machine; each row also lists its
-probes on each rung as [ln(nu), mean power] under "probes", unrounded so that
-the gaps between the rungs' roots can be read from the file. (Labels up to
+main_power) for the length of each row only. Every row must count
+calibration terms: a row that counts none raises, since the kernel then has
+a call site the wrap misses. Counts depend only on the code and the default
+Tolerances, not on the machine; each row also lists its probes on each rung
+as [ln(nu), mean power] under "probes", unrounded so that the gaps between
+the rungs' roots can be read from the file. (Labels up to
 "after-refine-from-4" store ln(nu) rounded to 4 decimals.)
 
 Run from the root of a checkout:
@@ -164,7 +163,7 @@ def count_lanes(mode, theta, snr_db, gamma, tol=numerics.DEFAULT_TOL):
         with mock.patch.object(full_csi, "power_lanes", counted_lanes), \
                 mock.patch.object(main_csi, "power_lanes", counted_lanes):
             solve(mode, theta, link, tol)
-    if counts["calibration_terms"] == 0 and not (mode == "full" and theta == 0.0):
+    if counts["calibration_terms"] == 0:
         raise RuntimeError(f"{key(mode, theta, snr_db, gamma)}: no power_lanes terms counted "
                            "in the calibration; the kernel has a call site not wrapped here")
     return counts
